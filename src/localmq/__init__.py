@@ -27,8 +27,6 @@ from .fourier import (
     exact_transform,
     l2_test,
     nonzero_test,
-    restriction_value_01,
-    restriction_value_pm,
 )
 from .learners import (
     LearnOutcome,
@@ -41,7 +39,7 @@ from .learners import (
     learn_tree_product,
     learn_tree_uniform,
 )
-from .noise import NoiseWrapper, eta_binary_search, noisy_l2_estimate, noisy_nonzero_test, rcn_collision_prob
+from .noise import NoiseWrapper, eta_grid_search, noisy_l2_estimate, noisy_nonzero_test, rcn_collision_prob
 from .oracles import AuditSummary, OracleSession
 from .reduction import (
     EmbeddedFunction,
@@ -50,8 +48,6 @@ from .reduction import (
     build_code,
     correlation_check,
     embed,
-    simulate_example,
-    simulate_local_mq,
 )
 from .separation import PrfTarget, learn_g_onelocal, pac_baseline
 from .targets import (

@@ -57,24 +57,6 @@ def submasks(mask: int) -> Iterator[int]:
     return iter(sorted(subs))
 
 
-def expand_bits(y: int, positions: list[int]) -> int:
-    """Place bit j of y at positions[j]; inverse of compress_bits."""
-    m = 0
-    for j, pos in enumerate(positions):
-        if y >> j & 1:
-            m |= 1 << pos
-    return m
-
-
-def compress_bits(mask: int, positions: list[int]) -> int:
-    """Gather the bits of `mask` at `positions` into a compact mask."""
-    y = 0
-    for j, pos in enumerate(positions):
-        if mask >> pos & 1:
-            y |= 1 << j
-    return y
-
-
 def all_masks(n: int) -> np.ndarray:
     if n > 25:
         raise ValueError(f"refusing to enumerate 2**{n} masks")

@@ -294,14 +294,6 @@ def restriction_values_pm(
     return labels @ (weights * chi)
 
 
-def restriction_value_01(session, subset: int, anchor: int) -> float:
-    return float(restriction_values_01(session, subset, np.asarray([anchor]))[0])
-
-
-def restriction_value_pm(session, subset: int, anchor: int, basis=UNIFORM_PM) -> float:
-    return float(restriction_values_pm(session, subset, np.asarray([anchor]), basis)[0])
-
-
 # ---------------------------------------------------------------------- tests
 
 
@@ -320,7 +312,6 @@ class RestrictionEstimate:
     values: np.ndarray
     anchors: np.ndarray
     sample_size: int
-    delta: float | None = None
 
     def mean_square(self) -> float:
         return float(np.mean(self.values * self.values))
@@ -329,13 +320,14 @@ class RestrictionEstimate:
         return float(np.mean(np.abs(self.values) > zero_tol))
 
 
-def estimate_restriction(
-    session, subset: int, m: int, basis=UNIFORM_PM, delta: float | None = None
-) -> RestrictionEstimate:
+def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> RestrictionEstimate:
     """Draw m fresh natural examples and compute f_S at each of them."""
     anchors, _, _ = session.draw_batch(m)
-    vals = _restriction_for_session(session, subset, anchors, basis)
-    return RestrictionEstimate(subset, vals, anchors, m, delta)
+    if session.domain == ZERO_ONE:
+        vals = restriction_values_01(session, subset, anchors)
+    else:
+        vals = restriction_values_pm(session, subset, anchors, basis)
+    return RestrictionEstimate(subset, vals, anchors, m)
 
 
 def default_test_samples(theta_gap: float, delta_test: float, value_range: float = 1.0) -> int:
@@ -345,12 +337,6 @@ def default_test_samples(theta_gap: float, delta_test: float, value_range: float
         raise ContractViolation("need theta_gap > 0 and delta_test in (0,1)")
     half_gap = (theta_gap / value_range) / 2.0
     return int(math.ceil(math.log(2.0 / delta_test) / (2.0 * half_gap**2)))
-
-
-def _restriction_for_session(session, subset, anchors, basis):
-    if session.domain == ZERO_ONE:
-        return restriction_values_01(session, subset, anchors)
-    return restriction_values_pm(session, subset, anchors, basis)
 
 
 def l2_test(session, subset: int, theta: float, m: int, basis=UNIFORM_PM) -> TestResult:

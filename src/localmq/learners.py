@@ -1,11 +1,14 @@
 """The learning algorithms.
 
-All five learners share one growth engine: starting from the empty set,
-candidate subsets are extended one variable at a time and admitted when
-their restriction passes the learner's test (non-zero test under smooth
-distributions, L2 test under uniform/product). Growth is bounded by the
-degree parameter d and a budget cap on the grown family; exceeding the
-cap signals that the smoothness assumption was violated.
+All five learners run one shared path: grow, fit, holdout. Growth starts
+from the empty set and extends candidate subsets one variable at a time,
+admitting those whose restriction passes the learner's test (non-zero
+test under smooth distributions, L2 test under uniform/product), up to
+degree d and a budget cap on the grown family; exceeding the cap signals
+that the smoothness assumption was violated. The fit (L1-constrained
+regression, or one shared coefficient-estimation batch) is scored on a
+fresh holdout. Each `learn_*` supplies its domain checks, parameter
+formulas and admission test.
 
 Candidates are walked in ascending (|S|, bitmask) order and each subset
 is tested at most once, so runs are deterministic given the seed. Every
@@ -140,10 +143,10 @@ def default_params_sparse(
 # ------------------------------------------------------------------ internals
 
 
-def _resolve_m(config: LearnerConfig, theta_gap: float, value_range: float = 1.0) -> int:
+def _resolve_m(config: LearnerConfig, theta_gap: float) -> int:
     if config.m is not None:
         return int(config.m)
-    m = default_test_samples(theta_gap, config.delta / 2.0, value_range)
+    m = default_test_samples(theta_gap, config.delta / 2.0)
     if m > MAX_DEFAULT_SAMPLES:
         raise ContractViolation(
             f"default Hoeffding sample size {m} exceeds {MAX_DEFAULT_SAMPLES}; "
@@ -152,7 +155,7 @@ def _resolve_m(config: LearnerConfig, theta_gap: float, value_range: float = 1.0
     return m
 
 
-def _grow(session, n: int, d: int, cap: int, admit, collect_log: bool = True):
+def _grow(n: int, d: int, cap: int, admit):
     """Level-by-level growth from the empty set. `admit(S)` returns a
     TestResult; sets reachable from several parents are tested once."""
     admitted = [0]
@@ -168,8 +171,7 @@ def _grow(session, n: int, d: int, cap: int, admit, collect_log: bool = True):
         for cand in candidates:
             tested.add(cand)
             res = admit(cand)
-            if collect_log:
-                log.append((cand, bool(res.passed), float(res.estimate)))
+            log.append((cand, bool(res.passed), float(res.estimate)))
             if res.passed:
                 fresh.append(cand)
                 admitted.append(cand)
@@ -244,24 +246,25 @@ def constrained_regression(
     return w
 
 
-def _estimate_coeffs(
-    session, sets: list[int], m2: int, basis, eta: float = 0.0
-) -> dict[int, float]:
-    """Coefficient estimates from one shared batch of natural examples;
-    under label noise the estimates are rescaled by 1/(1-2 eta)."""
+def _estimate_coeffs(session, sets: list[int], m2: int, basis) -> FourierSpectrum:
+    """Coefficient estimates from one shared batch of natural examples."""
     _, masks, labels = session.draw_batch(m2)
-    scale = 1.0 / (1.0 - 2.0 * eta) if eta > 0.0 else 1.0
     out = {}
     for s in sets:
         chi = char_values(basis, s, masks, session.n)
-        out[s] = float(np.mean(labels * chi)) * scale
-    return out
+        out[s] = float(np.mean(labels * chi))
+    return FourierSpectrum(session.n, basis, out)
+
+
+def _default_samples(config: LearnerConfig) -> int:
+    """Hoeffding-style default size of the regression and holdout batches."""
+    return 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
 
 
 def _holdout_errors(session, outcome_hyp, sign_threshold, config) -> dict:
     n_hold = config.holdout_samples
     if n_hold is None:
-        n_hold = 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
+        n_hold = _default_samples(config)
     _, masks, labels = session.draw_batch(n_hold)
     vals = outcome_hyp.value_batch(masks)
     errors = {
@@ -277,19 +280,51 @@ def _holdout_errors(session, outcome_hyp, sign_threshold, config) -> dict:
 
 def _regress_hypothesis(
     session, sets: list[int], basis, l1_bound: float, reg_samples: int, zero_tol: float
-) -> tuple[FourierSpectrum, int]:
+) -> FourierSpectrum:
     _, masks, labels = session.draw_batch(reg_samples)
     features = np.column_stack(
         [char_values(basis, s, masks, session.n) for s in sets]
     )
     w = constrained_regression(features, labels, l1_bound)
     coeffs = {s: float(c) for s, c in zip(sets, w) if abs(c) > zero_tol}
-    return FourierSpectrum(session.n, basis, coeffs), reg_samples
+    return FourierSpectrum(session.n, basis, coeffs)
 
 
-def _finish(
-    start, session, hypothesis, sign_threshold, admitted, params, config, metadata, log
+def _learn(
+    session,
+    config: LearnerConfig,
+    params: dict,
+    basis,
+    admit,
+    l1_bound: float | None = None,
+    fit_zero_tol: float = 1e-8,
+    metadata: dict | None = None,
 ) -> LearnOutcome:
+    """The shared learner path: grow the family from the empty set with
+    `admit`, fit over it, and score the fit on a fresh holdout.
+
+    `params` carries the per-algorithm values (at least d, theta, m and
+    cap). With `l1_bound` the fit is the L1-constrained regression,
+    dropping coefficients at most `fit_zero_tol`; without it every
+    grown coefficient is estimated from one shared batch. Outputs are
+    sign-thresholded exactly when the session's domain is +-1.
+    """
+    start = time.perf_counter()
+    admitted, log = _grow(session.n, params["d"], params["cap"], admit)
+    if l1_bound is None:
+        samples = _coeff_samples(config, params["theta"], len(admitted))
+        hypothesis = _estimate_coeffs(session, admitted, samples, basis)
+        params["est_samples"] = samples
+    else:
+        samples = config.reg_samples
+        if samples is None:
+            samples = _default_samples(config)
+        hypothesis = _regress_hypothesis(
+            session, admitted, basis, l1_bound, samples, fit_zero_tol
+        )
+        params["reg_samples"] = samples
+    params.update(epsilon=config.epsilon, delta=config.delta, seed=config.seed)
+    sign_threshold = session.domain == PLUS_MINUS
     errors = _holdout_errors(session, hypothesis, sign_threshold, config)
     return LearnOutcome(
         hypothesis=hypothesis,
@@ -298,7 +333,7 @@ def _finish(
         params=params,
         error_estimates=errors,
         audit=session.audit_report(),
-        metadata=metadata,
+        metadata=metadata or {},
         test_log=log,
         wall_time=time.perf_counter() - start,
     )
@@ -315,7 +350,6 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
     then runs L1-constrained least squares (sum |h[S]| <= t*B) over the
     admitted monomials.
     """
-    start = time.perf_counter()
     if session.domain != ZERO_ONE:
         raise ContractViolation("sparse polynomial learner works over {0,1}")
     if config.t is None or config.B is None or config.alpha is None:
@@ -328,24 +362,8 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
     cap = config.cap if config.cap is not None else t * (1 << min(d + d_prime, 62))
     m = _resolve_m(config, theta)
     zero_tol = 1e-10 * max(1.0, t * B)
-    reg_samples = config.reg_samples
-    if reg_samples is None:
-        reg_samples = 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
-
-    admitted, log = _grow(
-        session,
-        session.n,
-        d,
-        cap,
-        lambda S: nonzero_test(session, S, theta, zero_tol, m),
-    )
-    hypothesis, used = _regress_hypothesis(
-        session, admitted, MONOMIAL_01, t * B, reg_samples, 1e-8 * max(1.0, t * B)
-    )
     params = {
         "algorithm": "sparse-poly",
-        "epsilon": config.epsilon,
-        "delta": config.delta,
         "t": t,
         "B": B,
         "alpha": alpha,
@@ -353,11 +371,17 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
         "theta": theta,
         "d_prime": d_prime,
         "m": m,
-        "reg_samples": used,
         "cap": cap,
-        "seed": config.seed,
     }
-    return _finish(start, session, hypothesis, False, admitted, params, config, {}, log)
+    return _learn(
+        session,
+        config,
+        params,
+        MONOMIAL_01,
+        lambda S: nonzero_test(session, S, theta, zero_tol, m),
+        l1_bound=t * B,
+        fit_zero_tol=1e-8 * max(1.0, t * B),
+    )
 
 
 def learn_logdepth_tree(
@@ -370,7 +394,6 @@ def learn_logdepth_tree(
     sign-thresholded output. Under persistent label noise the test is
     replaced by its exactly-corrected variant.
     """
-    start = time.perf_counter()
     if session.domain != PLUS_MINUS:
         raise ContractViolation("log-depth tree learner works over +-1")
     if config.depth is None or config.alpha is None:
@@ -382,41 +405,29 @@ def learn_logdepth_tree(
     cap = config.cap if config.cap is not None else t * (1 << min(d, 62))
     m = _resolve_m(config, theta)
     zero_tol = 1e-10 * max(1.0, float(t))
-    reg_samples = config.reg_samples
-    if reg_samples is None:
-        reg_samples = 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
-
-    noisy = session.noise is not None or eta_assumed is not None
-    if noisy:
-        admit = lambda S: noisy_nonzero_test(
-            session, S, theta, m, zero_tol, eta=eta_assumed
-        )
-    else:
-        admit = lambda S: nonzero_test(session, S, theta, zero_tol, m)
-    admitted, log = _grow(session, session.n, d, cap, admit)
-    hypothesis, used = _regress_hypothesis(
-        session, admitted, UNIFORM_PM, float(t), reg_samples, 1e-8
-    )
     params = {
         "algorithm": "logdepth-tree",
-        "epsilon": config.epsilon,
-        "delta": config.delta,
         "t": t,
         "alpha": alpha,
         "d": d,
         "theta": theta,
         "m": m,
-        "reg_samples": used,
         "cap": cap,
-        "seed": config.seed,
     }
     meta = {}
-    if noisy:
+    if session.noise is not None or eta_assumed is not None:
+        admit = lambda S: noisy_nonzero_test(
+            session, S, theta, m, zero_tol, eta=eta_assumed
+        )
         meta["noise_corrected"] = True
         meta["eta_assumed"] = (
             eta_assumed if eta_assumed is not None else session.noise.eta
         )
-    return _finish(start, session, hypothesis, True, admitted, params, config, meta, log)
+    else:
+        admit = lambda S: nonzero_test(session, S, theta, zero_tol, m)
+    return _learn(
+        session, config, params, UNIFORM_PM, admit, l1_bound=float(t), metadata=meta
+    )
 
 
 def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -427,7 +438,6 @@ def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOu
     of the admitted sets are then estimated and the sign of the
     approximation is returned.
     """
-    start = time.perf_counter()
     _require_uniform(session)
     if config.t is None:
         raise ContractViolation("config needs the leaf budget t")
@@ -438,26 +448,17 @@ def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOu
     theta = config.theta if config.theta is not None else config.epsilon / (2.0 * t)
     cap = config.cap if config.cap is not None else math.ceil(t**4 / theta**6)
     m = _resolve_m(config, theta * theta)
-
-    admitted, log = _grow(
-        session, session.n, d, cap, lambda S: l2_test(session, S, theta, m)
-    )
-    est_samples = _coeff_samples(config, theta, len(admitted))
-    coeffs = _estimate_coeffs(session, admitted, est_samples, UNIFORM_PM)
-    hypothesis = FourierSpectrum(session.n, UNIFORM_PM, coeffs)
     params = {
         "algorithm": "tree-uniform",
-        "epsilon": config.epsilon,
-        "delta": config.delta,
         "t": t,
         "d": d,
         "theta": theta,
         "m": m,
-        "est_samples": est_samples,
         "cap": cap,
-        "seed": config.seed,
     }
-    return _finish(start, session, hypothesis, True, admitted, params, config, {}, log)
+    return _learn(
+        session, config, params, UNIFORM_PM, lambda S: l2_test(session, S, theta, m)
+    )
 
 
 def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -468,7 +469,6 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     d = log2(8t/eps) / log2(1/(1-c)) and theta = sqrt(eps / (2t * 2^d)),
     mirroring the uniform learner in the chi^mu basis.
     """
-    start = time.perf_counter()
     if session.domain != PLUS_MINUS or session.dist.kind != PRODUCT:
         raise ContractViolation("product tree learner needs a +-1 product distribution")
     if config.t is None:
@@ -494,27 +494,18 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
         cap = math.ceil(2.0**d2 / w_min) if d2 < 40 else 10**18
     m = _resolve_m(config, theta * theta)
     basis = ProductBasis(means)
-
-    admitted, log = _grow(
-        session, session.n, d, cap, lambda S: l2_test(session, S, theta, m, basis)
-    )
-    est_samples = _coeff_samples(config, theta, len(admitted))
-    coeffs = _estimate_coeffs(session, admitted, est_samples, basis)
-    hypothesis = FourierSpectrum(session.n, basis, coeffs)
     params = {
         "algorithm": "tree-product",
-        "epsilon": config.epsilon,
-        "delta": config.delta,
         "t": t,
         "c": c,
         "d": d,
         "theta": theta,
         "m": m,
-        "est_samples": est_samples,
         "cap": cap,
-        "seed": config.seed,
     }
-    return _finish(start, session, hypothesis, True, admitted, params, config, {}, log)
+    return _learn(
+        session, config, params, basis, lambda S: l2_test(session, S, theta, m, basis)
+    )
 
 
 def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -525,7 +516,6 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
     by the sign of the estimated approximation; the substitution is
     flagged in the outcome metadata.
     """
-    start = time.perf_counter()
     _require_uniform(session)
     if config.s is None:
         raise ContractViolation("config needs the DNF size s")
@@ -539,27 +529,15 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
         expo = math.ceil(math.log2(max(2.0, math.log2(max(2.0, ratio))))) + 3
         cap = math.ceil(ratio**expo)
     m = _resolve_m(config, theta * theta)
-
-    admitted, log = _grow(
-        session, session.n, d, cap, lambda S: l2_test(session, S, theta, m)
+    params = {"algorithm": "dnf", "s": s, "d": d, "theta": theta, "m": m, "cap": cap}
+    return _learn(
+        session,
+        config,
+        params,
+        UNIFORM_PM,
+        lambda S: l2_test(session, S, theta, m),
+        metadata={"hypothesis_rule": "sign-of-approximation substitute"},
     )
-    est_samples = _coeff_samples(config, theta, len(admitted))
-    coeffs = _estimate_coeffs(session, admitted, est_samples, UNIFORM_PM)
-    hypothesis = FourierSpectrum(session.n, UNIFORM_PM, coeffs)
-    params = {
-        "algorithm": "dnf",
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "s": s,
-        "d": d,
-        "theta": theta,
-        "m": m,
-        "est_samples": est_samples,
-        "cap": cap,
-        "seed": config.seed,
-    }
-    meta = {"hypothesis_rule": "sign-of-approximation substitute"}
-    return _finish(start, session, hypothesis, True, admitted, params, config, meta, log)
 
 
 def _require_uniform(session) -> None:

@@ -42,9 +42,6 @@ class NoiseWrapper:
         flip = bernoulli(self.seed ^ 0x5EED0FAB, masks, self.eta)
         return np.where(flip, -1.0, 1.0)
 
-    def zeta(self, mask: int) -> float:
-        return float(self.zeta_batch(np.asarray([mask]))[0])
-
 
 def rcn_collision_prob(k: int, i: int, eta: float) -> float:
     """Pr[Z1 - Z2 = i] for Z1 ~ Bin(k+i, eta), Z2 ~ Bin(k-i, eta).
@@ -140,14 +137,15 @@ def eta_grid(epsilon: float) -> list[float]:
     return [i * step for i in range(math.ceil(0.5 / step)) if i * step < 0.5]
 
 
-def eta_binary_search(
+def eta_grid_search(
     make_session,
     learner,
     config,
     validation_samples: int = 2000,
 ):
-    """Run `learner` across the eta guess grid, score each outcome on one
-    reserved validation sample, and return the best outcome.
+    """Scan the eta guess grid in order: run `learner` at each guess,
+    score each outcome on one reserved validation sample, and return the
+    best outcome.
 
     make_session(stream) must build a fresh session over the same noisy
     target (same noise seed, so the persistent flips agree across runs).
@@ -170,9 +168,7 @@ def eta_binary_search(
                 {"eta_guess": guess, "validation_error": None, "failed": str(exc)}
             )
             continue
-        hyp = outcome.hypothesis
-        preds = np.sign(hyp.value_batch(val_masks))
-        preds[preds == 0] = 1.0
+        preds = outcome.predict_batch(val_masks)
         err = float(np.mean(preds != np.sign(val_labels)))
         results.append({"eta_guess": guess, "validation_error": err})
         if best is None or err < best[0]:

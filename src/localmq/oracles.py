@@ -43,10 +43,10 @@ class AuditSummary:
 class OracleSession:
     """Stateful gateway enforcing the r-locality contract.
 
-    Natural examples are stored in growing arrays; `drawn(i)` returns the
-    i-th example as a Point. Labels are deterministic functions of the
-    query point within one session (persistent noise), so repeated
-    queries agree.
+    Natural examples are stored in growing arrays and named by their
+    draw index, which every query passes as its anchor. Labels are
+    deterministic functions of the query point within one session
+    (persistent noise), so repeated queries agree.
     """
 
     def __init__(
@@ -126,19 +126,6 @@ class OracleSession:
         idx, masks, labels = self.draw_batch(1)
         return Point(self.n, int(masks[0]), self.domain), float(labels[0])
 
-    def drawn(self, index: int) -> tuple[Point, float]:
-        if not 0 <= index < self.ex_count:
-            raise ContractViolation(f"anchor index {index} out of range")
-        return (
-            Point(self.n, int(self._masks[index]), self.domain),
-            float(self._labels[index]),
-        )
-
-    def anchor_mask(self, index: int) -> int:
-        if not 0 <= index < self.ex_count:
-            raise ContractViolation(f"anchor index {index} out of range")
-        return int(self._masks[index])
-
     def anchor_masks(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.ex_count):
@@ -151,8 +138,9 @@ class OracleSession:
         """Answer one r-local membership query anchored at a drawn example."""
         if query.n != self.n or query.domain != self.domain:
             raise ContractViolation("query point does not match session dimension/domain")
-        anchor_bits = self.anchor_mask(anchor)
-        dist = int(popcount(query.bits ^ anchor_bits))
+        if not 0 <= anchor < self.ex_count:
+            raise ContractViolation(f"anchor index {anchor} out of range")
+        dist = int(popcount(query.bits ^ int(self._masks[anchor])))
         if dist > self.r:
             self.violations += 1
             if self.audit_mode == AUDIT_FULL:
@@ -242,15 +230,3 @@ class OracleSession:
         for rec in self.records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return len(self.records)
-
-
-def audit_report(session: OracleSession) -> AuditSummary:
-    return session.audit_report()
-
-
-def draw_example(session: OracleSession) -> tuple[Point, float]:
-    return session.draw_example()
-
-
-def local_query(session: OracleSession, query: Point, anchor: int) -> float:
-    return session.local_query(query, anchor)

@@ -348,10 +348,6 @@ class ReductionSimulator:
         self._context.extend(contexts)
         return np.arange(lo, lo + count), out_masks, out_labels
 
-    def draw_example(self) -> tuple[int, float]:
-        _, masks, labels = self.draw_batch(1)
-        return int(masks[0]), float(labels[0])
-
     def local_query(self, query: int, anchor: int) -> float:
         """k-local query against a previously simulated example."""
         if not 0 <= anchor < len(self._drawn_masks):
@@ -366,17 +362,6 @@ class ReductionSimulator:
         if ctx is not None and query == ctx[0]:
             return ctx[1]
         return float(coin_pm(self.embedded.coin_seed, np.asarray([query]))[0])
-
-
-def simulate_example(embedded: EmbeddedFunction, base_session: OracleSession, rng_seed: int = 0):
-    """One-shot convenience wrapper; prefer ReductionSimulator for runs."""
-    sim = ReductionSimulator(embedded, base_session, rng_seed)
-    return sim.draw_example()
-
-
-def simulate_local_mq(sim: ReductionSimulator, query: int, anchor: int) -> float:
-    """Answer a k-local query against a previously simulated example."""
-    return sim.local_query(query, anchor)
 
 
 def correlation_check(f, g, embedded: EmbeddedFunction) -> tuple[float, float]:

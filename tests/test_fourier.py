@@ -18,12 +18,16 @@ from localmq import (
     exact_transform,
     l2_test,
     nonzero_test,
-    restriction_value_01,
-    restriction_value_pm,
     tree_to_polynomial,
 )
 from localmq.distributions import random_smooth_table, verify_smoothness
-from localmq.fourier import MONOMIAL_01, char_values, default_test_samples
+from localmq.fourier import (
+    MONOMIAL_01,
+    char_values,
+    default_test_samples,
+    restriction_values_01,
+    restriction_values_pm,
+)
 from localmq.generators import random_product_means, random_sparse_poly, random_subset, random_tree
 from localmq.oracles import AUDIT_COUNTS
 from localmq.verify import VerifierOracle
@@ -121,7 +125,7 @@ class TestRestriction01:
         f = random_sparse_poly(8, 5, rng, max_degree=4)
         s = poly_session(f, Distribution.uniform(8, ZERO_ONE), r=0)
         p, label = s.draw_example()
-        assert restriction_value_01(s, 0, 0) == label
+        assert restriction_values_01(s, 0, np.asarray([0]))[0] == label
         assert s.mq_count == 1
 
     def test_product_term_restriction(self):
@@ -129,7 +133,7 @@ class TestRestriction01:
         s = poly_session(f, Distribution.uniform(6, ZERO_ONE), r=1)
         for k in range(10):
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_value_01(s, 0b1, int(idx[0]))
+            got = restriction_values_01(s, 0b1, idx)[0]
             want = float((int(masks[0]) >> 1) & 1)  # f_{x0} = x1
             assert got == pytest.approx(want)
 
@@ -143,7 +147,7 @@ class TestRestriction01:
             subset = random_subset(12, 4, rng, min_size=1)
             symbolic = f.restrict(subset)  # independent algebraic route
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_value_01(s, subset, int(idx[0]))
+            got = restriction_values_01(s, subset, idx)[0]
             assert got == pytest.approx(symbolic.value_at(int(masks[0])), abs=1e-9)
 
     def test_query_budget_is_2_to_s(self):
@@ -152,7 +156,7 @@ class TestRestriction01:
         s = poly_session(f, Distribution.uniform(10, ZERO_ONE), r=3)
         idx, _, _ = s.draw_batch(1)
         before = s.mq_count
-        restriction_value_01(s, 0b10101, int(idx[0]))  # needs r >= 3
+        restriction_values_01(s, 0b10101, idx)  # needs r >= 3
         assert s.mq_count - before == 8
         assert s.max_locality_used <= 3
 
@@ -163,7 +167,7 @@ class TestRestrictionPm:
         s = poly_session(f, Distribution.uniform(6, PLUS_MINUS), r=1)
         for _ in range(10):
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_value_pm(s, 0b1, int(idx[0]))
+            got = restriction_values_pm(s, 0b1, idx)[0]
             want = 2.0 * ((int(masks[0]) >> 1) & 1) - 1.0  # x1
             assert got == pytest.approx(want)
 
@@ -172,7 +176,7 @@ class TestRestrictionPm:
         tree = random_tree(8, 6, rng)
         s = poly_session(tree, Distribution.uniform(8, PLUS_MINUS), r=0)
         p, label = s.draw_example()
-        assert restriction_value_pm(s, 0, 0) == label
+        assert restriction_values_pm(s, 0, np.asarray([0]))[0] == label
 
     @pytest.mark.parametrize("seed", range(3))
     def test_product_basis_matches_symbolic(self, seed):
@@ -186,7 +190,7 @@ class TestRestrictionPm:
         for _ in range(30):
             subset = random_subset(14, 4, rng, min_size=1)
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_value_pm(s, subset, int(idx[0]), basis)
+            got = restriction_values_pm(s, subset, idx, basis)[0]
             want = symbolic.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -226,7 +230,7 @@ class TestRestrictionPm:
         for _ in range(20):
             subset = random_subset(10, 3, rng, min_size=1)
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_value_pm(s, subset, int(idx[0]))
+            got = restriction_values_pm(s, subset, idx)[0]
             want = spec.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
 

@@ -46,21 +46,60 @@ class TestCliDeterminism:
         _, out2 = run_cli(capsys, argv)
         assert out1 == out2
 
-    def test_learn_echoes_parameters(self, capsys):
-        code, out = run_cli(
-            capsys,
-            [
-                "learn", "--algo", "tree-uniform", "--t", "4", "--eps", "0.08",
-                "--seed", "7", "--n", "10", "--test-samples", "400",
-                "--est-samples", "1500",
-            ],
-        )
+    @pytest.mark.parametrize(
+        "algo, flags, expect",
+        [
+            pytest.param(
+                "tree-uniform",
+                ["--t", "4", "--eps", "0.08", "--n", "10", "--test-samples", "400",
+                 "--est-samples", "1500"],
+                {"d": 9, "theta": 0.01},
+                id="tree-uniform",
+            ),
+            pytest.param(
+                "sparse-poly",
+                ["--t", "3", "--B", "1", "--alpha", "1.5", "--eps", "0.2", "--n", "8",
+                 "--test-samples", "200", "--reg-samples", "800"],
+                {"d": 13, "d_prime": 37},
+                id="sparse-poly",
+            ),
+            pytest.param(
+                "logdepth-tree",
+                ["--depth", "2", "--alpha", "1.0", "--eps", "0.2", "--n", "8",
+                 "--test-samples", "300", "--reg-samples", "800"],
+                {"d": 2, "theta": 0.125},
+                id="logdepth-tree",
+            ),
+            pytest.param(
+                "tree-product",
+                ["--t", "4", "--eps", "0.2", "--n", "8", "--test-samples", "200",
+                 "--est-samples", "1500"],
+                {},
+                id="tree-product",
+            ),
+            pytest.param(
+                "dnf",
+                ["--s", "2", "--eps", "0.2", "--n", "8", "--test-samples", "200",
+                 "--est-samples", "1500"],
+                {"d": 4, "theta": 0.025},
+                id="dnf",
+            ),
+        ],
+    )
+    def test_learn_echoes_parameters(self, capsys, algo, flags, expect):
+        code, out = run_cli(capsys, ["learn", "--algo", algo, "--seed", "7", *flags])
         assert code == 0
         obj = json.loads(out)
-        params = obj["outcome"]["params"]
-        assert params["d"] == 9
-        assert params["theta"] == pytest.approx(0.01)
-        assert obj["outcome"]["audit"]["violations"] == 0
+        outcome = obj["outcome"]
+        params = outcome["params"]
+        for key in ("algorithm", "epsilon", "delta", "seed", "d", "theta", "m", "cap"):
+            assert key in params
+        assert params["algorithm"] == algo
+        assert ("est_samples" in params) != ("reg_samples" in params)
+        for key, want in expect.items():
+            assert params[key] == pytest.approx(want)
+        assert outcome["sign_threshold"] == (obj["distribution"]["domain"] == PLUS_MINUS)
+        assert outcome["audit"]["violations"] == 0
         assert "wall_time_s" not in obj
 
 
@@ -195,7 +234,7 @@ class TestVerifierIndependence:
         session = OracleSession(f, dist, r=4, seed=1, audit_mode=AUDIT_COUNTS)
         idx, masks, _ = session.draw_batch(1)
         subset = 0b101
-        honest = fourier_mod.restriction_value_01(session, subset, int(idx[0]))
+        honest = fourier_mod.restriction_values_01(session, subset, idx)[0]
         symbolic = f.restrict(subset).value_at(int(masks[0]))
         assert honest == pytest.approx(symbolic, abs=1e-9)
 

@@ -22,7 +22,7 @@ from localmq import (
 )
 from localmq.fourier import UNIFORM_PM, nonzero_test
 from localmq.generators import random_tree
-from localmq.noise import eta_binary_search, eta_grid
+from localmq.noise import eta_grid_search, eta_grid
 from localmq.oracles import AUDIT_COUNTS
 from localmq.verify import VerifierOracle, walk_gap_floor
 from localmq._bits import all_masks, popcount
@@ -244,7 +244,7 @@ class TestEtaSearch:
         config = LearnerConfig(
             epsilon=0.4, delta=0.1, depth=2, alpha=1.0, t=4, m=3000, seed=5
         )
-        outcome, report = eta_binary_search(
+        outcome, report = eta_grid_search(
             make_session, learn_logdepth_tree, config, validation_samples=3000
         )
         assert abs(report["picked_eta"] - true_eta) <= 0.4 / 8 + 1e-9
@@ -273,7 +273,7 @@ class TestEtaSearch:
         config = LearnerConfig(
             epsilon=0.4, delta=0.1, depth=2, alpha=1.0, t=4, m=2000, seed=6
         )
-        _, report = eta_binary_search(
+        _, report = eta_grid_search(
             make_session, learn_logdepth_tree, config, validation_samples=2000
         )
         scored = [
