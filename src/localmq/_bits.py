@@ -13,6 +13,7 @@ from typing import Iterator
 import numpy as np
 
 MAX_BITS = 48  # masks stay well inside int64
+ENUM_MAX_BITS = 20  # largest n whose 2**n points are enumerated into tables
 
 
 def popcount(masks):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._bits import all_masks, bits_of
+from ._bits import ENUM_MAX_BITS, all_masks, bits_of
 from .errors import ContractViolation, EnumerationLimitError, ZeroMassError
 from .targets import PLUS_MINUS, ZERO_ONE, Point, _check_domain
 
@@ -57,8 +57,10 @@ class Distribution:
                 raise ContractViolation("product bit probabilities must lie in (0,1)")
             object.__setattr__(self, "p_high", tuple(float(p) for p in self.p_high))
         if self.kind == TABLE:
-            if self.n > 20:
-                raise EnumerationLimitError(f"table distribution needs n <= 20, got {self.n}")
+            if self.n > ENUM_MAX_BITS:
+                raise EnumerationLimitError(
+                    f"table distribution needs n <= {ENUM_MAX_BITS}, got {self.n}"
+                )
             if self.probs is None or len(self.probs) != (1 << self.n):
                 raise ContractViolation("table distribution needs 2**n probabilities")
             pr = np.asarray(self.probs, dtype=np.float64)
@@ -122,8 +124,8 @@ class Distribution:
         return self.probs[bits]
 
     def probs_array(self) -> np.ndarray:
-        """Exact mass at every point, indexed by mask. Needs n <= 20."""
-        if self.n > 20:
+        """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS."""
+        if self.n > ENUM_MAX_BITS:
             raise EnumerationLimitError(f"cannot enumerate 2**{self.n} masses")
         if self.kind == TABLE:
             return np.asarray(self.probs, dtype=np.float64)
@@ -210,8 +212,10 @@ def verify_smoothness(dist: Distribution) -> float:
 
 def exact_event_prob(dist: Distribution, predicate: Callable[[Point], bool]) -> float:
     """Sum of D(x) over points satisfying the predicate, fsum-compensated."""
-    if dist.n > 20:
-        raise EnumerationLimitError(f"exact enumeration needs n <= 20, got {dist.n}")
+    if dist.n > ENUM_MAX_BITS:
+        raise EnumerationLimitError(
+            f"exact enumeration needs n <= {ENUM_MAX_BITS}, got {dist.n}"
+        )
     pr = dist.probs_array()
     chosen = [
         float(pr[m]) for m in range(1 << dist.n)
@@ -299,8 +303,8 @@ def random_smooth_table(
     """
     if alpha < 1.0:
         raise ContractViolation("alpha must be >= 1")
-    if n > 20:
-        raise EnumerationLimitError(f"table generator needs n <= 20, got {n}")
+    if n > ENUM_MAX_BITS:
+        raise EnumerationLimitError(f"table generator needs n <= {ENUM_MAX_BITS}, got {n}")
     w = rng.normal(size=n)
     edges = []
     for i in range(n):

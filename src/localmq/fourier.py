@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import all_masks, bits_of, mask_of, parity_sign, popcount
+from ._bits import ENUM_MAX_BITS, all_masks, bits_of, mask_of, parity_sign, popcount
 from .errors import ContractViolation, EnumerationLimitError
 from .targets import PLUS_MINUS, ZERO_ONE
 
@@ -191,8 +191,8 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
     Coefficients with |c| <= zero_tol are dropped.
     """
     n = target.n
-    if n > 20:
-        raise EnumerationLimitError(f"exact transform needs n <= 20, got {n}")
+    if n > ENUM_MAX_BITS:
+        raise EnumerationLimitError(f"exact transform needs n <= {ENUM_MAX_BITS}, got {n}")
     values = np.asarray(target.value_batch(all_masks(n)), dtype=np.float64)
     if basis is UNIFORM_PM:
         out = _fwht(values)

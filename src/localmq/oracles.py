@@ -9,6 +9,15 @@ audit trail (full per-call records, or counters only for large runs).
 The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
 from one specific natural example, so the anchor is always known.
+
+Distinct-query counting is exact: a 2**n boolean bitmap when
+n <= ENUM_MAX_BITS (20), a set of masks above that. Labels come from the
+target (times the noise) point by point until the session has labelled
+2**n points in all, examples and queries together; on a cube that small
+it then labels the whole cube once into a table and reads every later
+label from it. The table holds the same values the point-by-point path
+returns, so labels and random streams do not depend on when it is built,
+and a session that labels fewer than 2**n points never builds it.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import IO
 
 import numpy as np
 
-from ._bits import mask_to_bitstring, popcount
+from ._bits import ENUM_MAX_BITS, mask_to_bitstring, popcount
 from .errors import ContractViolation, LocalityError
 from .targets import Point, TargetFunction
 from .distributions import Distribution
@@ -81,16 +90,35 @@ class OracleSession:
         self.mq_count = 0
         self.max_locality_used = 0
         self.violations = 0
-        self._distinct: set[int] | None = set() if track_distinct else None
+        self._enumerable = self.n <= ENUM_MAX_BITS
+        self._distinct: np.ndarray | set[int] | None = None
+        if track_distinct:
+            self._distinct = np.zeros(1 << self.n, dtype=bool) if self._enumerable else set()
+        self._labelled = 0
+        self._table: np.ndarray | None = None
         self._seq = 0
 
     # ------------------------------------------------------------- labels
 
     def _labels_for(self, masks: np.ndarray) -> np.ndarray:
+        if self._table is None:
+            self._labelled += masks.size
+            if not (self._enumerable and self._labelled >= 1 << self.n):
+                return self._evaluate(masks)
+            self._table = self._evaluate(np.arange(1 << self.n, dtype=np.int64))
+        return self._table[masks]
+
+    def _evaluate(self, masks: np.ndarray) -> np.ndarray:
         clean = self._target.value_batch(masks)
         if self.noise is not None:
             clean = clean * self.noise.zeta_batch(masks)
         return clean
+
+    def _mark_distinct(self, masks: np.ndarray) -> None:
+        if isinstance(self._distinct, np.ndarray):
+            self._distinct[masks] = True
+        elif self._distinct is not None:
+            self._distinct.update(masks.tolist())
 
     # ------------------------------------------------------------- examples
 
@@ -146,11 +174,11 @@ class OracleSession:
             if self.audit_mode == AUDIT_FULL:
                 self._record("mq_violation", query.bits, anchor, dist, float("nan"))
             raise LocalityError(dist, self.r, anchor)
-        label = float(self._labels_for(np.asarray([query.bits]))[0])
+        bits = np.asarray([query.bits], dtype=np.int64)
+        label = float(self._labels_for(bits)[0])
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
-        if self._distinct is not None:
-            self._distinct.add(query.bits)
+        self._mark_distinct(bits)
         if self.audit_mode == AUDIT_FULL:
             self._record("mq", query.bits, anchor, dist, label)
         else:
@@ -166,6 +194,8 @@ class OracleSession:
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim == 1:
             queries = queries[None, :]
+        if queries.size and (queries.min() < 0 or queries.max() >> self.n):
+            raise ContractViolation("query point outside the session's cube")
         anchors = np.asarray(anchors, dtype=np.int64)
         anchor_bits = self.anchor_masks(anchors)
         dists = popcount(queries ^ anchor_bits[:, None])
@@ -185,8 +215,7 @@ class OracleSession:
         labels = self._labels_for(queries.ravel()).reshape(queries.shape)
         self.mq_count += queries.size
         self.max_locality_used = max(self.max_locality_used, worst)
-        if self._distinct is not None:
-            self._distinct.update(queries.ravel().tolist())
+        self._mark_distinct(queries.ravel())
         if self.audit_mode == AUDIT_FULL:
             flat_q = queries.ravel().tolist()
             flat_d = dists.ravel().tolist()
@@ -215,11 +244,15 @@ class OracleSession:
         self._seq += 1
 
     def audit_report(self) -> AuditSummary:
+        if isinstance(self._distinct, np.ndarray):
+            distinct = int(np.count_nonzero(self._distinct))
+        else:
+            distinct = len(self._distinct) if self._distinct is not None else None
         return AuditSummary(
             ex_count=self.ex_count,
             mq_count=self.mq_count,
             max_locality_used=self.max_locality_used,
-            distinct_mq_points=len(self._distinct) if self._distinct is not None else None,
+            distinct_mq_points=distinct,
             violations=self.violations,
         )
 

@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from ._bits import (
+    ENUM_MAX_BITS,
     MAX_BITS,
     bits_of,
     mask_of,
@@ -440,7 +441,7 @@ def tree_to_polynomial(g: DecisionTree, basis) -> "FourierSpectrum":
     """
     from .fourier import FourierSpectrum, MONOMIAL_01, UNIFORM_PM, ProductBasis
 
-    if g.n > 20:
+    if g.n > ENUM_MAX_BITS:
         raise EnumerationLimitError(f"n={g.n} too large for exact path expansion")
     coeffs: dict[int, float] = {}
     if isinstance(basis, ProductBasis):

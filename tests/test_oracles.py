@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmq import (
     ContractViolation,
@@ -19,7 +21,7 @@ from localmq import (
     DecisionTree,
 )
 from localmq.distributions import exact_event_prob_masked
-from localmq.generators import random_tree
+from localmq.generators import random_sparse_poly, random_tree
 from localmq.oracles import AUDIT_COUNTS
 from localmq._bits import all_masks
 
@@ -99,6 +101,13 @@ class TestLocalQuery:
                     Point(8, int(queries[i, j]), PLUS_MINUS), int(idx[i])
                 )
 
+    def test_matrix_query_rejects_points_outside_the_cube(self):
+        s = fresh_session(n=8, r=2)
+        idx, masks, _ = s.draw_batch(2)
+        with pytest.raises(ContractViolation):
+            s.local_query_matrix(masks[:, None] ^ np.asarray([[1 << 8]]), idx)
+        assert s.audit_report().mq_count == 0
+
     def test_matrix_query_rejects_far_rows(self):
         s = fresh_session(n=8, r=1)
         idx, masks, _ = s.draw_batch(2)
@@ -150,6 +159,30 @@ class TestAudit:
         rep = s.audit_report()
         assert rep.distinct_mq_points == rep.mq_count == 400
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_distinct_count_matches_set_of_queried_masks(self, data):
+        # queries come from a small pool, so batches repeat points within
+        # and across calls; small cubes also cross into the label table
+        n = data.draw(st.integers(1, 12))
+        pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+        s = fresh_session(constant_tree(n), n=n, r=n, audit_mode=AUDIT_COUNTS)
+        idx, _, _ = s.draw_batch(4)
+        seen = set()
+        for scalar in data.draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+            if scalar:
+                bits = data.draw(st.sampled_from(pool))
+                s.local_query(Point(n, bits, PLUS_MINUS), int(data.draw(st.sampled_from(idx))))
+                seen.add(bits)
+            else:
+                rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+                flat = data.draw(
+                    st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols)
+                )
+                s.local_query_matrix(np.asarray(flat).reshape(rows, cols), idx[:rows])
+                seen.update(flat)
+        assert s.audit_report().distinct_mq_points == len(seen)
+
     def test_noisy_sessions_flag_their_records(self):
         tree = random_tree(6, 4, np.random.default_rng(4))
         s = fresh_session(tree, n=6, r=1, seed=3, noise=NoiseWrapper(0.1, seed=3))
@@ -163,6 +196,56 @@ class TestAudit:
         assert s.records == []
         with pytest.raises(ContractViolation):
             s.write_audit_jsonl(io.StringIO())
+
+
+class TestLabelTable:
+    """After 2**n labelled points the session reads labels from a table of
+    the whole cube; every label must equal direct evaluation bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["tree-pm", "poly-01", "noisy-tree-pm"])
+    def test_labels_identical_before_across_and_after_the_switch(self, kind):
+        n = 7
+        rng = np.random.default_rng(21)
+        if kind == "poly-01":
+            target = random_sparse_poly(
+                n, 6, rng, coeff_choices=(-0.3, 0.1, 0.7, 1.9), include_constant=True
+            )
+            noise = None
+        else:
+            target = random_tree(n, 10, rng)
+            noise = NoiseWrapper(0.2, seed=4) if kind.startswith("noisy") else None
+        s = fresh_session(target, r=2, seed=6, noise=noise, audit_mode=AUDIT_COUNTS)
+
+        def direct(masks):
+            clean = target.value_batch(masks)
+            return clean * noise.zeta_batch(masks) if noise is not None else clean
+
+        def check(got, masks):
+            assert got.dtype == np.float64
+            assert got.tobytes() == direct(masks).tobytes()
+
+        idx, masks, labels = s.draw_batch(40)
+        check(labels, masks)
+        pat = np.asarray([0b0, 0b1, 0b110, 0b1000001])
+        queries = masks[:15, None] ^ pat[None, :]
+        check(s.local_query_matrix(queries, idx[:15]), queries)
+        assert s._table is None  # 100 points labelled, 2**7 = 128
+        queries = masks[15:30, None] ^ pat[None, :]
+        check(s.local_query_matrix(queries, idx[15:30]), queries)  # crosses 128
+        assert s._table is not None
+        idx2, masks2, labels2 = s.draw_batch(25)
+        check(labels2, masks2)
+        queries = masks2[:, None] ^ pat[None, ::-1]
+        check(s.local_query_matrix(queries, idx2), queries)
+        p = Point(n, int(masks2[3]) ^ 0b11, target.domain)
+        assert s.local_query(p, int(idx2[3])) == float(direct(np.asarray([p.bits]))[0])
+        assert s.audit_report().mq_count == 2 * 60 + 100 + 1
+
+    def test_short_session_never_builds_the_table(self):
+        s = fresh_session(random_tree(10, 6, np.random.default_rng(2)), n=10, r=1)
+        idx, masks, _ = s.draw_batch(500)
+        s.local_query_matrix(masks[:, None] ^ 0b1, idx)
+        assert s._table is None  # 1000 of 1024 points labelled
 
 
 class SealedTarget:
