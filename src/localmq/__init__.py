@@ -9,6 +9,7 @@ oracles at small dimension; those live in `verify`.
 
 from .distributions import Distribution, conditional_marginal, exact_event_prob, verify_smoothness
 from .errors import (
+    AuditLogError,
     BudgetExceededError,
     CodeConstructionError,
     ContractViolation,

@@ -4,7 +4,8 @@ Subcommands: gen-target, gen-dist, learn, verify, reduce,
 demo-separation, audit. Every run is a pure function of its arguments:
 given the same --seed the emitted JSON is byte-identical (timing is only
 included under --timing). Usage errors exit 2, contract violations 3,
-budget overruns 4, failing verification suites 1.
+budget overruns 4, failing verification suites and corrupt or
+inconsistent audit logs 1.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
 from . import generators
 from .distributions import Distribution, random_smooth_table, verify_smoothness
-from .errors import BudgetExceededError, ContractViolation
+from ._bits import MAX_BITS
+from .errors import AuditLogError, BudgetExceededError, ContractViolation
 from .learners import (
     LearnerConfig,
     learn_dnf,
@@ -27,7 +31,7 @@ from .learners import (
     learn_tree_uniform,
 )
 from .noise import NoiseWrapper
-from .oracles import AUDIT_COUNTS, AUDIT_FULL, OracleSession
+from .oracles import AUDIT_COUNTS, AUDIT_FULL, AUDIT_OPS, OracleSession
 from .reduction import ReductionSimulator, correlation_check, embed, reduction_report
 from .separation import (
     VARIANT_G,
@@ -311,43 +315,135 @@ def _cmd_demo_separation(args) -> int:
 # ---------------------------------------------------------------------- audit
 
 
-def _cmd_audit(args) -> int:
-    ex_points: list[str] = []
-    mq = 0
-    max_dist = 0
-    violations = 0
-    distinct: set[str] = set()
-    mismatches = 0
-    with open(args.infile) as fh:
-        for line in fh:
+_AUDIT_KEYS = ("op", "point", "anchor", "dist", "resp", "seq")
+_OP_CODES = {op: code for code, op in enumerate(AUDIT_OPS)}
+_AUDIT_CHUNK = 1 << 16  # lines parsed per json call
+
+
+def _is_int64(value) -> bool:
+    return type(value) is int and -(1 << 63) <= value < 1 << 63
+
+
+def _record_problem(rec, width: int | None) -> str | None:
+    """Why one parsed audit record is malformed, or None; `width` is the
+    log's point width, None while reading its first record."""
+    if not isinstance(rec, dict):
+        return "record is not a JSON object"
+    for key in _AUDIT_KEYS:
+        if key not in rec:
+            return f"missing key {key!r}"
+    op, point = rec["op"], rec["point"]
+    if type(op) is not str or op not in _OP_CODES:
+        return f"unknown op {op!r}"
+    if type(point) is not str or point.strip("01"):
+        return f"point {point!r} is not a 0/1 string"
+    if width is None and not 1 <= len(point) <= MAX_BITS:
+        return f"point width {len(point)} outside [1, {MAX_BITS}]"
+    if width is not None and len(point) != width:
+        return f"point {point!r} does not have the log's width {width}"
+    if not (rec["anchor"] is None or _is_int64(rec["anchor"])):
+        return f"anchor {rec['anchor']!r} is not an integer or null"
+    if not _is_int64(rec["dist"]):
+        return f"dist {rec['dist']!r} is not an integer"
+    return None
+
+
+def _audit_columns(lines: list[bytes], width: int | None):
+    """Op codes, point masks, anchors (-1 for null) and dists of a chunk of
+    audit lines, and the log's point width. Applies the checks of
+    `_record_problem` to the whole chunk at once and raises ValueError,
+    KeyError, TypeError or OverflowError if any record fails them."""
+    # a line holding no value or several values breaks the parse or
+    # changes the record count
+    recs = json.loads(b"[" + b",".join(lines) + b"]")
+    if len(recs) != len(lines):
+        raise ValueError("a line holds more than one value")
+    ops, points, anchors, dists, _, _ = [list(map(itemgetter(key), recs)) for key in _AUDIT_KEYS]
+    codes = np.fromiter(map(_OP_CODES.__getitem__, ops), np.uint8, len(ops))
+    if width is None:
+        width = len(points[0])
+    if not (
+        1 <= width <= MAX_BITS
+        and set(map(type, points)) == {str}
+        and set(map(len, points)) == {width}
+        and set(map(type, anchors)) <= {int, type(None)}
+        and set(map(type, dists)) == {int}
+    ):
+        raise TypeError("malformed field")
+    digits = np.asarray(points, dtype=f"U{width}").view(np.uint32).reshape(-1, width) - ord("0")
+    if (digits > 1).any():
+        raise ValueError("point is not a 0/1 string")
+    masks = (digits.astype(np.int64) << np.arange(width)).sum(axis=1)
+    anchors = np.asarray([-1 if a is None else a for a in anchors], dtype=np.int64)
+    return codes, masks, anchors, np.asarray(dists, dtype=np.int64), width
+
+
+def _raise_first_problem(lines: list[bytes], lineno: int, width: int | None):
+    """Raise AuditLogError naming the first malformed line of a chunk that
+    `_audit_columns` rejected; `lineno` is the chunk's first line."""
+    for offset, line in enumerate(lines):
+        try:
             rec = json.loads(line)
-            if rec["op"] == "ex":
-                ex_points.append(rec["point"])
-            elif rec["op"] == "mq":
-                mq += 1
-                max_dist = max(max_dist, rec["dist"])
-                distinct.add(rec["point"])
-                anchor = rec["anchor"]
-                if anchor is not None and anchor < len(ex_points):
-                    true_d = sum(
-                        a != b for a, b in zip(rec["point"], ex_points[anchor])
-                    )
-                    if true_d != rec["dist"]:
-                        mismatches += 1
-            elif rec["op"] == "mq_violation":
-                violations += 1
-    _emit(
-        {
-            "ex_count": len(ex_points),
-            "mq_count": mq,
-            "max_locality_used": max_dist,
-            "distinct_mq_points": len(distinct),
-            "violations": violations,
-            "distance_mismatches": mismatches,
-        },
-        args.out,
-    )
-    return 0 if mismatches == 0 else 1
+        except ValueError as exc:
+            raise AuditLogError(lineno + offset, f"bad JSON: {exc}") from None
+        problem = _record_problem(rec, width)
+        if problem:
+            raise AuditLogError(lineno + offset, problem)
+        width = len(rec["point"])
+    raise AuditLogError(lineno, "malformed record")
+
+
+def _check_audit_log(fh) -> dict:
+    """Summarise a JSONL audit log and recompute the distance of every
+    query from the example its anchor names. A query whose anchor is
+    null, negative or not yet drawn, or whose logged distance is wrong,
+    counts as a distance mismatch. Reads the log in chunks and keeps one
+    int64 mask per example."""
+    ex_masks = np.zeros(1024, dtype=np.int64)
+    ex_count = mq = max_dist = violations = mismatches = 0
+    distinct: set[int] = set()
+    width = None
+    lineno = 1
+    for lines in iter(lambda: list(islice(fh, _AUDIT_CHUNK)), []):
+        try:
+            codes, masks, anchors, dists, width = _audit_columns(lines, width)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            _raise_first_problem(lines, lineno, width)
+        lineno += len(lines)
+        is_ex = codes == _OP_CODES["ex"]
+        drawn = ex_count + np.cumsum(is_ex) - is_ex  # examples before each record
+        new = masks[is_ex]
+        if ex_count + new.size > ex_masks.size:
+            grown = np.zeros(max(2 * ex_masks.size, ex_count + new.size), dtype=np.int64)
+            grown[:ex_count] = ex_masks[:ex_count]
+            ex_masks = grown
+        ex_masks[ex_count : ex_count + new.size] = new
+        ex_count += new.size
+        is_mq = codes == _OP_CODES["mq"]
+        queries, anchor, dist = masks[is_mq], anchors[is_mq], dists[is_mq]
+        named = (anchor >= 0) & (anchor < drawn[is_mq])
+        true_dist = np.bitwise_count(queries[named] ^ ex_masks[anchor[named]])
+        mismatches += int(np.count_nonzero(~named) + np.count_nonzero(true_dist != dist[named]))
+        if queries.size:
+            mq += queries.size
+            max_dist = max(max_dist, int(dist.max()))
+            distinct.update(np.unique(queries).tolist())
+        violations += int(np.count_nonzero(codes == _OP_CODES["mq_violation"]))
+    return {
+        "ex_count": ex_count,
+        "mq_count": mq,
+        "max_locality_used": max_dist,
+        "distinct_mq_points": len(distinct),
+        "violations": violations,
+        "distance_mismatches": mismatches,
+    }
+
+
+def _cmd_audit(args) -> int:
+    with open(args.infile, "rb") as fh:
+        summary = _check_audit_log(fh)
+    _emit(summary, args.out)
+    return 0 if summary["distance_mismatches"] == 0 else 1
 
 
 # --------------------------------------------------------------------- parser
@@ -460,6 +556,9 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         sys.stderr.write(f"contract violation: {exc}\n")
         return EXIT_CONTRACT
+    except AuditLogError as exc:
+        sys.stderr.write(f"corrupt audit log: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

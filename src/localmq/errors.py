@@ -5,7 +5,7 @@ mismatch, enumeration limits, zero-mass conditioning). LocalityError is
 the defining error of the query model and carries the offending
 distance. BudgetExceededError signals that a learner's grown set passed
 its cap, which on a conforming run means the smoothness assumption was
-violated.
+violated. AuditLogError marks a malformed line in a JSONL audit log.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ class EnumerationLimitError(ContractViolation):
 
 class ZeroMassError(ContractViolation):
     """Conditioning event has zero probability."""
+
+
+class AuditLogError(ValueError):
+    """A line of a JSONL audit log is not a well-formed audit record."""
+
+    def __init__(self, line: int, problem: str):
+        self.line = line
+        super().__init__(f"line {line}: {problem}")
 
 
 class BudgetExceededError(RuntimeError):

@@ -6,6 +6,12 @@ membership queries that stay within Hamming distance r of a previously
 drawn example, applies optional persistent label noise, and keeps an
 audit trail (full per-call records, or counters only for large runs).
 
+A full audit is columnar: each call appends one chunk of columns (op code,
+mask, anchor, distance, response), 25 bytes per record of a query batch
+and 16 per example, and `write_audit_jsonl` formats them into JSONL in
+blocks of at most 64 Ki records. A record's `seq` is its position in the
+log.
+
 The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
 from one specific natural example, so the anchor is always known.
@@ -22,19 +28,28 @@ and a session that labels fewer than 2**n points never builds it.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, mask_to_bitstring, popcount
+from ._bits import ENUM_MAX_BITS, popcount
 from .errors import ContractViolation, LocalityError
 from .targets import Point, TargetFunction
 from .distributions import Distribution
 
 AUDIT_FULL = "full"
 AUDIT_COUNTS = "counts"
+
+# audit record ops, indexed by the op code stored in the columns
+AUDIT_OPS = ("ex", "mq", "mq_violation")
+_EX, _MQ, _VIOLATION = range(len(AUDIT_OPS))
+_OP_TEXT = np.asarray(AUDIT_OPS, dtype=object)
+# column dtypes of one audit chunk: op, mask, anchor (-1 for none), dist, resp
+_AUDIT_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
+_EXPORT_CHUNK = 1 << 16  # records formatted per write
 
 
 @dataclass
@@ -83,7 +98,7 @@ class OracleSession:
         self.seed = int(seed)
         self._rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 0x0AC1E])
         self.audit_mode = audit_mode
-        self.records: list[dict] = []
+        self._audit: list[tuple] = []
         self._masks = np.zeros(256, dtype=np.int64)
         self._labels = np.zeros(256, dtype=np.float64)
         self.ex_count = 0
@@ -96,7 +111,6 @@ class OracleSession:
             self._distinct = np.zeros(1 << self.n, dtype=bool) if self._enumerable else set()
         self._labelled = 0
         self._table: np.ndarray | None = None
-        self._seq = 0
 
     # ------------------------------------------------------------- labels
 
@@ -143,11 +157,7 @@ class OracleSession:
         self._masks[lo : lo + count] = masks
         self._labels[lo : lo + count] = labels
         self.ex_count += count
-        if self.audit_mode == AUDIT_FULL:
-            for m, y in zip(masks.tolist(), labels.tolist()):
-                self._record("ex", m, None, 0, y)
-        else:
-            self._seq += count
+        self._log(_EX, masks, -1, 0, labels)
         return np.arange(lo, lo + count), masks, labels
 
     def draw_example(self) -> tuple[Point, float]:
@@ -171,18 +181,14 @@ class OracleSession:
         dist = int(popcount(query.bits ^ int(self._masks[anchor])))
         if dist > self.r:
             self.violations += 1
-            if self.audit_mode == AUDIT_FULL:
-                self._record("mq_violation", query.bits, anchor, dist, float("nan"))
+            self._log(_VIOLATION, query.bits, anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
         bits = np.asarray([query.bits], dtype=np.int64)
         label = float(self._labels_for(bits)[0])
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
         self._mark_distinct(bits)
-        if self.audit_mode == AUDIT_FULL:
-            self._record("mq", query.bits, anchor, dist, label)
-        else:
-            self._seq += 1
+        self._log(_MQ, bits, anchor, dist, label)
         return label
 
     def local_query_matrix(
@@ -203,45 +209,31 @@ class OracleSession:
         if worst > self.r:
             self.violations += 1
             bad = np.argwhere(dists > self.r)[0]
-            if self.audit_mode == AUDIT_FULL:
-                self._record(
-                    "mq_violation",
-                    int(queries[bad[0], bad[1]]),
-                    int(anchors[bad[0]]),
-                    worst,
-                    float("nan"),
-                )
+            self._log(_VIOLATION, queries[bad[0], bad[1]], anchors[bad[0]], worst, np.nan)
             raise LocalityError(worst, self.r, int(anchors[bad[0]]))
         labels = self._labels_for(queries.ravel()).reshape(queries.shape)
         self.mq_count += queries.size
         self.max_locality_used = max(self.max_locality_used, worst)
         self._mark_distinct(queries.ravel())
-        if self.audit_mode == AUDIT_FULL:
-            flat_q = queries.ravel().tolist()
-            flat_d = dists.ravel().tolist()
-            flat_l = labels.ravel().tolist()
-            reps = np.repeat(anchors, queries.shape[1]).tolist()
-            for q, a, d, y in zip(flat_q, reps, flat_d, flat_l):
-                self._record("mq", q, a, d, y)
-        else:
-            self._seq += queries.size
+        self._log(_MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
         return labels
 
     # ------------------------------------------------------------- audit
 
-    def _record(self, op: str, bits: int, anchor: int | None, dist: int, resp: float):
-        rec = {
-            "op": op,
-            "point": mask_to_bitstring(int(bits), self.n),
-            "anchor": anchor,
-            "dist": int(dist),
-            "resp": resp,
-            "seq": self._seq,
-        }
-        if self.noise is not None:
-            rec["noisy"] = True
-        self.records.append(rec)
-        self._seq += 1
+    def _log(self, op: int, masks, anchors, dists, resps) -> None:
+        """Append one call's records to a full audit as one chunk: the op
+        code, a copy of the masks, and the other columns as arrays or as
+        one scalar shared by every record of the call."""
+        if self.audit_mode != AUDIT_FULL:
+            return
+        columns = (anchors, dists, resps)
+        self._audit.append(
+            (op, np.array(masks, dtype=np.int64).ravel())
+            + tuple(
+                np.array(col, dtype=dtype).ravel() if isinstance(col, np.ndarray) else col
+                for col, dtype in zip(columns, _AUDIT_DTYPES[2:])
+            )
+        )
 
     def audit_report(self) -> AuditSummary:
         if isinstance(self._distinct, np.ndarray):
@@ -256,10 +248,74 @@ class OracleSession:
             violations=self.violations,
         )
 
+    def _audit_blocks(self):
+        """The audit columns in blocks of at most _EXPORT_CHUNK records."""
+        pending: list[tuple[np.ndarray, ...]] = []
+        size = 0
+        for chunk in self._audit:
+            stop = chunk[1].size
+            chunk = [
+                np.broadcast_to(np.asarray(col, dtype), (stop,))
+                for col, dtype in zip(chunk, _AUDIT_DTYPES)
+            ]
+            start = 0
+            while start < stop:
+                take = min(_EXPORT_CHUNK - size, stop - start)
+                pending.append(tuple(col[start : start + take] for col in chunk))
+                size += take
+                start += take
+                if size == _EXPORT_CHUNK:
+                    yield tuple(map(np.concatenate, zip(*pending)))
+                    pending, size = [], 0
+        if pending:
+            yield tuple(map(np.concatenate, zip(*pending)))
+
+    def _format_block(self, block: tuple[np.ndarray, ...], seq: int) -> str:
+        """JSONL text of one block, byte-identical to
+        json.dumps(record, sort_keys=True) per record."""
+        ops, masks, anchors, dists, resps = block
+        noisy = '"noisy": true, ' if self.noise is not None else ""
+        line = (
+            '{"anchor": %s, "dist": %d, ' + noisy
+            + '"op": "%s", "point": "%s", "resp": %s, "seq": %d}\n'
+        )
+        # variable 0 first: column i of the digit matrix is bit i
+        digits = ((masks[:, None] >> np.arange(self.n)) & 1).astype(np.uint8) + ord("0")
+        points = digits.view(f"S{self.n}").ravel().astype(f"U{self.n}")
+        anchor_text = np.where(anchors < 0, "null", anchors.astype(str))
+        # each distinct float (by bit pattern, so -0.0 keeps its sign) is
+        # formatted once, by json itself
+        patterns, inverse = np.unique(resps.view(np.int64), return_inverse=True)
+        resp_text = np.asarray(
+            [json.dumps(v) for v in patterns.view(np.float64).tolist()], dtype=object
+        )[inverse]
+        rows = zip(
+            anchor_text.tolist(),
+            dists.tolist(),
+            _OP_TEXT[ops].tolist(),
+            points.tolist(),
+            resp_text.tolist(),
+            range(seq, seq + masks.size),
+        )
+        return "".join(map(line.__mod__, rows))
+
     def write_audit_jsonl(self, fh: IO[str]) -> int:
-        """Dump the per-call audit records; returns the record count."""
+        """Write the full audit as JSONL, one record per line with keys
+        sorted; returns the record count."""
         if self.audit_mode != AUDIT_FULL:
             raise ContractViolation("session was not recording full audit")
-        for rec in self.records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        return len(self.records)
+        written = 0
+        for block in self._audit_blocks():
+            fh.write(self._format_block(block, written))
+            written += block[0].size
+        return written
+
+    @property
+    def records(self) -> list[dict]:
+        """The full audit parsed back from write_audit_jsonl (empty when
+        only counters are kept)."""
+        if self.audit_mode != AUDIT_FULL:
+            return []
+        buf = io.StringIO()
+        self.write_audit_jsonl(buf)
+        return [json.loads(line) for line in buf.getvalue().splitlines()]

@@ -210,6 +210,102 @@ class TestExitCodes:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def long_audit_log(tmp_path_factory):
+    """The round-trip log (70,030 records), longer than one reader chunk."""
+    path = tmp_path_factory.mktemp("audit") / "audit.jsonl"
+    code = main(
+        ["learn", "--algo", "tree-uniform", "--t", "4", "--eps", "0.2",
+         "--n", "8", "--test-samples", "200", "--est-samples", "500",
+         "--seed", "6", "--audit-out", str(path), "--out", str(path.with_suffix(".json"))]
+    )
+    assert code == 0
+    return path.read_text().splitlines(keepends=True)
+
+
+def _edit_record(line, **changes):
+    """The line's record with `changes` applied; a value of ... drops the key."""
+    rec = json.loads(line)
+    rec.update(changes)
+    return json.dumps({k: v for k, v in rec.items() if v is not ...}, sort_keys=True) + "\n"
+
+
+class TestAuditCommand:
+    CORRUPTIONS = {
+        "bad-json": (lambda line: line[:30] + "\n", "bad JSON"),
+        "blank-line": (lambda line: "\n", "bad JSON"),
+        "two-records": (lambda line: line.rstrip("\n") + " " + line, "bad JSON"),
+        "not-an-object": (lambda line: "[1, 2]\n", "record is not a JSON object"),
+        "missing-key": (lambda line: _edit_record(line, dist=...), "missing key 'dist'"),
+        "unknown-op": (lambda line: _edit_record(line, op="mx"), "unknown op 'mx'"),
+        "point-digit": (
+            lambda line: _edit_record(line, point="0120" + json.loads(line)["point"][4:]),
+            "is not a 0/1 string",
+        ),
+        "point-width": (
+            lambda line: _edit_record(line, point=json.loads(line)["point"][1:]),
+            "does not have the log's width 8",
+        ),
+        "point-too-long": (
+            lambda line: _edit_record(line, point=json.loads(line)["point"] + "0"),
+            "does not have the log's width 8",
+        ),
+        "anchor-type": (lambda line: _edit_record(line, anchor="3"), "anchor '3'"),
+        "dist-type": (lambda line: _edit_record(line, dist=1.0), "dist 1.0"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("lineno", [3, 70_000])
+    def test_corrupt_line_is_named_and_exits_1(
+        self, tmp_path, capsys, long_audit_log, kind, lineno
+    ):
+        corrupt, problem = self.CORRUPTIONS[kind]
+        lines = list(long_audit_log)
+        lines[lineno - 1] = corrupt(lines[lineno - 1])
+        log = tmp_path / "corrupt.jsonl"
+        log.write_text("".join(lines))
+        code = main(["audit", "--infile", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"corrupt audit log: line {lineno}: ")
+        assert problem in captured.err and captured.err.count("\n") == 1
+
+    @staticmethod
+    def small_log():
+        """Three examples, one query anchored at example 0, then a fourth
+        example drawn after the query."""
+        tree = random_tree(6, 4, np.random.default_rng(3))
+        s = OracleSession(tree, Distribution.uniform(6, PLUS_MINUS), r=2, seed=3)
+        idx, masks, _ = s.draw_batch(3)
+        s.local_query_matrix(masks[:1, None] ^ 0b11, idx[:1])
+        s.draw_batch(1)
+        return [json.dumps(rec, sort_keys=True) + "\n" for rec in s.records]
+
+    @pytest.mark.parametrize(
+        "anchor, dist",
+        [
+            pytest.param(0, 2, id="honest"),
+            pytest.param(0, 1, id="wrong-dist"),
+            pytest.param(-3, 2, id="negative-anchor"),  # -3 would index example 0
+            pytest.param(3, 2, id="anchor-drawn-later"),
+            pytest.param(None, 2, id="null-anchor"),
+        ],
+    )
+    def test_query_anchor_and_distance_are_checked(self, tmp_path, capsys, anchor, dist):
+        lines = self.small_log()
+        assert json.loads(lines[3])["anchor"] == 0 and json.loads(lines[3])["dist"] == 2
+        lines[3] = _edit_record(lines[3], anchor=anchor, dist=dist)
+        log = tmp_path / "audit.jsonl"
+        log.write_text("".join(lines))
+        code, out = run_cli(capsys, ["audit", "--infile", str(log)])
+        summary = json.loads(out)
+        honest = anchor == 0 and dist == 2
+        assert code == (0 if honest else 1)
+        assert summary["distance_mismatches"] == (0 if honest else 1)
+        assert (summary["ex_count"], summary["mq_count"]) == (4, 1)
+
+
 class TestSuiteRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ContractViolation):

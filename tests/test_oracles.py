@@ -2,6 +2,8 @@
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from localmq import (
 )
 from localmq.distributions import exact_event_prob_masked
 from localmq.generators import random_sparse_poly, random_tree
+from localmq.cli import main
 from localmq.oracles import AUDIT_COUNTS
 from localmq._bits import all_masks
 
@@ -196,6 +199,134 @@ class TestAudit:
         assert s.records == []
         with pytest.raises(ContractViolation):
             s.write_audit_jsonl(io.StringIO())
+
+
+class TestColumnarAudit:
+    """The full audit log equals json.dumps(record, sort_keys=True) of every
+    call the caller made and every answer it got, and `localmq audit` on
+    that log reproduces the session's own report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_log_matches_reference_and_audit_command(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        domain = data.draw(st.sampled_from([PLUS_MINUS, ZERO_ONE]), label="domain")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        rng = np.random.default_rng(seed)
+        if domain == ZERO_ONE:  # real-valued labels, zeros included
+            target = random_sparse_poly(
+                n, min(3, (1 << n) - 1), rng, coeff_choices=(-0.3, 0.1, 0.7, 1.9), min_degree=1
+            )
+        else:
+            target = random_tree(n, min(4, 1 << n), rng)
+        noisy = data.draw(st.booleans(), label="noisy")
+        noise = NoiseWrapper(0.3, seed=seed) if noisy else None
+        r = data.draw(st.integers(0, n - 1), label="r")
+        s = OracleSession(target, Distribution.uniform(n, domain), r=r, seed=seed, noise=noise)
+        reference = []
+
+        def expect(op, bits, anchor, dist, resp):
+            rec = {
+                "op": op,
+                "point": "".join("1" if int(bits) >> i & 1 else "0" for i in range(n)),
+                "anchor": None if anchor is None else int(anchor),
+                "dist": int(dist),
+                "resp": float(resp),
+                "seq": len(reference),
+            }
+            if noise is not None:
+                rec["noisy"] = True
+            reference.append(json.dumps(rec, sort_keys=True) + "\n")
+
+        def flips(label):
+            picked = data.draw(st.lists(st.integers(0, n - 1), max_size=r + 1), label=label)
+            return sum(1 << i for i in set(picked))
+
+        def scalar(anchor, bits):
+            base = int(s.anchor_masks([anchor])[0])
+            try:
+                label = s.local_query(Point(n, bits, domain), anchor)
+            except LocalityError as err:
+                expect("mq_violation", bits, anchor, err.distance, float("nan"))
+            else:
+                expect("mq", bits, anchor, bin(bits ^ base).count("1"), label)
+
+        def matrix(anchors, queries):
+            base = s.anchor_masks(anchors)
+            dists = [
+                [bin(int(q) ^ int(b)).count("1") for q in row] for row, b in zip(queries, base)
+            ]
+            try:
+                labels = s.local_query_matrix(queries, anchors)
+            except LocalityError as err:
+                i, j = next(
+                    (i, j) for i, row in enumerate(dists) for j, d in enumerate(row) if d > r
+                )
+                expect("mq_violation", queries[i, j], err.anchor, err.distance, float("nan"))
+            else:
+                for row, a, drow, lrow in zip(queries, anchors, dists, labels):
+                    for q, d, y in zip(row, drow, lrow):
+                        expect("mq", q, a, d, y)
+
+        steps = data.draw(
+            st.lists(st.sampled_from(["draw", "scalar", "matrix"]), max_size=8), label="steps"
+        )
+        for step in ["draw", *steps]:
+            if step == "draw":
+                _, masks, labels = s.draw_batch(data.draw(st.integers(1, 5), label="count"))
+                for m, y in zip(masks, labels):
+                    expect("ex", m, None, 0, y)
+                continue
+            anchor_st = st.integers(0, s.ex_count - 1)
+            if step == "scalar":
+                anchor = data.draw(anchor_st, label="anchor")
+                scalar(anchor, int(s.anchor_masks([anchor])[0]) ^ flips("flip"))
+            else:
+                anchors = np.asarray(data.draw(st.lists(anchor_st, min_size=1, max_size=3)))
+                cols = data.draw(st.integers(1, 3), label="cols")
+                pats = np.asarray([[flips("flip") for _ in range(cols)] for _ in anchors])
+                matrix(anchors, s.anchor_masks(anchors)[:, None] ^ pats)
+        # one caught LocalityError from each path; the matrix one logs its
+        # first far entry with the batch's largest distance
+        too_far = (1 << (r + 1)) - 1
+        scalar(0, int(s.anchor_masks([0])[0]) ^ too_far)
+        pats = np.asarray([0, too_far, (1 << n) - 1])
+        matrix(np.asarray([0, 0]), s.anchor_masks([0, 0])[:, None] ^ pats)
+
+        buf = io.StringIO()
+        assert s.write_audit_jsonl(buf) == len(reference)
+        assert buf.getvalue() == "".join(reference)
+        with tempfile.TemporaryDirectory() as tmp:
+            log, out = Path(tmp, "audit.jsonl"), Path(tmp, "summary.json")
+            log.write_text(buf.getvalue())
+            assert main(["audit", "--infile", str(log), "--out", str(out)]) == 0
+            summary = json.loads(out.read_text())
+        assert summary == {**s.audit_report().to_json(), "distance_mismatches": 0}
+
+    def test_signed_zero_and_float_text_match_json(self):
+        # a noisy {0,1} polynomial labels some points 0.0 and others -0.0
+        target = random_sparse_poly(
+            6, 3, np.random.default_rng(1), coeff_choices=(-0.3, 0.1, 0.7, 1.9), min_degree=1
+        )
+        s = OracleSession(
+            target, Distribution.uniform(6, ZERO_ONE), r=1, seed=1, noise=NoiseWrapper(0.3, seed=1)
+        )
+        _, _, labels = s.draw_batch(200)
+        text = [json.dumps(float(y)) for y in labels]
+        assert {"0.0", "-0.0"} <= set(text)
+        assert [json.dumps(rec["resp"]) for rec in s.records] == text
+
+    def test_export_chunks_split_calls_without_changing_bytes(self, monkeypatch):
+        s = fresh_session(random_tree(9, 6, np.random.default_rng(5)), n=9, r=2, seed=4)
+        idx, masks, _ = s.draw_batch(300)
+        s.local_query_matrix(masks[:, None] ^ np.asarray([[0b1, 0b10, 0b11]]), idx)
+        whole = io.StringIO()
+        s.write_audit_jsonl(whole)
+        monkeypatch.setattr("localmq.oracles._EXPORT_CHUNK", 7)
+        chunked = io.StringIO()
+        assert s.write_audit_jsonl(chunked) == 1200
+        assert chunked.getvalue() == whole.getvalue()
+        assert [rec["seq"] for rec in s.records] == list(range(1200))
 
 
 class TestLabelTable:
