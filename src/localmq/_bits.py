@@ -12,6 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import EnumerationLimitError
+
 MAX_BITS = 48  # masks stay well inside int64
 ENUM_MAX_BITS = 20  # largest n whose 2**n points are enumerated into tables
 
@@ -60,7 +62,7 @@ def submasks(mask: int) -> Iterator[int]:
 
 def all_masks(n: int) -> np.ndarray:
     if n > 25:
-        raise ValueError(f"refusing to enumerate 2**{n} masks")
+        raise EnumerationLimitError(f"refusing to enumerate 2**{n} masks")
     return np.arange(1 << n, dtype=np.int64)
 
 

@@ -190,7 +190,13 @@ def _cmd_learn(args) -> int:
         audit_mode=AUDIT_FULL if args.audit_out else AUDIT_COUNTS,
         track_distinct=bool(args.audit_out),
     )
-    outcome = _ALGOS[args.algo](session, config)
+    try:
+        outcome = _ALGOS[args.algo](session, config)
+    finally:
+        # a failed run keeps its log, including the record that ended it
+        if args.audit_out:
+            with open(args.audit_out, "w") as fh:
+                session.write_audit_jsonl(fh)
     run_config = {
         "algo": args.algo,
         "epsilon": args.eps,
@@ -210,9 +216,6 @@ def _cmd_learn(args) -> int:
     }
     if args.timing:
         report["wall_time_s"] = outcome.wall_time
-    if args.audit_out:
-        with open(args.audit_out, "w") as fh:
-            session.write_audit_jsonl(fh)
     _emit(report, args.out)
     return 0
 
@@ -395,10 +398,10 @@ def _raise_first_problem(lines: list[bytes], lineno: int, width: int | None):
 
 def _check_audit_log(fh) -> dict:
     """Summarise a JSONL audit log and recompute the distance of every
-    query from the example its anchor names. A query whose anchor is
-    null, negative or not yet drawn, or whose logged distance is wrong,
-    counts as a distance mismatch. Reads the log in chunks and keeps one
-    int64 mask per example."""
+    query, answered or refused, from the example its anchor names. A
+    query whose anchor is null, negative or not yet drawn, or whose
+    logged distance is wrong, counts as a distance mismatch. Reads the
+    log in chunks and keeps one int64 mask per example."""
     ex_masks = np.zeros(1024, dtype=np.int64)
     ex_count = mq = max_dist = violations = mismatches = 0
     distinct: set[int] = set()
@@ -419,16 +422,17 @@ def _check_audit_log(fh) -> dict:
             ex_masks = grown
         ex_masks[ex_count : ex_count + new.size] = new
         ex_count += new.size
-        is_mq = codes == _OP_CODES["mq"]
-        queries, anchor, dist = masks[is_mq], anchors[is_mq], dists[is_mq]
-        named = (anchor >= 0) & (anchor < drawn[is_mq])
+        is_query = ~is_ex
+        queries, anchor, dist = masks[is_query], anchors[is_query], dists[is_query]
+        named = (anchor >= 0) & (anchor < drawn[is_query])
         true_dist = np.bitwise_count(queries[named] ^ ex_masks[anchor[named]])
         mismatches += int(np.count_nonzero(~named) + np.count_nonzero(true_dist != dist[named]))
-        if queries.size:
-            mq += queries.size
-            max_dist = max(max_dist, int(dist.max()))
-            distinct.update(np.unique(queries).tolist())
-        violations += int(np.count_nonzero(codes == _OP_CODES["mq_violation"]))
+        answered = codes[is_query] == _OP_CODES["mq"]
+        violations += int(np.count_nonzero(~answered))
+        if answered.any():
+            mq += int(np.count_nonzero(answered))
+            max_dist = max(max_dist, int(dist[answered].max()))
+            distinct.update(np.unique(queries[answered]).tolist())
     return {
         "ex_count": ex_count,
         "mq_count": mq,

@@ -16,6 +16,10 @@ The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
 from one specific natural example, so the anchor is always known.
 
+Queries are point masks. A gateway that simulates its target (the
+reduction's simulator) overrides only `draw_batch`, which stores its
+draws through `_keep`, and `_answer`, which labels checked queries.
+
 Distinct-query counting is exact: a 2**n boolean bitmap when
 n <= ENUM_MAX_BITS (20), a set of masks above that. Labels come from the
 target (times the noise) point by point until the session has labelled
@@ -50,6 +54,16 @@ _OP_TEXT = np.asarray(AUDIT_OPS, dtype=object)
 # column dtypes of one audit chunk: op, mask, anchor (-1 for none), dist, resp
 _AUDIT_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
 _EXPORT_CHUNK = 1 << 16  # records formatted per write
+
+
+def _grow(column: np.ndarray, size: int) -> np.ndarray:
+    """`column`, or a copy with room for `size` entries and at least twice
+    the capacity."""
+    if size <= column.size:
+        return column
+    grown = np.zeros(max(size, 2 * column.size), dtype=column.dtype)
+    grown[: column.size] = column
+    return grown
 
 
 @dataclass
@@ -100,7 +114,6 @@ class OracleSession:
         self.audit_mode = audit_mode
         self._audit: list[tuple] = []
         self._masks = np.zeros(256, dtype=np.int64)
-        self._labels = np.zeros(256, dtype=np.float64)
         self.ex_count = 0
         self.mq_count = 0
         self.max_locality_used = 0
@@ -132,19 +145,25 @@ class OracleSession:
         if isinstance(self._distinct, np.ndarray):
             self._distinct[masks] = True
         elif self._distinct is not None:
-            self._distinct.update(masks.tolist())
+            self._distinct.update(masks.ravel().tolist())
+
+    def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """Labels of checked queries; row i of `queries` is anchored at the
+        drawn example anchors[i]. Subclasses that simulate the target
+        answer here."""
+        return self._labels_for(queries.ravel()).reshape(queries.shape)
 
     # ------------------------------------------------------------- examples
 
-    def _reserve(self, count: int) -> None:
-        need = self.ex_count + count
-        if need > self._masks.size:
-            cap = max(need, 2 * self._masks.size)
-            grown_m = np.zeros(cap, dtype=np.int64)
-            grown_m[: self.ex_count] = self._masks[: self.ex_count]
-            grown_l = np.zeros(cap, dtype=np.float64)
-            grown_l[: self.ex_count] = self._labels[: self.ex_count]
-            self._masks, self._labels = grown_m, grown_l
+    def _keep(self, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Store drawn examples as anchors and log them; returns their
+        draw indices."""
+        lo = self.ex_count
+        self.ex_count += masks.size
+        self._masks = _grow(self._masks, self.ex_count)
+        self._masks[lo : self.ex_count] = masks
+        self._log(_EX, masks, -1, 0, labels)
+        return np.arange(lo, self.ex_count)
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw `count` natural examples; returns (indices, masks, labels)."""
@@ -152,13 +171,7 @@ class OracleSession:
             raise ContractViolation("draw count must be positive")
         masks = self.dist.sample_batch(self._rng, count)
         labels = self._labels_for(masks)
-        self._reserve(count)
-        lo = self.ex_count
-        self._masks[lo : lo + count] = masks
-        self._labels[lo : lo + count] = labels
-        self.ex_count += count
-        self._log(_EX, masks, -1, 0, labels)
-        return np.arange(lo, lo + count), masks, labels
+        return self._keep(masks, labels), masks, labels
 
     def draw_example(self) -> tuple[Point, float]:
         idx, masks, labels = self.draw_batch(1)
@@ -172,19 +185,21 @@ class OracleSession:
 
     # ------------------------------------------------------------- queries
 
-    def local_query(self, query: Point, anchor: int) -> float:
-        """Answer one r-local membership query anchored at a drawn example."""
-        if query.n != self.n or query.domain != self.domain:
-            raise ContractViolation("query point does not match session dimension/domain")
+    def local_query(self, query: int, anchor: int) -> float:
+        """Answer one r-local membership query, a point mask, anchored at
+        a drawn example."""
+        query = int(query)
+        if query < 0 or query >> self.n:
+            raise ContractViolation("query point outside the session's cube")
         if not 0 <= anchor < self.ex_count:
             raise ContractViolation(f"anchor index {anchor} out of range")
-        dist = int(popcount(query.bits ^ int(self._masks[anchor])))
+        dist = (query ^ int(self._masks[anchor])).bit_count()
         if dist > self.r:
             self.violations += 1
-            self._log(_VIOLATION, query.bits, anchor, dist, np.nan)
+            self._log(_VIOLATION, query, anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
-        bits = np.asarray([query.bits], dtype=np.int64)
-        label = float(self._labels_for(bits)[0])
+        bits = np.array([[query]], dtype=np.int64)
+        label = float(self._answer(bits, np.array([anchor], dtype=np.int64))[0, 0])
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
         self._mark_distinct(bits)
@@ -196,7 +211,8 @@ class OracleSession:
     ) -> np.ndarray:
         """Vectorized queries: row i of `queries` is anchored at the drawn
         example anchors[i]. Same contract as local_query, checked for the
-        whole batch before any label is released."""
+        whole batch before any label is released; a far batch is reported
+        by its first far entry in row-major order."""
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim == 1:
             queries = queries[None, :]
@@ -207,14 +223,15 @@ class OracleSession:
         dists = popcount(queries ^ anchor_bits[:, None])
         worst = int(dists.max()) if dists.size else 0
         if worst > self.r:
+            i, j = np.argwhere(dists > self.r)[0]
+            dist, anchor = int(dists[i, j]), int(anchors[i])
             self.violations += 1
-            bad = np.argwhere(dists > self.r)[0]
-            self._log(_VIOLATION, queries[bad[0], bad[1]], anchors[bad[0]], worst, np.nan)
-            raise LocalityError(worst, self.r, int(anchors[bad[0]]))
-        labels = self._labels_for(queries.ravel()).reshape(queries.shape)
+            self._log(_VIOLATION, queries[i, j], anchor, dist, np.nan)
+            raise LocalityError(dist, self.r, anchor)
+        labels = self._answer(queries, anchors)
         self.mq_count += queries.size
         self.max_locality_used = max(self.max_locality_used, worst)
-        self._mark_distinct(queries.ravel())
+        self._mark_distinct(queries)
         self._log(_MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
         return labels
 

@@ -1,7 +1,8 @@
 """Correlation-preserving embedding of a function into a higher
-dimensional cube via a distance-(2k+1) linear code, plus simulators that
-realize examples and k-local queries on the embedded function from
-random examples of the base function alone.
+dimensional cube via a distance-(2k+1) linear code, plus a simulator, a
+local-MQ gateway (an OracleSession), that realizes examples and k-local
+queries on the embedded function from random examples of the base
+function alone.
 
 The embedded function f_e equals f on codewords (message bits first,
 parity appended) and is 0 everywhere else, where 0 is realized as a
@@ -15,19 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from ._bits import popcount
 from ._prf import coin_pm
+from .distributions import Distribution
 from .errors import (
     CodeConstructionError,
     ContractViolation,
     EnumerationLimitError,
-    LocalityError,
     SimulationError,
 )
-from .oracles import OracleSession
+from .oracles import AUDIT_COUNTS, OracleSession, _grow
 from .targets import PLUS_MINUS
 
 # Shortened systematic BCH generators (length, message bits, distance,
@@ -252,116 +254,92 @@ def embed(base, k: int, coin_seed: int = 0, slack: int = 8) -> EmbeddedFunction:
     return EmbeddedFunction(base, code, coin_seed)
 
 
-class ReductionSimulator:
-    """Simulates EX(f_e, U_m) and k-local MQ(f_e) from EX(f, U_n) alone.
+@dataclass(frozen=True)
+class _Coin:
+    """The persistent fair coin that labels f_e off its codewords."""
+
+    n: int
+    seed: int
+    domain: str = PLUS_MINUS
+
+    def value_batch(self, masks: np.ndarray) -> np.ndarray:
+        return coin_pm(self.seed, masks)
+
+
+class ReductionSimulator(OracleSession):
+    """Simulates EX(f_e, U_m) and k-local MQ(f_e) from EX(f, U_n) alone,
+    as a session over the m-bit cube with r = k whose target is f_e's coin.
 
     Example simulation follows the three-step recipe: with probability
     beta place a fresh base example at a uniform point of the radius-k
     ball around its codeword (coin label unless exactly on the
     codeword); otherwise rejection-sample the complement of Z through
-    decode failures. Queries are answered from the recorded ball
-    contexts and persistent coins, never from a base membership oracle.
+    decode failures. Queries are answered from each example's codeword
+    and base label and the coin, never from a base membership oracle.
     """
 
     def __init__(self, embedded: EmbeddedFunction, base_session: OracleSession, seed: int = 0):
         if base_session.n != embedded.n or base_session.domain != PLUS_MINUS:
             raise ContractViolation("base session does not match the embedding")
+        m, k = embedded.m, embedded.code.k
+        coin, dist = _Coin(m, embedded.coin_seed), Distribution.uniform(m, PLUS_MINUS)
+        super().__init__(coin, dist, r=k, seed=seed, audit_mode=AUDIT_COUNTS)
+        self._rng = np.random.default_rng([seed & 0x7FFFFFFF, 0xE4B])
         self.embedded = embedded
         self.base_session = base_session
-        self.rng = np.random.default_rng([seed & 0x7FFFFFFF, 0xE4B])
-        self._drawn_masks: list[int] = []
-        self._drawn_labels: list[float] = []
-        # context per example: (codeword, base_label) for ball examples, None off Z
-        self._context: list[tuple[int, float] | None] = []
-        self.mq_count = 0
-        self.max_locality_used = 0
+        # per example: its ball's codeword (-1 off Z) and the base label
+        self._words = np.zeros(256, dtype=np.int64)
+        self._base_labels = np.zeros(256, dtype=np.float64)
         self.try_histogram: dict[int, int] = {}
-
-    @cached_property
-    def _ball_patterns(self) -> np.ndarray:
-        m, k = self.embedded.m, self.embedded.code.k
-        pats = [0]
-        frontier = [0]
-        for _ in range(k):
-            nxt = set()
-            for pat in frontier:
-                for j in range(m):
-                    cand = pat | (1 << j)
-                    if cand != pat:
-                        nxt.add(cand)
-            frontier = sorted(nxt - set(pats))
-            pats.extend(frontier)
-        return np.asarray(sorted(set(pats)), dtype=np.int64)
-
-    @property
-    def ex_count(self) -> int:
-        return len(self._drawn_masks)
+        # the radius-k ball around 0, ascending
+        ball = [sum(1 << j for j in c) for d in range(k + 1) for c in combinations(range(m), d)]
+        self._ball = np.sort(np.asarray(ball, dtype=np.int64))
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         emb = self.embedded
         beta = emb.beta
-        heads = self.rng.random(count) < beta
+        heads = self._rng.random(count) < beta
         n_heads = int(heads.sum())
-        out_masks = np.zeros(count, dtype=np.int64)
-        out_labels = np.zeros(count, dtype=np.float64)
-        contexts: list = [None] * count
-        head_pos = np.nonzero(heads)[0]
+        masks = np.zeros(count, dtype=np.int64)
+        words = np.full(count, -1, dtype=np.int64)
+        base_labels = np.zeros(count, dtype=np.float64)
         if n_heads:
-            _, base_masks, base_labels = self.base_session.draw_batch(n_heads)
-            words = emb.code.encode_batch(base_masks)
-            pats = self._ball_patterns[
-                self.rng.integers(0, self._ball_patterns.size, size=n_heads)
-            ]
-            z = words ^ pats
-            exact = pats == 0
-            labels = np.where(exact, base_labels, coin_pm(emb.coin_seed, z))
-            out_masks[head_pos] = z
-            out_labels[head_pos] = labels
-            for j, pos in enumerate(head_pos.tolist()):
-                contexts[pos] = (int(words[j]), float(base_labels[j]))
-        tail_pos = np.nonzero(~heads)[0]
-        need = tail_pos.size
+            _, base_masks, drawn = self.base_session.draw_batch(n_heads)
+            base_labels[heads] = drawn
+            words[heads] = emb.code.encode_batch(base_masks)
+            pats = self._ball[self._rng.integers(0, self._ball.size, size=n_heads)]
+            masks[heads] = words[heads] ^ pats
+        need = count - n_heads
         if need:
-            got = []
+            got, have, rounds = [], 0, 0
             expected_tries = 1.0 / max(1.0 - beta, 1e-9)
             max_rounds = math.ceil(64 * expected_tries)
-            rounds = 0
-            while len(got) < need:
+            while have < need:
                 rounds += 1
                 if rounds > max_rounds:
-                    raise SimulationError(
-                        f"rejection sampling exceeded {max_rounds} rounds"
-                    )
-                batch = self.rng.integers(0, 1 << emb.m, size=need, dtype=np.int64)
-                far = emb.code.min_distance_batch(batch) > emb.code.k
-                for z in batch[far].tolist():
-                    got.append(z)
-                    self.try_histogram[rounds] = self.try_histogram.get(rounds, 0) + 1
-                    if len(got) == need:
-                        break
-            z = np.asarray(got[:need], dtype=np.int64)
-            out_masks[tail_pos] = z
-            out_labels[tail_pos] = coin_pm(emb.coin_seed, z)
-        lo = len(self._drawn_masks)
-        self._drawn_masks.extend(out_masks.tolist())
-        self._drawn_labels.extend(out_labels.tolist())
-        self._context.extend(contexts)
-        return np.arange(lo, lo + count), out_masks, out_labels
+                    raise SimulationError(f"rejection sampling exceeded {max_rounds} rounds")
+                batch = self._rng.integers(0, 1 << emb.m, size=need, dtype=np.int64)
+                kept = batch[emb.code.min_distance_batch(batch) > emb.code.k][: need - have]
+                if kept.size:
+                    self.try_histogram[rounds] = self.try_histogram.get(rounds, 0) + kept.size
+                got.append(kept)
+                have += kept.size
+            masks[~heads] = np.concatenate(got)
+        labels = np.where(masks == words, base_labels, self._labels_for(masks))
+        indices = self._keep(masks, labels)
+        self._words = _grow(self._words, self.ex_count)
+        self._words[indices] = words
+        self._base_labels = _grow(self._base_labels, self.ex_count)
+        self._base_labels[indices] = base_labels
+        return indices, masks, labels
 
-    def local_query(self, query: int, anchor: int) -> float:
-        """k-local query against a previously simulated example."""
-        if not 0 <= anchor < len(self._drawn_masks):
-            raise ContractViolation(f"anchor index {anchor} out of range")
-        k = self.embedded.code.k
-        dist = int(popcount(query ^ self._drawn_masks[anchor]))
-        if dist > k:
-            raise LocalityError(dist, k, anchor)
-        self.mq_count += 1
-        self.max_locality_used = max(self.max_locality_used, dist)
-        ctx = self._context[anchor]
-        if ctx is not None and query == ctx[0]:
-            return ctx[1]
-        return float(coin_pm(self.embedded.coin_seed, np.asarray([query]))[0])
+    def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """The base label where a query is its anchor's codeword, the coin
+        everywhere else: codewords are 2k+1 apart, so a k-local query can
+        only be a codeword if it is its anchor's."""
+        on_code = queries == self._words[anchors][:, None]
+        coin = super()._answer(queries, anchors)
+        return np.where(on_code, self._base_labels[anchors][:, None], coin)
 
 
 def correlation_check(f, g, embedded: EmbeddedFunction) -> tuple[float, float]:

@@ -110,17 +110,12 @@ def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
     the run reports a coverage failure (retryable, coupon-collector
     probability).
     """
-    n_total = session.n
-    ns = n_total - 1
-    from .targets import Point
-
+    ns = session.n - 1
     seen: dict[int, int] = {}
     for j in range(budget):
         idx, masks, labels = session.draw_batch(1)
         bits = int(masks[0])
-        other = session.local_query(
-            Point(n_total, bits ^ 1, session.domain), int(idx[0])
-        )
+        other = session.local_query(bits ^ 1, int(idx[0]))
         b0 = (1.0 + labels[0]) / 2.0
         b1 = (1.0 + other) / 2.0
         block = partition_block(bits >> 1, ns)
@@ -151,8 +146,6 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
     local queries (which, against a pseudorandom target, help nothing).
     Reports the held-out error of the training winner.
     """
-    from .targets import Point
-
     rng = np.random.default_rng([rng_seed & 0x7FFFFFFF, 0xBA5E])
     _, masks, labels = session.draw_batch(train)
     masks = masks.tolist()
@@ -164,7 +157,7 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
             q = base
             for f in flips:
                 q ^= 1 << int(f)
-            y = session.local_query(Point(session.n, q, session.domain), i)
+            y = session.local_query(q, i)
             masks.append(q)
             labels.append(y)
     masks_arr = np.asarray(masks, dtype=np.int64)

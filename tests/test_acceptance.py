@@ -20,7 +20,6 @@ from localmq import (
     NoiseWrapper,
     OracleSession,
     PLUS_MINUS,
-    Point,
     PrfTarget,
     SparsePolynomial,
     ZERO_ONE,
@@ -141,7 +140,7 @@ def test_c01_locality_contract():
     flip = (1 << (d_budget + 1)) - 1  # d+1 bits
     raised = False
     try:
-        s.local_query(Point(10, p.bits ^ flip, PLUS_MINUS), 0)
+        s.local_query(p.bits ^ flip, 0)
     except LocalityError as exc:
         raised = exc.distance == d_budget + 1
     if not raised or s.audit_report().violations != 1:

@@ -197,6 +197,36 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_enumeration_limit_is_3(self, capsys):
+        code = main(["verify", "--suite", "tree-expansion", "--n", "26", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("contract violation: ")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
+        # r = 0 makes the learner's first query a violation (exit 3)
+        log = tmp_path / "v.jsonl"
+        code, _ = run_cli(
+            capsys,
+            ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+             "--test-samples", "200", "--est-samples", "500", "--r", "0",
+             "--audit-out", str(log)],
+        )
+        assert code == 3
+        lines = log.read_text().splitlines(keepends=True)
+        assert json.loads(lines[-1])["op"] == "mq_violation"
+        code, out = run_cli(capsys, ["audit", "--infile", str(log)])
+        summary = json.loads(out)
+        assert code == 0
+        assert summary["violations"] == 1 and summary["distance_mismatches"] == 0
+        # the refused query's distance is checked like an answered one's
+        lines[-1] = _edit_record(lines[-1], dist=json.loads(lines[-1])["dist"] + 1)
+        log.write_text("".join(lines))
+        code, out = run_cli(capsys, ["audit", "--infile", str(log)])
+        assert code == 1 and json.loads(out)["distance_mismatches"] == 1
+
     def test_failing_suite_is_1(self, capsys, monkeypatch):
         import localmq.verify as verify_mod
 

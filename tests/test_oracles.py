@@ -68,14 +68,14 @@ class TestLocalQuery:
     def test_distance_zero_always_allowed(self):
         s = fresh_session(r=0)
         p, label = s.draw_example()
-        assert s.local_query(p, 0) == label
+        assert s.local_query(p.bits, 0) == label
 
     def test_three_flips_violate_r2(self):
         s = fresh_session(n=8, r=2)
         p, _ = s.draw_example()
         query = Point(8, p.bits ^ 0b111, PLUS_MINUS)
         with pytest.raises(LocalityError) as err:
-            s.local_query(query, 0)
+            s.local_query(query.bits, 0)
         assert err.value.distance == 3 and err.value.r == 2
         assert s.audit_report().violations == 1
 
@@ -84,13 +84,13 @@ class TestLocalQuery:
         s = fresh_session(tree, r=2, noise=NoiseWrapper(0.2, seed=9))
         p, _ = s.draw_example()
         q = Point(8, p.bits ^ 0b11, PLUS_MINUS)
-        assert s.local_query(q, 0) == s.local_query(q, 0)
+        assert s.local_query(q.bits, 0) == s.local_query(q.bits, 0)
 
     def test_anchor_must_preexist(self):
         s = fresh_session()
         p, _ = s.draw_example()
         with pytest.raises(ContractViolation):
-            s.local_query(p, 5)
+            s.local_query(p.bits, 5)
 
     def test_matrix_query_matches_scalar(self):
         tree = random_tree(8, 8, np.random.default_rng(2))
@@ -100,9 +100,7 @@ class TestLocalQuery:
         got = s.local_query_matrix(queries, idx)
         for i in range(4):
             for j in range(2):
-                assert got[i, j] == s.local_query(
-                    Point(8, int(queries[i, j]), PLUS_MINUS), int(idx[i])
-                )
+                assert got[i, j] == s.local_query(int(queries[i, j]), int(idx[i]))
 
     def test_matrix_query_rejects_points_outside_the_cube(self):
         s = fresh_session(n=8, r=2)
@@ -141,7 +139,7 @@ class TestAudit:
     def test_jsonl_schema(self):
         s = fresh_session(n=6, r=1, seed=8)
         p, _ = s.draw_example()
-        s.local_query(p.flip(2), 0)
+        s.local_query(p.flip(2).bits, 0)
         buf = io.StringIO()
         assert s.write_audit_jsonl(buf) == 2
         recs = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -175,7 +173,7 @@ class TestAudit:
         for scalar in data.draw(st.lists(st.booleans(), min_size=1, max_size=6)):
             if scalar:
                 bits = data.draw(st.sampled_from(pool))
-                s.local_query(Point(n, bits, PLUS_MINUS), int(data.draw(st.sampled_from(idx))))
+                s.local_query(bits, int(data.draw(st.sampled_from(idx))))
                 seen.add(bits)
             else:
                 rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
@@ -190,7 +188,7 @@ class TestAudit:
         tree = random_tree(6, 4, np.random.default_rng(4))
         s = fresh_session(tree, n=6, r=1, seed=3, noise=NoiseWrapper(0.1, seed=3))
         p, _ = s.draw_example()
-        s.local_query(p.flip(0), 0)
+        s.local_query(p.flip(0).bits, 0)
         assert all(rec.get("noisy") is True for rec in s.records)
 
     def test_counts_mode_skips_records(self):
@@ -245,7 +243,7 @@ class TestColumnarAudit:
         def scalar(anchor, bits):
             base = int(s.anchor_masks([anchor])[0])
             try:
-                label = s.local_query(Point(n, bits, domain), anchor)
+                label = s.local_query(bits, anchor)
             except LocalityError as err:
                 expect("mq_violation", bits, anchor, err.distance, float("nan"))
             else:
@@ -262,7 +260,8 @@ class TestColumnarAudit:
                 i, j = next(
                     (i, j) for i, row in enumerate(dists) for j, d in enumerate(row) if d > r
                 )
-                expect("mq_violation", queries[i, j], err.anchor, err.distance, float("nan"))
+                assert (err.anchor, err.distance) == (anchors[i], dists[i][j])
+                expect("mq_violation", queries[i, j], anchors[i], dists[i][j], float("nan"))
             else:
                 for row, a, drow, lrow in zip(queries, anchors, dists, labels):
                     for q, d, y in zip(row, drow, lrow):
@@ -286,8 +285,8 @@ class TestColumnarAudit:
                 cols = data.draw(st.integers(1, 3), label="cols")
                 pats = np.asarray([[flips("flip") for _ in range(cols)] for _ in anchors])
                 matrix(anchors, s.anchor_masks(anchors)[:, None] ^ pats)
-        # one caught LocalityError from each path; the matrix one logs its
-        # first far entry with the batch's largest distance
+        # one caught LocalityError from each path; the matrix one reports
+        # its first far entry in row-major order, with that entry's distance
         too_far = (1 << (r + 1)) - 1
         scalar(0, int(s.anchor_masks([0])[0]) ^ too_far)
         pats = np.asarray([0, too_far, (1 << n) - 1])
@@ -369,7 +368,7 @@ class TestLabelTable:
         queries = masks2[:, None] ^ pat[None, ::-1]
         check(s.local_query_matrix(queries, idx2), queries)
         p = Point(n, int(masks2[3]) ^ 0b11, target.domain)
-        assert s.local_query(p, int(idx2[3])) == float(direct(np.asarray([p.bits]))[0])
+        assert s.local_query(p.bits, int(idx2[3])) == float(direct(np.asarray([p.bits]))[0])
         assert s.audit_report().mq_count == 2 * 60 + 100 + 1
 
     def test_short_session_never_builds_the_table(self):

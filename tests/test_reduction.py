@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from localmq import (
@@ -146,7 +148,7 @@ class TestSimulatorDistribution:
         sim.draw_batch(5000)
         for j in range(200):
             anchor = j % sim.ex_count
-            q = sim._drawn_masks[anchor] ^ (1 << (j % emb.m))
+            q = int(sim.anchor_masks([anchor])[0]) ^ (1 << (j % emb.m))
             sim.local_query(q, anchor)
         assert bs.mq_count == 0
         assert bs.ex_count > 0
@@ -218,6 +220,82 @@ class TestSimulatedQueries:
         ]
         _, p, _, _ = stats.chi2_contingency([sim_counts, direct_counts])
         assert p > 0.01
+
+
+class TestSimulatorGateway:
+    """The simulator is a k-local MQ gateway over f_e: every label it
+    releases equals f_e's at that word, queries beyond k are refused, the
+    base session answers no query, and its audit report matches a tally
+    kept by the caller."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_answers_refusals_and_counts(self, data):
+        n = data.draw(st.integers(3, 6), label="n")
+        k = data.draw(st.sampled_from([0, 1, 2]), label="k")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        f = random_tree(n, 4, np.random.default_rng(seed))
+        emb = embed(f, k, coin_seed=seed)
+        bs = base_session(f, seed=seed)
+        sim = ReductionSimulator(emb, bs, seed=seed)
+        m = emb.m
+        tally = {"ex": 0, "mq": 0, "violations": 0, "max_dist": 0}
+        seen = set()
+
+        def flips(far):
+            size = (k + 1, m) if far else (0, k)
+            picked = data.draw(st.sets(st.integers(0, m - 1), min_size=size[0], max_size=size[1]))
+            return sum(1 << i for i in picked)
+
+        def answered(words, anchors, labels):
+            words = np.asarray(words, dtype=np.int64).ravel()
+            assert np.array_equal(np.ravel(labels), emb.label_batch(words))
+            dists = popcount(words ^ sim.anchor_masks(anchors))
+            tally["mq"] += words.size
+            tally["max_dist"] = max(tally["max_dist"], int(dists.max()))
+            seen.update(words.tolist())
+
+        steps = data.draw(
+            st.lists(st.sampled_from(["draw", "scalar", "matrix"]), max_size=10), label="steps"
+        )
+        for step in ["draw", *steps]:
+            if step == "draw":
+                _, masks, labels = sim.draw_batch(data.draw(st.integers(1, 20), label="count"))
+                assert np.array_equal(labels, emb.label_batch(masks))
+                tally["ex"] += masks.size
+                continue
+            anchor_st = st.integers(0, sim.ex_count - 1)
+            far = data.draw(st.booleans(), label="far")
+            if step == "scalar":
+                anchor = data.draw(anchor_st, label="anchor")
+                word = int(sim.anchor_masks([anchor])[0]) ^ flips(far)
+                if far:
+                    with pytest.raises(LocalityError) as err:
+                        sim.local_query(word, anchor)
+                    assert err.value.distance > k
+                    tally["violations"] += 1
+                else:
+                    answered([word], [anchor], [sim.local_query(word, anchor)])
+            else:
+                anchors = data.draw(st.lists(anchor_st, min_size=1, max_size=3), label="anchors")
+                cols = data.draw(st.integers(1, 3), label="cols")
+                pats = np.asarray([[flips(False) for _ in range(cols)] for _ in anchors])
+                if far:
+                    pats[data.draw(st.integers(0, len(anchors) - 1)), -1] = flips(True)
+                queries = sim.anchor_masks(anchors)[:, None] ^ pats
+                if far:
+                    with pytest.raises(LocalityError):
+                        sim.local_query_matrix(queries, anchors)
+                    tally["violations"] += 1
+                else:
+                    labels = sim.local_query_matrix(queries, anchors)
+                    answered(queries, np.repeat(anchors, cols), labels)
+        assert bs.mq_count == 0
+        rep = sim.audit_report()
+        assert (rep.ex_count, rep.mq_count, rep.violations, rep.max_locality_used) == (
+            tally["ex"], tally["mq"], tally["violations"], tally["max_dist"]
+        )
+        assert rep.distinct_mq_points == len(seen)
 
 
 def parity(n, mask):

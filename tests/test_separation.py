@@ -11,7 +11,6 @@ from localmq import (
     LocalityError,
     OracleSession,
     PLUS_MINUS,
-    Point,
     PrfTarget,
     learn_g_onelocal,
     pac_baseline,
@@ -106,7 +105,7 @@ class TestGPrimeVariant:
         session.draw_example()
         recovered = 0
         for i in range(n):
-            label = session.local_query(Point(n, 1 << i, PLUS_MINUS), 0)
+            label = session.local_query(1 << i, 0)
             recovered |= int(label > 0) << i
         assert recovered == secret
 
@@ -118,7 +117,7 @@ class TestGPrimeVariant:
         for trial in range(20):
             idx, masks, _ = session.draw_batch(1)
             try:
-                session.local_query(Point(n, 1 << (trial % n), PLUS_MINUS), int(idx[0]))
+                session.local_query(1 << (trial % n), int(idx[0]))
             except LocalityError:
                 rejected += 1
         assert rejected >= 19  # random anchors sit at distance ~n/2
