@@ -18,6 +18,25 @@ MAX_BITS = 48  # masks stay well inside int64
 ENUM_MAX_BITS = 20  # largest n whose 2**n points are enumerated into tables
 
 
+class DistinctMasks:
+    """Exact count of the distinct points of the n-cube added so far: a
+    2**n bitmap when n <= ENUM_MAX_BITS, a set of masks above that."""
+
+    def __init__(self, n: int):
+        self._seen = np.zeros(1 << n, dtype=bool) if n <= ENUM_MAX_BITS else set()
+
+    def add(self, masks: np.ndarray) -> None:
+        if isinstance(self._seen, set):
+            self._seen.update(masks.ravel().tolist())
+        else:
+            self._seen[masks] = True
+
+    def __len__(self) -> int:
+        if isinstance(self._seen, set):
+            return len(self._seen)
+        return int(np.count_nonzero(self._seen))
+
+
 def popcount(masks):
     """Number of set bits; works on python ints and numpy arrays."""
     if isinstance(masks, (int, np.integer)):

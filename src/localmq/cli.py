@@ -20,7 +20,7 @@ import numpy as np
 
 from . import generators
 from .distributions import Distribution, random_smooth_table, verify_smoothness
-from ._bits import MAX_BITS
+from ._bits import MAX_BITS, DistinctMasks
 from .errors import AuditLogError, BudgetExceededError, ContractViolation
 from .learners import (
     LearnerConfig,
@@ -320,7 +320,7 @@ def _cmd_demo_separation(args) -> int:
 
 _AUDIT_KEYS = ("op", "point", "anchor", "dist", "resp", "seq")
 _OP_CODES = {op: code for code, op in enumerate(AUDIT_OPS)}
-_AUDIT_CHUNK = 1 << 16  # lines parsed per json call
+_AUDIT_CHUNK = 1 << 16  # lines read and checked at a time
 
 
 def _is_int64(value) -> bool:
@@ -381,6 +381,154 @@ def _audit_columns(lines: list[bytes], width: int | None):
     return codes, masks, anchors, np.asarray(dists, dtype=np.int64), width
 
 
+_MAX_DIGITS = 18  # any decimal of at most 18 digits fits int64
+_MAX_RESP_WORDS = 4  # longest resp text the fast path reads, in 8-byte words
+_BYTE = np.uint64(0xFF)
+_LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
+_GATHER_BITS = np.uint64(0x0102040810204080)  # moves bit 0 of byte k to bit 56 + k
+
+
+def _low_bytes(count: int) -> np.uint64:
+    return np.uint64((1 << 8 * count) - 1)
+
+
+def _at(words: np.ndarray, offsets: np.ndarray, text: bytes) -> bool:
+    """Whether `text` occurs at every offset in `offsets`."""
+    for k in range(0, len(text), 8):
+        piece = text[k : k + 8]
+        if ((words[offsets + k] & _low_bytes(len(piece))) != int.from_bytes(piece, "little")).any():
+            return False
+    return True
+
+
+def _canonical_integers(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Nonnegative integers written at [starts, starts + lengths) as plain
+    decimals of at most _MAX_DIGITS digits with no sign and no leading
+    zero, or None if any field is not."""
+    values = np.zeros(starts.size, dtype=np.int64)
+    if not starts.size:
+        return values
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    for j in range(int(lengths.max())):
+        if j % 8 == 0:  # the field's next eight bytes
+            word = words[np.minimum(starts + j, words.size - 1)]
+        digit = ((word >> np.uint64(8 * (j % 8))) & _BYTE).astype(np.int64) - ord("0")
+        live = j < lengths
+        if (live & ((digit < 0) | (digit > 9))).any():
+            return None
+        if j == 0 and ((digit == 0) & (lengths > 1)).any():
+            return None
+        values = np.where(live, values * 10 + digit, values)
+    return values
+
+
+def _canonical_columns(lines: list[bytes], width: int | None):
+    """Fast path of `_audit_columns` for a chunk in which every line is
+    exactly as `OracleSession.write_audit_jsonl` writes it: keys sorted,
+    one space after each separator, plain decimal integers, a JSON number
+    as resp, and `"noisy": true` in every line or in none. Returns the
+    same columns as `_audit_columns`, or None for any other chunk, which
+    then takes the JSON path.
+
+    The chunk is read as one byte array; `words[i]` holds its bytes i to
+    i + 7 as a little-endian uint64, so one gather reads eight bytes of
+    every line."""
+    raw = b"".join(lines + [bytes(8)])
+    buf = np.frombuffer(raw, dtype=np.uint8, count=len(raw) - 8)
+    words = np.ndarray((buf.size + 1,), dtype="<u8", buffer=raw, strides=(1,))
+    count = len(lines)
+    ends = np.flatnonzero(buf == ord("\n"))  # each line's newline
+    if ends.size != count or buf[-1] != ord("\n") or not buf.all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(buf == ord(","))
+    per_line = commas.size // count
+    if per_line not in (5, 6) or commas.size != per_line * count:
+        return None
+    # the commas after anchor, dist, [noisy,] op, point and resp, if
+    # every line has per_line; else some value below comes out empty
+    commas = commas.reshape(count, per_line)
+    if per_line == 6:
+        after_anchor, after_dist, after_noisy, after_op, after_point, after_resp = commas.T
+        flag = b', "noisy": true'
+        if (after_noisy != after_dist + len(flag)).any() or not _at(words, after_dist, flag):
+            return None
+    else:
+        after_anchor, after_dist, after_op, after_point, after_resp = commas.T
+        after_noisy = after_dist
+    layout = {  # key: (offset of the segment before its value, segment, end of value)
+        "anchor": (starts, b'{"anchor": ', after_anchor),
+        "dist": (after_anchor, b', "dist": ', after_dist),
+        "op": (after_noisy, b', "op": "', after_op - 1),
+        "point": (after_op - 1, b'", "point": "', after_point - 1),
+        "resp": (after_point - 1, b'", "resp": ', after_resp),
+        "seq": (after_resp, b', "seq": ', ends - 1),
+    }
+    start = {key: offset + len(text) for key, (offset, text, _) in layout.items()}
+    length = {key: stop - start[key] for key, (_, _, stop) in layout.items()}
+    if min(int(lengths.min()) for lengths in length.values()) < 1:
+        return None
+    # every value is nonempty, so each constant segment lies inside its line
+    segments = [(offset, text) for offset, text, _ in layout.values()] + [(ends - 1, b"}")]
+    if not all(_at(words, offset, text) for offset, text in segments):
+        return None
+
+    # op: told apart by length and first byte, then confirmed
+    first = words[start["op"]] & _BYTE
+    codes = np.where(
+        length["op"] == len("mq_violation"),
+        _OP_CODES["mq_violation"],
+        np.where(first == ord("e"), _OP_CODES["ex"], _OP_CODES["mq"]),
+    ).astype(np.uint8)
+    for op, code in _OP_CODES.items():
+        rows = codes == code
+        if (length["op"][rows] != len(op)).any() or not _at(words, start["op"][rows], op.encode()):
+            return None
+
+    if width is None:
+        width = int(length["point"][0])
+    if not 1 <= width <= MAX_BITS or (length["point"] != width).any():
+        return None
+    masks = np.zeros(count, dtype=np.int64)
+    for k in range(0, width, 8):  # eight digits, variable k first, per gather
+        low = _low_bytes(min(8, width - k))
+        word = words[start["point"] + k] & low
+        if ((word | _LOW_BITS) & low != np.uint64(0x3131313131313131) & low).any():
+            return None  # a byte other than '0' or '1'
+        masks |= (((word & _LOW_BITS) * _GATHER_BITS) >> np.uint64(56)).astype(np.int64) << k
+
+    null = (words[start["anchor"]] & _BYTE) == ord("n")
+    if (length["anchor"][null] != 4).any() or not _at(words, start["anchor"][null], b"null"):
+        return None
+    values = [
+        _canonical_integers(words, start["anchor"][~null], length["anchor"][~null]),
+        _canonical_integers(words, start["dist"], length["dist"]),
+        _canonical_integers(words, start["seq"], length["seq"]),
+    ]
+    if any(v is None for v in values):
+        return None
+    anchors = np.full(count, -1, dtype=np.int64)
+    anchors[~null], dists, _ = values
+
+    # resp: each distinct text must parse, alone, as a JSON number
+    nwords = -(-int(length["resp"].max()) // 8)
+    if nwords > _MAX_RESP_WORDS:
+        return None
+    resp = np.stack(
+        [words[np.minimum(start["resp"] + 8 * k, words.size - 1)] for k in range(nwords)], axis=1
+    ).view(np.uint8)
+    resp[np.arange(8 * nwords) >= length["resp"][:, None]] = 0
+    for text in np.unique(resp.view(f"S{8 * nwords}")).tolist():
+        try:
+            value = json.loads(text)
+        except ValueError:
+            return None
+        if type(value) not in (int, float):
+            return None
+    return codes, masks, anchors, dists, width
+
+
 def _raise_first_problem(lines: list[bytes], lineno: int, width: int | None):
     """Raise AuditLogError naming the first malformed line of a chunk that
     `_audit_columns` rejected; `lineno` is the chunk's first line."""
@@ -404,14 +552,17 @@ def _check_audit_log(fh) -> dict:
     log in chunks and keeps one int64 mask per example."""
     ex_masks = np.zeros(1024, dtype=np.int64)
     ex_count = mq = max_dist = violations = mismatches = 0
-    distinct: set[int] = set()
+    distinct = None  # made once the log's width is known
     width = None
     lineno = 1
     for lines in iter(lambda: list(islice(fh, _AUDIT_CHUNK)), []):
-        try:
-            codes, masks, anchors, dists, width = _audit_columns(lines, width)
-        except (ValueError, KeyError, TypeError, OverflowError):
-            _raise_first_problem(lines, lineno, width)
+        columns = _canonical_columns(lines, width)
+        if columns is None:
+            try:
+                columns = _audit_columns(lines, width)
+            except (ValueError, KeyError, TypeError, OverflowError):
+                _raise_first_problem(lines, lineno, width)
+        codes, masks, anchors, dists, width = columns
         lineno += len(lines)
         is_ex = codes == _OP_CODES["ex"]
         drawn = ex_count + np.cumsum(is_ex) - is_ex  # examples before each record
@@ -432,12 +583,14 @@ def _check_audit_log(fh) -> dict:
         if answered.any():
             mq += int(np.count_nonzero(answered))
             max_dist = max(max_dist, int(dist[answered].max()))
-            distinct.update(np.unique(queries[answered]).tolist())
+            if distinct is None:
+                distinct = DistinctMasks(width)
+            distinct.add(queries[answered])
     return {
         "ex_count": ex_count,
         "mq_count": mq,
         "max_locality_used": max_dist,
-        "distinct_mq_points": len(distinct),
+        "distinct_mq_points": 0 if distinct is None else len(distinct),
         "violations": violations,
         "distance_mismatches": mismatches,
     }

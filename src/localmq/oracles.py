@@ -9,8 +9,8 @@ audit trail (full per-call records, or counters only for large runs).
 A full audit is columnar: each call appends one chunk of columns (op code,
 mask, anchor, distance, response), 25 bytes per record of a query batch
 and 16 per example, and `write_audit_jsonl` formats them into JSONL in
-blocks of at most 64 Ki records. A record's `seq` is its position in the
-log.
+blocks of at most 64 Ki records, each built as one byte matrix with a row
+per record. A record's `seq` is its position in the log.
 
 The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
@@ -39,7 +39,7 @@ from typing import IO
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, popcount
+from ._bits import ENUM_MAX_BITS, DistinctMasks, popcount
 from .errors import ContractViolation, LocalityError
 from .targets import Point, TargetFunction
 from .distributions import Distribution
@@ -50,10 +50,30 @@ AUDIT_COUNTS = "counts"
 # audit record ops, indexed by the op code stored in the columns
 AUDIT_OPS = ("ex", "mq", "mq_violation")
 _EX, _MQ, _VIOLATION = range(len(AUDIT_OPS))
-_OP_TEXT = np.asarray(AUDIT_OPS, dtype=object)
 # column dtypes of one audit chunk: op, mask, anchor (-1 for none), dist, resp
 _AUDIT_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
 _EXPORT_CHUNK = 1 << 16  # records formatted per write
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _decimal_digits(values: np.ndarray) -> np.ndarray:
+    """ASCII decimal digits of nonnegative int64 `values`, one row per
+    value, left-justified and NUL-padded to the longest."""
+    ndigits = np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+    out = np.zeros((values.size, int(ndigits.max(initial=1))), dtype=np.uint8)
+    for j in range(out.shape[1]):
+        exp = ndigits - 1 - j  # power of ten of the digit in column j
+        digit = values // _POW10[np.maximum(exp, 0)] % 10 + ord("0")
+        out[:, j] = np.where(exp >= 0, digit, 0)
+    return out
+
+
+def _text_rows(texts: list[bytes]) -> np.ndarray:
+    """Byte strings as NUL-padded uint8 rows."""
+    return np.asarray(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+
+
+_OP_TEXT = _text_rows([op.encode() for op in AUDIT_OPS])
 
 
 def _grow(column: np.ndarray, size: int) -> np.ndarray:
@@ -119,9 +139,7 @@ class OracleSession:
         self.max_locality_used = 0
         self.violations = 0
         self._enumerable = self.n <= ENUM_MAX_BITS
-        self._distinct: np.ndarray | set[int] | None = None
-        if track_distinct:
-            self._distinct = np.zeros(1 << self.n, dtype=bool) if self._enumerable else set()
+        self._distinct = DistinctMasks(self.n) if track_distinct else None
         self._labelled = 0
         self._table: np.ndarray | None = None
 
@@ -140,12 +158,6 @@ class OracleSession:
         if self.noise is not None:
             clean = clean * self.noise.zeta_batch(masks)
         return clean
-
-    def _mark_distinct(self, masks: np.ndarray) -> None:
-        if isinstance(self._distinct, np.ndarray):
-            self._distinct[masks] = True
-        elif self._distinct is not None:
-            self._distinct.update(masks.ravel().tolist())
 
     def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Labels of checked queries; row i of `queries` is anchored at the
@@ -202,7 +214,8 @@ class OracleSession:
         label = float(self._answer(bits, np.array([anchor], dtype=np.int64))[0, 0])
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
-        self._mark_distinct(bits)
+        if self._distinct is not None:
+            self._distinct.add(bits)
         self._log(_MQ, bits, anchor, dist, label)
         return label
 
@@ -231,8 +244,10 @@ class OracleSession:
         labels = self._answer(queries, anchors)
         self.mq_count += queries.size
         self.max_locality_used = max(self.max_locality_used, worst)
-        self._mark_distinct(queries)
-        self._log(_MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
+        if self._distinct is not None:
+            self._distinct.add(queries)
+        if self.audit_mode == AUDIT_FULL:
+            self._log(_MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
         return labels
 
     # ------------------------------------------------------------- audit
@@ -253,15 +268,11 @@ class OracleSession:
         )
 
     def audit_report(self) -> AuditSummary:
-        if isinstance(self._distinct, np.ndarray):
-            distinct = int(np.count_nonzero(self._distinct))
-        else:
-            distinct = len(self._distinct) if self._distinct is not None else None
         return AuditSummary(
             ex_count=self.ex_count,
             mq_count=self.mq_count,
             max_locality_used=self.max_locality_used,
-            distinct_mq_points=distinct,
+            distinct_mq_points=None if self._distinct is None else len(self._distinct),
             violations=self.violations,
         )
 
@@ -287,34 +298,45 @@ class OracleSession:
         if pending:
             yield tuple(map(np.concatenate, zip(*pending)))
 
-    def _format_block(self, block: tuple[np.ndarray, ...], seq: int) -> str:
-        """JSONL text of one block, byte-identical to
-        json.dumps(record, sort_keys=True) per record."""
+    def _format_block(self, block: tuple[np.ndarray, ...], seq: int) -> bytes:
+        """JSONL bytes of one block, identical to json.dumps(record,
+        sort_keys=True) per record. Each record is one row of a NUL-padded
+        byte matrix; no JSONL byte is NUL, so dropping the NULs packs the
+        rows into lines."""
         ops, masks, anchors, dists, resps = block
-        noisy = '"noisy": true, ' if self.noise is not None else ""
-        line = (
-            '{"anchor": %s, "dist": %d, ' + noisy
-            + '"op": "%s", "point": "%s", "resp": %s, "seq": %d}\n'
-        )
+        anchor_text = _decimal_digits(np.maximum(anchors, 0))
+        null = anchors < 0
+        if null.any():
+            anchor_text = np.pad(anchor_text, ((0, 0), (0, max(0, 4 - anchor_text.shape[1]))))
+            anchor_text[null] = 0
+            anchor_text[null, :4] = np.frombuffer(b"null", np.uint8)
         # variable 0 first: column i of the digit matrix is bit i
-        digits = ((masks[:, None] >> np.arange(self.n)) & 1).astype(np.uint8) + ord("0")
-        points = digits.view(f"S{self.n}").ravel().astype(f"U{self.n}")
-        anchor_text = np.where(anchors < 0, "null", anchors.astype(str))
+        points = ((masks[:, None] >> np.arange(self.n)) & 1).astype(np.uint8) + ord("0")
         # each distinct float (by bit pattern, so -0.0 keeps its sign) is
         # formatted once, by json itself
         patterns, inverse = np.unique(resps.view(np.int64), return_inverse=True)
-        resp_text = np.asarray(
-            [json.dumps(v) for v in patterns.view(np.float64).tolist()], dtype=object
-        )[inverse]
-        rows = zip(
-            anchor_text.tolist(),
-            dists.tolist(),
-            _OP_TEXT[ops].tolist(),
-            points.tolist(),
-            resp_text.tolist(),
-            range(seq, seq + masks.size),
+        resp_text = _text_rows(
+            [json.dumps(v).encode() for v in patterns.view(np.float64).tolist()]
+        )[inverse.ravel()]
+        noisy = b'"noisy": true, ' if self.noise is not None else b""
+        pieces = (
+            b'{"anchor": ', anchor_text,
+            b', "dist": ', _decimal_digits(dists.astype(np.int64)),
+            b', ' + noisy + b'"op": "', _OP_TEXT[ops],
+            b'", "point": "', points,
+            b'", "resp": ', resp_text,
+            b', "seq": ', _decimal_digits(np.arange(seq, seq + masks.size, dtype=np.int64)),
+            b"}\n",
         )
-        return "".join(map(line.__mod__, rows))
+        rows = np.concatenate(
+            [
+                np.broadcast_to(np.frombuffer(p, np.uint8), (masks.size, len(p)))
+                if isinstance(p, bytes) else p
+                for p in pieces
+            ],
+            axis=1,
+        )
+        return rows[rows != 0].tobytes()
 
     def write_audit_jsonl(self, fh: IO[str]) -> int:
         """Write the full audit as JSONL, one record per line with keys
@@ -323,7 +345,7 @@ class OracleSession:
             raise ContractViolation("session was not recording full audit")
         written = 0
         for block in self._audit_blocks():
-            fh.write(self._format_block(block, written))
+            fh.write(self._format_block(block, written).decode("ascii"))
             written += block[0].size
         return written
 

@@ -33,16 +33,21 @@ VARIANT_G = "g"
 VARIANT_GPRIME = "gprime"
 
 
-def _suffix_rank(mask: int, n: int) -> int:
-    """Lexicographic rank of an n-bit string with variable 0 leftmost."""
+_REVERSED_BYTE = np.asarray([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
+
+
+def _suffix_rank(mask, n: int):
+    """Lexicographic rank of an n-bit string with variable 0 leftmost: its
+    n bits in reverse order. A mask array gives an array of ranks."""
     rank = 0
-    for i in range(n):
-        rank = (rank << 1) | (mask >> i & 1)
-    return rank
+    for k in range(0, n, 8):
+        rank = rank << 8 | _REVERSED_BYTE[mask >> k & 255]
+    return rank >> (-n % 8)
 
 
-def partition_block(mask: int, n: int) -> int:
-    """1-based block index: ranks split into n equal integer ranges."""
+def partition_block(mask, n: int):
+    """1-based block index: ranks split into n equal integer ranges; a
+    mask array gives an array of blocks."""
     return (_suffix_rank(mask, n) * n >> n) + 1
 
 
@@ -73,31 +78,33 @@ class PrfTarget:
         payload = (self.key_seed & (2**64 - 1)).to_bytes(8, "little")
         return payload + self.secret.to_bytes(4, "little")
 
-    def _prf(self, mask: int) -> int:
-        return crypto_bit(self._key, mask)
+    def _prf(self, masks: np.ndarray) -> np.ndarray:
+        """The PRF bit of each mask, hashed once per distinct mask."""
+        points, inverse = np.unique(masks, return_inverse=True)
+        bits = [crypto_bit(self._key, p) for p in points.tolist()]
+        return np.asarray(bits, dtype=np.int64)[inverse.ravel()]
 
-    def _bit_at(self, bits: int) -> int:
-        ns = self.secret_n
+    def _bits(self, masks) -> np.ndarray:
+        """The target's {0,1} bit at each point mask."""
+        masks = np.asarray(masks, dtype=np.int64).ravel()
         if self.variant == VARIANT_GPRIME:
-            if bits and bits & (bits - 1) == 0:  # weight-one point e^i
-                i = bits.bit_length()  # 1-based
-                return self.secret >> (i - 1) & 1
-            return self._prf(bits)
-        suffix = bits >> 1
-        out = self._prf(suffix)
-        if bits & 1:
-            i = partition_block(suffix, ns)
-            out ^= self.secret >> (i - 1) & 1
-        return out
+            out = np.empty(masks.size, dtype=np.int64)
+            planted = (masks != 0) & (masks & (masks - 1) == 0)  # e^1..e^n
+            # e^i carries s_i; e^i - 1 has i - 1 ones
+            index = np.bitwise_count(masks[planted] - 1).astype(np.int64)
+            out[planted] = self.secret >> index & 1
+            out[~planted] = self._prf(masks[~planted])
+            return out
+        suffix = masks >> 1
+        shift = partition_block(suffix, self.secret_n) - 1
+        return self._prf(suffix) ^ (masks & 1 & (self.secret >> shift))
 
     def value_at(self, bits: int) -> float:
-        return 2.0 * self._bit_at(bits) - 1.0
+        return float(self.value_batch(np.asarray([bits]))[0])
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
-        return np.asarray([self.value_at(int(b)) for b in masks.ravel()]).reshape(
-            masks.shape
-        )
+        return (2.0 * self._bits(masks) - 1.0).reshape(masks.shape)
 
 
 def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
@@ -118,7 +125,7 @@ def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
         other = session.local_query(bits ^ 1, int(idx[0]))
         b0 = (1.0 + labels[0]) / 2.0
         b1 = (1.0 + other) / 2.0
-        block = partition_block(bits >> 1, ns)
+        block = int(partition_block(bits >> 1, ns))
         seen[block] = int(b0) ^ int(b1)
         if len(seen) == ns:
             break
@@ -197,7 +204,7 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
 def prf_quality(target: PrfTarget, samples: int = 100_000) -> dict:
     """Monobit and lag-one serial-correlation gate for the PRF bit."""
     limit = min(samples, 1 << target.n)
-    bits = np.asarray([target._bit_at(x) for x in range(limit)], dtype=np.float64)
+    bits = target._bits(np.arange(limit)).astype(np.float64)
     mean = float(bits.mean())
     x = bits - mean
     denom = float(np.sum(x * x))

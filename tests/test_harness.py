@@ -1,13 +1,27 @@
-"""CLI surface, suite runner, verifier independence (mutation check), and
-the agnostic stub round trip."""
+"""CLI surface, the audit reader's fast and JSON paths, suite runner,
+verifier independence (mutation check), and the agnostic stub round trip."""
 
+import io
 import json
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localmq import ContractViolation, Distribution, OracleSession, PLUS_MINUS
+from localmq import (
+    ContractViolation,
+    Distribution,
+    LocalityError,
+    NoiseWrapper,
+    OracleSession,
+    PLUS_MINUS,
+)
+from localmq import cli
 from localmq.cli import main
+from localmq.errors import AuditLogError
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.oracles import AUDIT_COUNTS
 from localmq.reduction import ReductionSimulator, embed
@@ -334,6 +348,136 @@ class TestAuditCommand:
         assert code == (0 if honest else 1)
         assert summary["distance_mismatches"] == (0 if honest else 1)
         assert (summary["ex_count"], summary["mq_count"]) == (4, 1)
+
+
+def _written_log(data) -> bytes:
+    """The log of a drawn session: n from 1 to 20, either domain, noise
+    on or off, batched queries within and beyond r, and examples drawn
+    between them."""
+    n = data.draw(st.integers(1, 20), label="n")
+    domain = data.draw(st.sampled_from([PLUS_MINUS, ZERO_ONE]), label="domain")
+    seed = data.draw(st.integers(0, 1 << 16), label="seed")
+    rng = np.random.default_rng(seed)
+    if domain == ZERO_ONE:  # real-valued labels, zeros included
+        target = random_sparse_poly(
+            n, min(3, (1 << n) - 1), rng, coeff_choices=(-0.3, 0.1, 0.7, 1.9), min_degree=1
+        )
+    else:
+        target = random_tree(n, min(4, 1 << n), rng)
+    noise = NoiseWrapper(0.3, seed=seed) if data.draw(st.booleans(), label="noisy") else None
+    r = data.draw(st.integers(0, n), label="r")
+    s = OracleSession(target, Distribution.uniform(n, domain), r=r, seed=seed, noise=noise)
+    s.draw_batch(data.draw(st.integers(1, 30), label="examples"))
+    for _ in range(data.draw(st.integers(0, 4), label="calls")):
+        anchors = np.asarray(data.draw(st.lists(st.integers(0, s.ex_count - 1), min_size=1, max_size=6)))
+        flips = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+        try:
+            s.local_query_matrix(s.anchor_masks(anchors)[:, None] ^ np.asarray(flips), anchors)
+        except LocalityError:
+            pass
+        s.draw_batch(data.draw(st.integers(1, 20), label="more"))
+    buf = io.StringIO()
+    s.write_audit_jsonl(buf)
+    return buf.getvalue().encode()
+
+
+def _read_log(log: bytes, json_only: bool = False):
+    """`localmq audit`'s summary of a log, or the AuditLogError text;
+    `json_only` turns the canonical-line fast path off."""
+    with ExitStack() as stack:
+        if json_only:
+            stack.enter_context(mock.patch.object(cli, "_canonical_columns", lambda *a: None))
+        try:
+            return cli._check_audit_log(io.BytesIO(log))
+        except AuditLogError as exc:
+            return f"AuditLogError: {exc}"
+
+
+class TestCanonicalReader:
+    """`localmq audit` reads chunks of writer output through a fast path
+    that must agree with the JSON path on every chunk it accepts, and must
+    hand everything else to the JSON path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fast_path_returns_the_json_columns(self, data):
+        lines = _written_log(data).splitlines(keepends=True)
+        size = data.draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 16]), label="chunk")
+        width = None
+        for start in range(0, len(lines), size):
+            chunk = lines[start : start + size]
+            fast = cli._canonical_columns(chunk, width)
+            assert fast is not None
+            want = cli._audit_columns(chunk, width)
+            for got, ref in zip(fast[:4], want[:4]):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert fast[4] == want[4]
+            width = want[4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_edit_reads_alike_on_both_paths(self, data):
+        log = _written_log(data)
+        pos = data.draw(st.integers(0, len(log) - 1), label="pos")
+        byte = data.draw(
+            st.sampled_from(b'0123456789-+.eE ,:"{}[]\nnulltrx\t\x00') | st.integers(0, 255),
+            label="byte",
+        )
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+        keep = pos + (edit != "insert")
+        log = log[:pos] + (bytes([byte]) if edit != "delete" else b"") + log[keep:]
+        chunk = data.draw(st.sampled_from([1, 5, 1 << 16]), label="chunk")
+        with mock.patch.object(cli, "_AUDIT_CHUNK", chunk):
+            assert _read_log(log) == _read_log(log, json_only=True)
+
+    # line 0 is an example (anchor null), line 3 a query with anchor 0 and
+    # dist 2; each edit leaves a line the writer never writes
+    EDITS = {
+        "leading-zero": (3, lambda line: line.replace('"seq": ', '"seq": 0')),
+        "signed-zero-anchor": (3, lambda line: line.replace('"anchor": 0', '"anchor": -0')),
+        "negative-dist": (3, lambda line: line.replace('"dist": 2', '"dist": -2')),
+        "19-digit-anchor": (3, lambda line: line.replace('"anchor": 0', '"anchor": 1' + "0" * 18)),
+        "int64-overflow": (3, lambda line: line.replace('"anchor": 0', '"anchor": ' + "9" * 19)),
+        "float-anchor": (3, lambda line: line.replace('"anchor": 0', '"anchor": 0.0')),
+        "bool-resp": (3, lambda line: _edit_record(line, resp=True)),
+        "string-resp": (3, lambda line: _edit_record(line, resp="1.0")),
+        "spaced-null": (0, lambda line: line.replace('"anchor": null', '"anchor":  null')),
+        "null-and-more": (0, lambda line: line.replace('"anchor": null', '"anchor": nullx')),
+        "nul-after-resp": (3, lambda line: line.replace(', "seq"', '\x00, "seq"')),
+        "noisy-in-one-line": (0, lambda line: _edit_record(line, noisy=True)),
+        "digit-for-brace": (3, lambda line: line.replace("}", "7")),
+        "crlf": (3, lambda line: line.replace("\n", "\r\n")),
+        "no-final-newline": (4, lambda line: line.rstrip("\n")),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    def test_non_canonical_lines_take_the_json_path(self, kind):
+        lineno, edit = self.EDITS[kind]
+        lines = TestAuditCommand.small_log()
+        lines[lineno] = edit(lines[lineno])
+        assert cli._canonical_columns([line.encode() for line in lines], None) is None
+        log = "".join(lines).encode()
+        assert _read_log(log) == _read_log(log, json_only=True)
+
+    @pytest.mark.parametrize("rewrite", ["insertion-order-keys", "integer-resp"])
+    def test_valid_non_canonical_log_is_accepted(self, rewrite):
+        lines = TestAuditCommand.small_log()
+        edited = []
+        for line in lines:
+            rec = json.loads(line)
+            if rewrite == "insertion-order-keys":
+                keys = ("op", "point", "anchor", "dist", "resp", "seq")
+                edited.append(json.dumps({k: rec[k] for k in keys}) + "\n")
+            else:
+                assert rec["resp"] in (1.0, -1.0)
+                edited.append(json.dumps({**rec, "resp": int(rec["resp"])}, sort_keys=True) + "\n")
+        edited = [line.encode() for line in edited]
+        assert edited != [line.encode() for line in lines]
+        if rewrite == "insertion-order-keys":
+            assert cli._canonical_columns(edited, None) is None
+        summary = _read_log("".join(lines).encode())
+        assert summary["distance_mismatches"] == 0
+        assert _read_log(b"".join(edited)) == _read_log(b"".join(edited), json_only=True) == summary
 
 
 class TestSuiteRunner:

@@ -25,8 +25,8 @@ from localmq import (
 from localmq.distributions import exact_event_prob_masked
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.cli import main
-from localmq.oracles import AUDIT_COUNTS
-from localmq._bits import all_masks
+from localmq.oracles import AUDIT_COUNTS, _decimal_digits
+from localmq._bits import all_masks, mask_to_bitstring
 
 
 def constant_tree(n, label=1):
@@ -326,6 +326,40 @@ class TestColumnarAudit:
         assert s.write_audit_jsonl(chunked) == 1200
         assert chunked.getvalue() == whole.getvalue()
         assert [rec["seq"] for rec in s.records] == list(range(1200))
+
+    def test_decimal_digits_match_str(self):
+        values = [0, 9, 10, 99, 100, 2**62, 2**63 - 1]
+        values += [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+        rows = _decimal_digits(np.asarray(values, dtype=np.int64))
+        assert rows.shape == (len(values), 19)
+        for value, row in zip(values, rows):
+            text = str(value).encode()
+            assert row.tobytes() == text + bytes(19 - len(text))
+
+    def test_digit_counts_change_inside_one_block(self, monkeypatch):
+        # blocks of 64 records: seq crosses 9 -> 10 in the first block and
+        # 99 -> 100 in the second, and the anchors of the query records
+        # cross 9 -> 10 (second block) and 99 -> 100 (third)
+        monkeypatch.setattr("localmq.oracles._EXPORT_CHUNK", 64)
+        n = 7
+        s = fresh_session(random_tree(n, 5, np.random.default_rng(6)), n=n, r=1, seed=6)
+        _, masks, labels = s.draw_batch(120)
+        anchors = np.r_[5:15, 95:105]
+        answers = s.local_query_matrix(masks[anchors, None] ^ 0b1, anchors)
+
+        def line(op, anchor, dist, bits, resp, seq):
+            rec = {"op": op, "anchor": anchor, "dist": dist, "resp": float(resp),
+                   "point": mask_to_bitstring(int(bits), n), "seq": seq}
+            return json.dumps(rec, sort_keys=True) + "\n"
+
+        want = [line("ex", None, 0, m, y, i) for i, (m, y) in enumerate(zip(masks, labels))]
+        want += [
+            line("mq", int(a), 1, masks[a] ^ 0b1, y, 120 + j)
+            for j, (a, y) in enumerate(zip(anchors, answers[:, 0]))
+        ]
+        buf = io.StringIO()
+        assert s.write_audit_jsonl(buf) == 140
+        assert buf.getvalue() == "".join(want)
 
 
 class TestLabelTable:

@@ -15,6 +15,7 @@ from localmq import (
     learn_g_onelocal,
     pac_baseline,
 )
+from localmq._prf import crypto_bit
 from localmq.oracles import AUDIT_COUNTS, AUDIT_FULL
 from localmq.separation import VARIANT_G, VARIANT_GPRIME, partition_block, prf_quality
 from localmq.targets import DecisionTree, Leaf
@@ -41,6 +42,12 @@ class TestPartition:
                 if Fraction(i - 1, n) * 2**n <= rank < Fraction(i, n) * 2**n
             )
             assert partition_block(mask, n) == want
+
+    def test_mask_arrays_match_scalars(self):
+        for n in (1, 8, 13, 24):
+            masks = np.random.default_rng(n).integers(0, 1 << n, 300)
+            want = [partition_block(int(m), n) for m in masks]
+            assert partition_block(masks, n).tolist() == want
 
     def test_every_block_nonempty(self):
         n = 8
@@ -141,3 +148,43 @@ class TestPrfGate:
         b = PrfTarget(10, 0, VARIANT_GPRIME, key_seed=2)
         masks = np.arange(1 << 10)
         assert not np.array_equal(a.value_batch(masks), b.value_batch(masks))
+
+
+def reference_bit(target, bits):
+    """A target bit by its definition, one point at a time."""
+    ns = target.secret_n
+    if target.variant == VARIANT_GPRIME:
+        if bits and bits & (bits - 1) == 0:  # e^i carries s_i
+            return target.secret >> (bits.bit_length() - 1) & 1
+        return crypto_bit(target._key, bits)
+    suffix = bits >> 1
+    out = crypto_bit(target._key, suffix)
+    if bits & 1:
+        rank = int("".join(str(suffix >> i & 1) for i in range(ns)), 2)
+        out ^= target.secret >> (rank * ns >> ns) & 1
+    return out
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("variant", [VARIANT_G, VARIANT_GPRIME])
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_value_batch_matches_definition(self, variant, n):
+        rng = np.random.default_rng(n)
+        target = PrfTarget(n, int(rng.integers(0, 1 << n)), variant, key_seed=n)
+        cube = np.arange(1 << target.n)
+        want = np.asarray([2.0 * reference_bit(target, int(m)) - 1.0 for m in cube])
+        assert np.array_equal(target.value_batch(cube), want)
+        # repeated points and a 2-d batch keep their shape and values
+        batch = rng.integers(0, 1 << target.n, (7, 5))
+        assert np.array_equal(target.value_batch(batch), want[batch])
+        assert [target.value_at(int(m)) for m in cube[:20]] == want[:20].tolist()
+
+    @pytest.mark.parametrize("variant", [VARIANT_G, VARIANT_GPRIME])
+    def test_gate_reads_the_same_bits(self, variant):
+        target = PrfTarget(8, 0, variant, key_seed=12)
+        limit = 1 << target.n
+        bits = np.asarray([reference_bit(target, x) for x in range(limit)], dtype=np.float64)
+        x = bits - bits.mean()
+        report = prf_quality(target, samples=10 * limit)
+        assert report["samples"] == limit and report["bit_mean"] == float(bits.mean())
+        assert report["serial_correlation"] == float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
