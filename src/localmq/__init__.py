@@ -7,7 +7,7 @@ learner estimates by sampling is re-checkable against exact brute-force
 oracles at small dimension; those live in `verify`.
 """
 
-from .distributions import Distribution, conditional_marginal, exact_event_prob, verify_smoothness
+from .distributions import Distribution, conditional_marginal, exact_event_prob_masked, verify_smoothness
 from .errors import (
     AuditLogError,
     BudgetExceededError,
@@ -57,15 +57,11 @@ from .targets import (
     Internal,
     Leaf,
     PLUS_MINUS,
-    Point,
     SparsePolynomial,
     ZERO_ONE,
-    evaluate,
     target_from_json,
     target_to_json,
     tree_to_polynomial,
-    truncate_polynomial,
-    truncate_tree,
 )
 from .verify import VerifierOracle, run_lemma_suite
 

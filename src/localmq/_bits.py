@@ -89,12 +89,3 @@ def mask_to_bitstring(mask: int, n: int) -> str:
     """Variable 0 first (leftmost)."""
     return "".join("1" if mask >> i & 1 else "0" for i in range(n))
 
-
-def bitstring_to_mask(s: str) -> int:
-    m = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            m |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad bitstring character {ch!r}")
-    return m

@@ -254,7 +254,7 @@ def _cmd_reduce(args) -> int:
         g = generators.random_tree(
             args.n, 8, np.random.default_rng([args.seed, trial, 0x6]), max_depth=min(4, args.n)
         )
-        lhs, rhs = correlation_check(base, g, embedded)
+        lhs, rhs = correlation_check(g, embedded)
         residuals.append(abs(lhs - rhs))
     report = reduction_report(embedded, sim)
     report["correlation_residuals"] = residuals

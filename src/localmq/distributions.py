@@ -14,13 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from ._bits import ENUM_MAX_BITS, all_masks, bits_of
 from .errors import ContractViolation, EnumerationLimitError, ZeroMassError
-from .targets import PLUS_MINUS, ZERO_ONE, Point, _check_domain
+from .targets import PLUS_MINUS, ZERO_ONE, _check_domain
 
 UNIFORM = "uniform"
 PRODUCT = "product"
@@ -156,9 +155,6 @@ class Distribution:
             np.int64
         )
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return Point(self.n, int(self.sample_batch(rng, 1)[0]), self.domain)
-
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind, "n": self.n, "domain": self.domain}
         if self.kind == PRODUCT:
@@ -210,24 +206,15 @@ def verify_smoothness(dist: Distribution) -> float:
     return worst
 
 
-def exact_event_prob(dist: Distribution, predicate: Callable[[Point], bool]) -> float:
-    """Sum of D(x) over points satisfying the predicate, fsum-compensated."""
-    if dist.n > ENUM_MAX_BITS:
-        raise EnumerationLimitError(
-            f"exact enumeration needs n <= {ENUM_MAX_BITS}, got {dist.n}"
-        )
-    pr = dist.probs_array()
-    chosen = [
-        float(pr[m]) for m in range(1 << dist.n)
-        if predicate(Point(dist.n, m, dist.domain))
-    ]
-    return math.fsum(chosen)
-
-
 def exact_event_prob_masked(dist: Distribution, hold: np.ndarray) -> float:
-    """Vectorized variant: `hold` is a boolean array indexed by mask."""
-    pr = dist.probs_array()
-    return math.fsum(pr[np.asarray(hold, dtype=bool)].tolist())
+    """Sum of D(x) over the points x where `hold`, a boolean array indexed
+    by mask, is true; fsum-compensated. Needs n <= ENUM_MAX_BITS."""
+    hold = np.asarray(hold, dtype=bool)
+    if hold.shape != (1 << dist.n,):
+        raise ContractViolation(
+            f"event array has shape {hold.shape}, need ({1 << dist.n},) for n={dist.n}"
+        )
+    return math.fsum(dist.probs_array()[hold].tolist())
 
 
 def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Distribution:

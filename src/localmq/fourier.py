@@ -330,12 +330,12 @@ def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> Rest
     return RestrictionEstimate(subset, vals, anchors, m)
 
 
-def default_test_samples(theta_gap: float, delta_test: float, value_range: float = 1.0) -> int:
+def default_test_samples(theta_gap: float, delta_test: float) -> int:
     """Two-sided Hoeffding sample size resolving theta_gap/2 deviations of
-    an average of values spanning `value_range`."""
+    an average of values spanning a range of 1."""
     if theta_gap <= 0 or not 0 < delta_test < 1:
         raise ContractViolation("need theta_gap > 0 and delta_test in (0,1)")
-    half_gap = (theta_gap / value_range) / 2.0
+    half_gap = theta_gap / 2.0
     return int(math.ceil(math.log(2.0 / delta_test) / (2.0 * half_gap**2)))
 
 

@@ -42,6 +42,8 @@ from .oracles import AuditSummary, OracleSession
 from .targets import PLUS_MINUS, ZERO_ONE
 
 MAX_DEFAULT_SAMPLES = 10**7
+_REGRESSION_TOL = 1e-8
+_REGRESSION_MAX_ITER = 10**5
 
 
 @dataclass
@@ -219,13 +221,11 @@ def constrained_regression(
     features: np.ndarray,
     labels: np.ndarray,
     l1_bound: float,
-    tol: float = 1e-8,
-    max_iter: int = 10**5,
 ) -> np.ndarray:
     """Minimize mean squared loss over the L1 ball by projected
     subgradient descent with exact projection. Deterministic: starts at
     zero, fixed step 1/L, stops when the relative loss improvement drops
-    below `tol`."""
+    below _REGRESSION_TOL or after _REGRESSION_MAX_ITER steps."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     m, k = features.shape
@@ -235,13 +235,13 @@ def constrained_regression(
     lip = 2.0 * _power_lipschitz(gram)
     w = np.zeros(k)
     loss = offset
-    for _ in range(max_iter):
+    for _ in range(_REGRESSION_MAX_ITER):
         grad = 2.0 * (gram @ w - corr)
         w_next = project_l1(w - grad / lip, l1_bound)
         loss_next = float(w_next @ gram @ w_next - 2.0 * corr @ w_next + offset)
         improvement = loss - loss_next
         w, loss = w_next, loss_next
-        if improvement < tol * max(1.0, abs(loss)):
+        if improvement < _REGRESSION_TOL * max(1.0, abs(loss)):
             break
     return w
 

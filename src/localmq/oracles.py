@@ -41,7 +41,7 @@ import numpy as np
 
 from ._bits import ENUM_MAX_BITS, DistinctMasks, popcount
 from .errors import ContractViolation, LocalityError
-from .targets import Point, TargetFunction
+from .targets import TargetFunction
 from .distributions import Distribution
 
 AUDIT_FULL = "full"
@@ -184,10 +184,6 @@ class OracleSession:
         masks = self.dist.sample_batch(self._rng, count)
         labels = self._labels_for(masks)
         return self._keep(masks, labels), masks, labels
-
-    def draw_example(self) -> tuple[Point, float]:
-        idx, masks, labels = self.draw_batch(1)
-        return Point(self.n, int(masks[0]), self.domain), float(labels[0])
 
     def anchor_masks(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)

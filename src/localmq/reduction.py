@@ -44,6 +44,9 @@ _BCH_TABLE = [
 ]
 
 
+_CODE_SLACK = 8  # extra code length allowed beyond n + k*ceil(log2 n)
+
+
 def _poly_mod(value: int, g: int) -> int:
     gd = g.bit_length() - 1
     while value.bit_length() - 1 >= gd and value:
@@ -152,9 +155,9 @@ def _bch_rows(n: int, k: int) -> tuple[int, list[int]] | None:
     return None
 
 
-def build_code(n: int, k: int, slack: int = 8, rng=None) -> LinearCode:
+def build_code(n: int, k: int) -> LinearCode:
     """Binary linear code with distance >= 2k+1 within the length budget
-    m <= n + k*ceil(log2 n) + slack.
+    m <= n + k*ceil(log2 n) + _CODE_SLACK.
 
     Prefers the identity code (k=0), shortened Hamming (k=1), and
     shortened BCH generators (k=2,3); falls back to random systematic
@@ -165,7 +168,7 @@ def build_code(n: int, k: int, slack: int = 8, rng=None) -> LinearCode:
         raise ContractViolation("need n >= 1, k >= 0")
     if n > 16 or k > 3:
         raise ContractViolation("desk scale supports n <= 16, k <= 3")
-    budget = n + k * math.ceil(math.log2(max(n, 2))) + slack
+    budget = n + k * math.ceil(math.log2(max(n, 2))) + _CODE_SLACK
     if k == 0:
         return LinearCode(n, n, 0, tuple(1 << i for i in range(n)))
     candidates = []
@@ -182,7 +185,7 @@ def build_code(n: int, k: int, slack: int = 8, rng=None) -> LinearCode:
         if code.distance >= 2 * k + 1:
             return code
     # random systematic fallback
-    rng = np.random.default_rng(0xC0DE) if rng is None else rng
+    rng = np.random.default_rng(0xC0DE)
     for extra in range(1, budget - n + 1):
         for _ in range(200):
             rows = [
@@ -223,31 +226,26 @@ class EmbeddedFunction:
         """Mass of Z, the union of radius-k balls around codewords."""
         return 2.0 ** (self.n - self.m) * ball_size(self.m, self.code.k)
 
-    def value(self, z: int) -> float:
-        """Exact f_e value in {-1, 0, +1}."""
-        msg = self.code.decode(z)
-        if msg is not None and self.code.encode(msg) == z:
-            return float(self.base.value_at(msg))
-        return 0.0
-
-    def label(self, z: int) -> float:
-        v = self.value(z)
-        return v if v != 0.0 else float(coin_pm(self.coin_seed, np.asarray([z]))[0])
+    def value_batch(self, words: np.ndarray) -> np.ndarray:
+        """Exact f_e values in {-1, 0, +1}. The code is systematic, so z is
+        a codeword exactly when it encodes its own message bits."""
+        words = np.asarray(words, dtype=np.int64)
+        msgs = words & ((1 << self.n) - 1)
+        on_code = self.code.encode_batch(msgs) == words
+        out = np.zeros(words.shape, dtype=np.float64)
+        out[on_code] = self.base.value_batch(msgs[on_code])
+        return out
 
     def label_batch(self, words: np.ndarray) -> np.ndarray:
         words = np.asarray(words, dtype=np.int64)
-        out = coin_pm(self.coin_seed, words)
-        for j, z in enumerate(words.tolist()):
-            v = self.value(z)
-            if v != 0.0:
-                out[j] = v
-        return out
+        values = self.value_batch(words)
+        return np.where(values != 0.0, values, coin_pm(self.coin_seed, words))
 
 
-def embed(base, k: int, coin_seed: int = 0, slack: int = 8) -> EmbeddedFunction:
+def embed(base, k: int, coin_seed: int = 0) -> EmbeddedFunction:
     """Build the code, pad until the rejection guard beta <= 2/3 holds
     (appending constant-zero coordinates), and wrap the target."""
-    code = build_code(base.n, k, slack)
+    code = build_code(base.n, k)
     if k >= 1:
         while 2.0 ** (base.n - code.m) * ball_size(code.m, k) > 2.0 / 3.0:
             code = code.pad(1)
@@ -342,27 +340,23 @@ class ReductionSimulator(OracleSession):
         return np.where(on_code, self._base_labels[anchors][:, None], coin)
 
 
-def correlation_check(f, g, embedded: EmbeddedFunction) -> tuple[float, float]:
-    """Exact check of the correlation identity.
+def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:
+    """Exact check of the correlation identity for f = embedded.base.
 
     Returns (E_{U_m}[f_e(z) g'(z)], 2^{n-m} E_{U_n}[f(x) g(x)]) where
-    g'(z) applies g to the message bits of z. Both sides enumerated.
+    g'(z) applies g to the message bits of z. Both sides are enumerated,
+    the left over all 2^m words; fsum is correctly rounded, so the zero
+    terms off the code leave it unchanged.
     """
     n, m = embedded.n, embedded.m
     if m > 22:
         raise EnumerationLimitError(f"m={m} too large for exact correlation")
-    msg_mask = (1 << n) - 1
-    code = embedded.code
-    lookup = {int(code.encode(msg)): msg for msg in range(1 << n)}
-    acc = []
-    for z in range(1 << m):
-        msg = lookup.get(z)
-        if msg is not None:
-            acc.append(float(f.value_at(msg)) * float(g.value_at(z & msg_mask)))
-    lhs = math.fsum(acc) / (1 << m)
-    rhs = 2.0 ** (n - m) * math.fsum(
-        float(f.value_at(x)) * float(g.value_at(x)) for x in range(1 << n)
-    ) / (1 << n)
+    z = np.arange(1 << m, dtype=np.int64)
+    x = z[: 1 << n]
+    gx = g.value_batch(x)
+    lhs = math.fsum((embedded.value_batch(z) * gx[z & (x.size - 1)]).tolist()) / (1 << m)
+    fx = embedded.base.value_batch(x)
+    rhs = 2.0 ** (n - m) * math.fsum((fx * gx).tolist()) / (1 << n)
     return lhs, rhs
 
 

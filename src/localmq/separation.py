@@ -107,7 +107,7 @@ class PrfTarget:
         return (2.0 * self._bits(masks) - 1.0).reshape(masks.shape)
 
 
-def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
+def learn_g_onelocal(session, budget: int) -> dict:
     """Recover the secret of a 'g' target with one 1-local query per
     natural example.
 
@@ -129,8 +129,7 @@ def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
         seen[block] = int(b0) ^ int(b1)
         if len(seen) == ns:
             break
-    covered = len(seen) == ns
-    if require_full and not covered:
+    if len(seen) < ns:
         missing = [i for i in range(1, ns + 1) if i not in seen]
         return {"recovered": None, "covered": False, "missing_blocks": missing,
                 "examples_used": session.ex_count}
@@ -139,7 +138,7 @@ def learn_g_onelocal(session, budget: int, require_full: bool = True) -> dict:
         secret |= bit << (block - 1)
     return {
         "recovered": secret,
-        "covered": covered,
+        "covered": True,
         "examples_used": session.ex_count,
         "queries_used": session.mq_count,
     }

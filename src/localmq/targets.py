@@ -1,9 +1,10 @@
 """Target function classes: sparse multilinear polynomials, decision
 trees, and DNF formulas over the n-cube, with exact evaluation.
 
-Points carry a domain tag telling whether stored bit b encodes {0,1} or
-{-1,+1}; bit b=1 always means the "high" value (1 or +1). All types are
-immutable after construction and safe to share.
+A point is an integer bitmask (bit i = variable i). Each target carries
+a domain tag telling whether stored bit b encodes {0,1} or {-1,+1}; bit
+b=1 always means the "high" value (1 or +1). All types are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._bits import (
-    ENUM_MAX_BITS,
-    MAX_BITS,
-    bits_of,
-    mask_of,
-    mask_to_bitstring,
-    bitstring_to_mask,
-    popcount,
-)
+from ._bits import ENUM_MAX_BITS, bits_of, mask_of, popcount
 from .errors import ContractViolation, EnumerationLimitError
 
 ZERO_ONE = "zero_one"
@@ -34,48 +27,6 @@ _DOMAINS = (ZERO_ONE, PLUS_MINUS)
 def _check_domain(domain: str) -> None:
     if domain not in _DOMAINS:
         raise ContractViolation(f"unknown domain tag {domain!r}")
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of the n-cube stored as a bitmask."""
-
-    n: int
-    bits: int
-    domain: str = PLUS_MINUS
-
-    def __post_init__(self):
-        _check_domain(self.domain)
-        if not 1 <= self.n <= MAX_BITS:
-            raise ContractViolation(f"n={self.n} outside [1, {MAX_BITS}]")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ContractViolation(f"bits 0x{self.bits:x} out of range for n={self.n}")
-
-    def bit(self, i: int) -> int:
-        return self.bits >> i & 1
-
-    def value(self, i: int) -> int:
-        b = self.bit(i)
-        return b if self.domain == ZERO_ONE else 2 * b - 1
-
-    def values(self) -> np.ndarray:
-        bits = np.array([self.bit(i) for i in range(self.n)], dtype=np.int64)
-        return bits if self.domain == ZERO_ONE else 2 * bits - 1
-
-    def hamming(self, other: "Point") -> int:
-        if other.n != self.n or other.domain != self.domain:
-            raise ContractViolation("hamming distance across mismatched points")
-        return int(popcount(self.bits ^ other.bits))
-
-    def flip(self, i: int) -> "Point":
-        return Point(self.n, self.bits ^ (1 << i), self.domain)
-
-    def to_bitstring(self) -> str:
-        return mask_to_bitstring(self.bits, self.n)
-
-    @classmethod
-    def from_bitstring(cls, s: str, domain: str = PLUS_MINUS) -> "Point":
-        return cls(len(s), bitstring_to_mask(s), domain)
 
 
 def _as_terms(terms: Mapping[int, float]) -> dict[int, float]:
@@ -408,27 +359,6 @@ class DnfFormula:
 
 
 TargetFunction = SparsePolynomial | DecisionTree | DnfFormula
-
-
-def evaluate(target: TargetFunction, x: Point) -> float:
-    """Exact evaluation with dimension and domain contract checks."""
-    if x.n != target.n:
-        raise ContractViolation(f"point dimension {x.n} != target dimension {target.n}")
-    if x.domain != target.domain:
-        raise ContractViolation(
-            f"point domain {x.domain} != target domain {target.domain}"
-        )
-    return target.value_at(x.bits)
-
-
-def truncate_polynomial(f: SparsePolynomial, d: int) -> SparsePolynomial:
-    """Drop every term of degree above d."""
-    return f.truncate(d)
-
-
-def truncate_tree(g: DecisionTree, d: int, cap_label: int = -1) -> DecisionTree:
-    """Cut every path at depth d, capping with a constant leaf."""
-    return g.truncate(d, cap_label)
 
 
 def tree_to_polynomial(g: DecisionTree, basis) -> "FourierSpectrum":

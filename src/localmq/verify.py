@@ -42,54 +42,33 @@ from .generators import (
     random_tree,
 )
 from .noise import rcn_collision_prob
-from .targets import PLUS_MINUS, ZERO_ONE, tree_to_polynomial, truncate_tree
+from .targets import PLUS_MINUS, ZERO_ONE, tree_to_polynomial
 
 
 class VerifierOracle:
     """Brute-force engines: direct transforms, symbolic restrictions,
     exact losses, and a small exact L1-constrained least squares."""
 
-    def __init__(self):
-        self._cache: dict = {}
-
     # ------------------------------------------------------------ transforms
 
-    def direct_transform(self, target, basis, subsets=None) -> FourierSpectrum:
+    def direct_transform(self, target, basis) -> FourierSpectrum:
         """Per-subset inner products straight from the definition."""
-        import json as _json
-
-        if subsets is None:
-            key = (
-                _json.dumps(target.to_json(), sort_keys=True)
-                if hasattr(target, "to_json")
-                else None,
-                repr(basis),
-            )
-            if key[0] is not None and key in self._cache:
-                return self._cache[key]
-        else:
-            key = None
         n = target.n
         if n > 14:
             raise EnumerationLimitError("direct transform kept to n <= 14")
         masks = all_masks(n)
         values = np.asarray(target.value_batch(masks), dtype=np.float64)
-        if subsets is None:
-            subsets = range(1 << n)
         coeffs = {}
         if basis is MONOMIAL_01:
             lookup = {int(m): float(v) for m, v in zip(masks, values)}
-            for s in subsets:
+            for s in range(1 << n):
                 acc = [
                     (-1.0) ** int(popcount(s ^ t)) * lookup[t] for t in submasks(s)
                 ]
                 c = math.fsum(acc)
                 if c != 0.0:
                     coeffs[int(s)] = c
-            result = FourierSpectrum(n, basis, coeffs)
-            if key is not None and key[0] is not None:
-                self._cache[key] = result
-            return result
+            return FourierSpectrum(n, basis, coeffs)
         if basis is UNIFORM_PM:
             weights = np.full(masks.shape, 1.0 / (1 << n))
         elif isinstance(basis, ProductBasis):
@@ -99,15 +78,12 @@ class VerifierOracle:
                 weights *= np.where((masks >> i) & 1, p, 1.0 - p)
         else:
             raise ContractViolation(f"unknown basis {basis!r}")
-        for s in subsets:
+        for s in range(1 << n):
             chi = char_values(basis, int(s), masks, n)
             c = math.fsum((weights * chi * values).tolist())
             if abs(c) > 1e-13:
                 coeffs[int(s)] = c
-        result = FourierSpectrum(n, basis, coeffs)
-        if key is not None and key[0] is not None:
-            self._cache[key] = result
-        return result
+        return FourierSpectrum(n, basis, coeffs)
 
     # ----------------------------------------------------------- exact losses
 
@@ -496,7 +472,7 @@ def suite_tree_truncation(n: int = 12, trials: int = 200, seed: int = 0, c: floa
         tau = 0.05
         # depth-d truncation misses with probability at most tau
         d5 = max(1, math.ceil(math.log(t_real / tau) / rate))
-        cut = truncate_tree(tree, d5, cap_label=-1)
+        cut = tree.truncate(d5, cap_label=-1)
         masks = all_masks(n)
         diff = np.asarray(tree.value_batch(masks)) != np.asarray(cut.value_batch(masks))
         p_diff = exact_event_prob_masked(dist, diff)
@@ -512,7 +488,7 @@ def suite_tree_truncation(n: int = 12, trials: int = 200, seed: int = 0, c: floa
               {"trial": trial, "check": "d6-degree", "deg": max_deg})
         # off-support tail of the full spectrum
         d7 = max(1, math.ceil(math.log(4 * t_real / tau) / rate))
-        cut7 = truncate_tree(tree, d7, cap_label=-1)
+        cut7 = tree.truncate(d7, cap_label=-1)
         spec_full = exact_transform(tree, basis)
         support7 = set(exact_transform(cut7, basis).coeffs)
         tail = math.fsum(

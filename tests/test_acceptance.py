@@ -35,7 +35,6 @@ from localmq import (
     noisy_nonzero_test,
     pac_baseline,
     rcn_collision_prob,
-    truncate_polynomial,
 )
 from localmq.cli import main as cli_main
 from localmq.distributions import random_smooth_table
@@ -136,11 +135,11 @@ def test_c01_locality_contract():
     tree = random_tree(10, 4, np.random.default_rng([1, 6]), max_depth=2)
     d_budget = 3
     s = counts_session(tree, Distribution.uniform(10, PLUS_MINUS), r=d_budget, seed=6)
-    p, _ = s.draw_example()
+    _, masks, _ = s.draw_batch(1)
     flip = (1 << (d_budget + 1)) - 1  # d+1 bits
     raised = False
     try:
-        s.local_query(p.bits ^ flip, 0)
+        s.local_query(int(masks[0]) ^ flip, 0)
     except LocalityError as exc:
         raised = exc.distance == d_budget + 1
     if not raised or s.audit_report().violations != 1:
@@ -177,7 +176,7 @@ def test_c02_sparse_polynomial_recovery():
             d, theta, d_prime,
         )
         loss = VER.exact_sq_loss(f, out.hypothesis, dist)
-        support_ok = set(truncate_polynomial(f, d).terms) <= set(out.hypothesis.coeffs)
+        support_ok = set(f.truncate(d).terms) <= set(out.hypothesis.coeffs)
         if loss <= 0.05 and support_ok:
             good += 1
         if len(out.grown_sets) <= cap:
@@ -456,7 +455,7 @@ def test_c08_reduction():
         f = random_tree(6, 6, rng)
         g = random_tree(6, 6, rng)
         emb = embed(f, 1)
-        lhs, rhs = correlation_check(f, g, emb)
+        lhs, rhs = correlation_check(g, emb)
         worst_resid = max(worst_resid, abs(lhs - rhs))
     corr_ok = worst_resid <= 1e-12
 
@@ -471,8 +470,7 @@ def test_c08_reduction():
     _, masks, labels = sim.draw_batch(n_draws)
     counts = Counter(zip(masks.tolist(), labels.tolist()))
     tv = 0.0
-    for z in range(1 << emb.m):
-        want = emb.label(z)
+    for z, want in enumerate(emb.label_batch(np.arange(1 << emb.m)).tolist()):
         tv += abs(counts.get((z, want), 0) / n_draws - 1.0 / (1 << emb.m))
         tv += counts.get((z, -want), 0) / n_draws
     tv /= 2.0

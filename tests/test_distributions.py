@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from localmq import ContractViolation, Distribution, ZeroMassError, conditional_marginal, exact_event_prob, verify_smoothness
+from localmq import ContractViolation, Distribution, ZeroMassError, conditional_marginal, verify_smoothness
 from localmq.distributions import (
     exact_event_prob_masked,
     marginal,
     random_smooth_table,
 )
-from localmq.targets import PLUS_MINUS, ZERO_ONE, Point
+from localmq.targets import PLUS_MINUS, ZERO_ONE
 from localmq._bits import all_masks, popcount
 
 
@@ -89,20 +89,21 @@ class TestSampling:
                 bad += 1
         assert bad <= 2  # 3-sigma misses are rare but not impossible over 64 cells
 
-    def test_sample_returns_point(self):
-        d = Distribution.uniform(5, PLUS_MINUS)
-        p = d.sample(np.random.default_rng(0))
-        assert isinstance(p, Point) and p.n == 5 and p.domain == PLUS_MINUS
-
 
 class TestExactEventProb:
     def test_always_true_is_one(self):
         d = Distribution.uniform(8, ZERO_ONE)
-        assert exact_event_prob(d, lambda p: True) == pytest.approx(1.0)
+        assert exact_event_prob_masked(d, np.ones(256, dtype=bool)) == pytest.approx(1.0)
 
     def test_uniform_single_bit(self):
         d = Distribution.uniform(8, ZERO_ONE)
-        assert exact_event_prob(d, lambda p: p.bit(0) == 1) == pytest.approx(0.5)
+        assert exact_event_prob_masked(d, (all_masks(8) & 1) == 1) == pytest.approx(0.5)
+
+    def test_event_array_must_cover_the_cube(self):
+        d = Distribution.uniform(3)
+        for size in (5, 16):  # short and long against 2**3 points
+            with pytest.raises(ContractViolation):
+                exact_event_prob_masked(d, np.ones(size, dtype=bool))
 
     def test_subset_probability_sandwich(self):
         # Pr[x_S = b_S] within the smoothness sandwich for |S| = 3

@@ -2,9 +2,12 @@
 vs symbolic oracles, admission tests vs exact values."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmq import (
     Distribution,
@@ -124,8 +127,8 @@ class TestRestriction01:
         rng = np.random.default_rng(0)
         f = random_sparse_poly(8, 5, rng, max_degree=4)
         s = poly_session(f, Distribution.uniform(8, ZERO_ONE), r=0)
-        p, label = s.draw_example()
-        assert restriction_values_01(s, 0, np.asarray([0]))[0] == label
+        _, _, labels = s.draw_batch(1)
+        assert restriction_values_01(s, 0, np.asarray([0]))[0] == labels[0]
         assert s.mq_count == 1
 
     def test_product_term_restriction(self):
@@ -175,8 +178,8 @@ class TestRestrictionPm:
         rng = np.random.default_rng(2)
         tree = random_tree(8, 6, rng)
         s = poly_session(tree, Distribution.uniform(8, PLUS_MINUS), r=0)
-        p, label = s.draw_example()
-        assert restriction_values_pm(s, 0, np.asarray([0]))[0] == label
+        _, _, labels = s.draw_batch(1)
+        assert restriction_values_pm(s, 0, np.asarray([0]))[0] == labels[0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_product_basis_matches_symbolic(self, seed):
@@ -233,6 +236,64 @@ class TestRestrictionPm:
             got = restriction_values_pm(s, subset, idx)[0]
             want = spec.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@dataclass(frozen=True)
+class SpectrumTarget:
+    """A sparse spectrum served to a session as its target."""
+
+    spec: FourierSpectrum
+    domain: str
+
+    @property
+    def n(self):
+        return self.spec.n
+
+    def value_batch(self, masks):
+        return self.spec.value_batch(masks)
+
+
+class TestRestrictionProperty:
+    """Restriction values read through a session equal the symbolic
+    restriction of the spectrum at each anchor, in every basis."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_symbolic_restriction(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        kind = data.draw(st.sampled_from(["monomial", "uniform", "product"]), label="basis")
+        if kind == "product":
+            means = data.draw(st.lists(st.floats(-0.8, 0.8), min_size=n, max_size=n))
+            basis, dist = ProductBasis(tuple(means)), Distribution.product(means, PLUS_MINUS)
+        elif kind == "uniform":
+            basis, dist = UNIFORM_PM, Distribution.uniform(n, PLUS_MINUS)
+        else:
+            basis, dist = MONOMIAL_01, Distribution.uniform(n, ZERO_ONE)
+        coeffs = data.draw(
+            st.dictionaries(
+                st.integers(0, (1 << n) - 1),
+                st.floats(-2.0, 2.0).filter(lambda c: c != 0.0),
+                max_size=6,
+            ),
+            label="coeffs",
+        )
+        spec = FourierSpectrum(n, basis, coeffs)
+        subset = data.draw(st.integers(0, (1 << n) - 1), label="subset")
+        k = int(popcount(subset))
+        s = poly_session(SpectrumTarget(spec, dist.domain), dist, r=k, seed=n)
+        idx, masks, _ = s.draw_batch(data.draw(st.integers(1, 6), label="anchors"))
+        if basis is MONOMIAL_01:
+            got = restriction_values_01(s, subset, idx)
+        else:
+            got = restriction_values_pm(s, subset, idx, basis)
+        want = spec.restrict(subset).value_batch(masks)
+        # |f| <= scale everywhere: no one-variable character exceeds peak
+        mus = getattr(basis, "means", ())
+        peak = max([(1 + abs(mu)) / math.sqrt(1 - mu * mu) for mu in mus], default=1.0)
+        scale = (1.0 + sum(abs(c) for c in coeffs.values())) * peak**n
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+        assert s.mq_count == idx.size << k
+        assert s.max_locality_used == k
 
 
 class TestL2Test:
@@ -305,11 +366,6 @@ class TestDefaultSamples:
         theta_gap, delta = 0.1, 0.05
         expected = math.ceil(math.log(2 / delta) / (2 * (theta_gap / 2) ** 2))
         assert default_test_samples(theta_gap, delta) == expected
-
-    def test_range_rescaling(self):
-        assert default_test_samples(0.1, 0.05, value_range=2.0) == default_test_samples(
-            0.05, 0.05
-        )
 
     def test_rejects_bad_inputs(self):
         from localmq import ContractViolation

@@ -18,7 +18,6 @@ from localmq import (
     NoiseWrapper,
     OracleSession,
     PLUS_MINUS,
-    Point,
     ZERO_ONE,
     DecisionTree,
 )
@@ -43,16 +42,16 @@ class TestDrawExample:
     def test_constant_target_labels(self):
         s = fresh_session()
         for _ in range(20):
-            _, label = s.draw_example()
-            assert label == 1.0
+            _, _, labels = s.draw_batch(1)
+            assert labels[0] == 1.0
 
     def test_zero_noise_equals_clean(self):
         tree = random_tree(8, 6, np.random.default_rng(0))
         clean = fresh_session(tree, seed=3)
         noisy = fresh_session(tree, seed=3, noise=NoiseWrapper(0.0, seed=5))
         for _ in range(50):
-            (p1, l1), (p2, l2) = clean.draw_example(), noisy.draw_example()
-            assert p1.bits == p2.bits and l1 == l2
+            (_, m1, l1), (_, m2, l2) = clean.draw_batch(1), noisy.draw_batch(1)
+            assert m1[0] == m2[0] and l1[0] == l2[0]
 
     def test_label_frequency_matches_enumeration(self):
         tree = random_tree(10, 12, np.random.default_rng(4))
@@ -67,30 +66,29 @@ class TestDrawExample:
 class TestLocalQuery:
     def test_distance_zero_always_allowed(self):
         s = fresh_session(r=0)
-        p, label = s.draw_example()
-        assert s.local_query(p.bits, 0) == label
+        _, masks, labels = s.draw_batch(1)
+        assert s.local_query(int(masks[0]), 0) == labels[0]
 
     def test_three_flips_violate_r2(self):
         s = fresh_session(n=8, r=2)
-        p, _ = s.draw_example()
-        query = Point(8, p.bits ^ 0b111, PLUS_MINUS)
+        _, masks, _ = s.draw_batch(1)
         with pytest.raises(LocalityError) as err:
-            s.local_query(query.bits, 0)
+            s.local_query(int(masks[0]) ^ 0b111, 0)
         assert err.value.distance == 3 and err.value.r == 2
         assert s.audit_report().violations == 1
 
     def test_persistence_under_noise(self):
         tree = random_tree(8, 6, np.random.default_rng(1))
         s = fresh_session(tree, r=2, noise=NoiseWrapper(0.2, seed=9))
-        p, _ = s.draw_example()
-        q = Point(8, p.bits ^ 0b11, PLUS_MINUS)
-        assert s.local_query(q.bits, 0) == s.local_query(q.bits, 0)
+        _, masks, _ = s.draw_batch(1)
+        q = int(masks[0]) ^ 0b11
+        assert s.local_query(q, 0) == s.local_query(q, 0)
 
     def test_anchor_must_preexist(self):
         s = fresh_session()
-        p, _ = s.draw_example()
+        _, masks, _ = s.draw_batch(1)
         with pytest.raises(ContractViolation):
-            s.local_query(p.bits, 5)
+            s.local_query(int(masks[0]), 5)
 
     def test_matrix_query_matches_scalar(self):
         tree = random_tree(8, 8, np.random.default_rng(2))
@@ -138,8 +136,8 @@ class TestAudit:
 
     def test_jsonl_schema(self):
         s = fresh_session(n=6, r=1, seed=8)
-        p, _ = s.draw_example()
-        s.local_query(p.flip(2).bits, 0)
+        _, masks, _ = s.draw_batch(1)
+        s.local_query(int(masks[0]) ^ 0b100, 0)
         buf = io.StringIO()
         assert s.write_audit_jsonl(buf) == 2
         recs = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -187,13 +185,13 @@ class TestAudit:
     def test_noisy_sessions_flag_their_records(self):
         tree = random_tree(6, 4, np.random.default_rng(4))
         s = fresh_session(tree, n=6, r=1, seed=3, noise=NoiseWrapper(0.1, seed=3))
-        p, _ = s.draw_example()
-        s.local_query(p.flip(0).bits, 0)
+        _, masks, _ = s.draw_batch(1)
+        s.local_query(int(masks[0]) ^ 0b1, 0)
         assert all(rec.get("noisy") is True for rec in s.records)
 
     def test_counts_mode_skips_records(self):
         s = fresh_session(audit_mode=AUDIT_COUNTS)
-        s.draw_example()
+        s.draw_batch(1)
         assert s.records == []
         with pytest.raises(ContractViolation):
             s.write_audit_jsonl(io.StringIO())
@@ -401,8 +399,8 @@ class TestLabelTable:
         check(labels2, masks2)
         queries = masks2[:, None] ^ pat[None, ::-1]
         check(s.local_query_matrix(queries, idx2), queries)
-        p = Point(n, int(masks2[3]) ^ 0b11, target.domain)
-        assert s.local_query(p.bits, int(idx2[3])) == float(direct(np.asarray([p.bits]))[0])
+        q = int(masks2[3]) ^ 0b11
+        assert s.local_query(q, int(idx2[3])) == float(direct(np.asarray([q]))[0])
         assert s.audit_report().mq_count == 2 * 60 + 100 + 1
 
     def test_short_session_never_builds_the_table(self):

@@ -25,6 +25,7 @@ from localmq.oracles import AUDIT_COUNTS
 from localmq.generators import random_tree
 from localmq.reduction import ReductionSimulator, ball_size, reduction_report
 from localmq._bits import all_masks, popcount
+from localmq._prf import coin_pm
 
 
 def base_session(target, seed=0, r=0):
@@ -103,13 +104,31 @@ class TestEmbedding:
         f = random_tree(4, 4, np.random.default_rng(1))
         emb = embed(f, 1, coin_seed=5)
         for msg in range(16):
-            z = emb.code.encode(msg)
-            assert emb.value(z) == f.value_at(msg)
-            assert emb.label(z) == f.value_at(msg)
-        off = emb.code.encode(3) ^ (1 << (emb.m - 1))
-        assert emb.value(off) == 0.0
-        assert emb.label(off) in (-1.0, 1.0)
-        assert emb.label(off) == emb.label(off)  # persistent coin
+            z = np.asarray([emb.code.encode(msg)])
+            assert emb.value_batch(z)[0] == f.value_at(msg)
+            assert emb.label_batch(z)[0] == f.value_at(msg)
+        off = np.asarray([emb.code.encode(3) ^ (1 << (emb.m - 1))])
+        assert emb.value_batch(off)[0] == 0.0
+        assert emb.label_batch(off)[0] in (-1.0, 1.0)
+        assert emb.label_batch(off)[0] == emb.label_batch(off)[0]  # persistent coin
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (6, 1), (4, 2), (3, 3)])
+    def test_whole_cube_against_codeword_table(self, n, k):
+        # f_e over every m-bit word, against a word -> message table built
+        # here from the code's enumerated codewords
+        f = random_tree(n, 4, np.random.default_rng([n, k]))
+        emb = embed(f, k, coin_seed=n + k)
+        message_of = {w: msg for msg, w in enumerate(emb.code.codewords.tolist())}
+        assert len(message_of) == 1 << n
+        words = np.arange(1 << emb.m, dtype=np.int64)
+        want = np.asarray(
+            [f.value_at(message_of[z]) if z in message_of else 0.0 for z in words.tolist()]
+        )
+        assert np.array_equal(emb.value_batch(words), want)
+        labels = emb.label_batch(words)
+        on_code = want != 0.0
+        assert np.array_equal(labels[on_code], want[on_code])
+        assert np.array_equal(labels[~on_code], coin_pm(emb.coin_seed, words[~on_code]))
 
     def test_k0_simulation_passes_examples_through(self):
         f = random_tree(6, 6, np.random.default_rng(2))
@@ -133,8 +152,7 @@ class TestSimulatorDistribution:
         _, masks, labels = sim.draw_batch(n_draws)
         counts = Counter(zip(masks.tolist(), labels.tolist()))
         tv = 0.0
-        for z in range(1 << emb.m):
-            want = emb.label(z)
+        for z, want in enumerate(emb.label_batch(np.arange(1 << emb.m)).tolist()):
             p_exact = 1.0 / (1 << emb.m)
             tv += abs(counts.get((z, want), 0) / n_draws - p_exact)
             tv += counts.get((z, -want), 0) / n_draws
@@ -192,7 +210,7 @@ class TestSimulatedQueries:
         for i in range(300):
             flip = 1 << int(rng.integers(0, emb.m))
             q = int(masks[i]) ^ flip
-            assert sim.local_query(q, i) == emb.label(q)
+            assert sim.local_query(q, i) == emb.label_batch(np.asarray([q]))[0]
 
     def test_chi_square_label_statistics(self):
         # label frequencies through the simulator match direct f_e access
@@ -306,14 +324,14 @@ class TestCorrelationIdentity:
     def test_self_correlation(self):
         f = random_tree(6, 6, np.random.default_rng(10))
         emb = embed(f, 1)
-        lhs, rhs = correlation_check(f, f, emb)
+        lhs, rhs = correlation_check(f, emb)
         assert lhs == pytest.approx(2.0 ** (6 - emb.m), abs=1e-15)
         assert rhs == pytest.approx(2.0 ** (6 - emb.m), abs=1e-15)
 
     def test_orthogonal_parities_vanish(self):
         f, g = parity(6, 0b1), parity(6, 0b10)
         emb = embed(f, 1)
-        lhs, rhs = correlation_check(f, g, emb)
+        lhs, rhs = correlation_check(g, emb)
         assert lhs == 0.0 and rhs == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -322,8 +340,22 @@ class TestCorrelationIdentity:
         f = random_tree(6, 6, rng)
         g = random_tree(6, 6, rng)
         emb = embed(f, 1)
-        lhs, rhs = correlation_check(f, g, emb)
+        lhs, rhs = correlation_check(g, emb)
         assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (5, 2), (4, 3)])
+    def test_matches_a_sum_over_the_codewords(self, n, k):
+        # fsum is correctly rounded, so summing only the codeword terms,
+        # message by message, must give the same floats
+        rng = np.random.default_rng([n, k, 32])
+        f, g = random_tree(n, 6, rng), random_tree(n, 6, rng)
+        emb = embed(f, k)
+        words = emb.code.codewords.tolist()
+        msg_mask = (1 << n) - 1
+        lhs = math.fsum(f.value_at(x) * g.value_at(w & msg_mask) for x, w in enumerate(words))
+        rhs = math.fsum(f.value_at(x) * g.value_at(x) for x in range(1 << n))
+        got = correlation_check(g, emb)
+        assert got == (lhs / (1 << emb.m), 2.0 ** (n - emb.m) * rhs / (1 << n))
 
     def test_m_bit_form_of_identity(self):
         # E_m[f_e h] = 2^(n-m) E_n[f(x) h(x . e(x))] for h over all m bits

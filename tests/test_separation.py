@@ -109,7 +109,7 @@ class TestGPrimeVariant:
         secret = 0b1100101001
         target = PrfTarget(n, secret, VARIANT_GPRIME, key_seed=8)
         session = g_session(target, r=n, seed=8)
-        session.draw_example()
+        session.draw_batch(1)
         recovered = 0
         for i in range(n):
             label = session.local_query(1 << i, 0)

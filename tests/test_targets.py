@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from localmq import (
     ContractViolation,
@@ -14,51 +12,16 @@ from localmq import (
     Internal,
     Leaf,
     PLUS_MINUS,
-    Point,
     SparsePolynomial,
     ZERO_ONE,
-    evaluate,
     target_from_json,
     target_to_json,
     tree_to_polynomial,
-    truncate_polynomial,
-    truncate_tree,
 )
 from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
 from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis
 from localmq._bits import all_masks, popcount
 from localmq.generators import random_sparse_poly, random_tree
-
-
-class TestPoint:
-    def test_bitstring_roundtrip(self):
-        p = Point.from_bitstring("10110", ZERO_ONE)
-        assert p.n == 5 and p.bits == 0b01101
-        assert p.to_bitstring() == "10110"
-
-    def test_values_domains(self):
-        p = Point(3, 0b101, PLUS_MINUS)
-        assert list(p.values()) == [1, -1, 1]
-        q = Point(3, 0b101, ZERO_ONE)
-        assert list(q.values()) == [1, 0, 1]
-
-    def test_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            Point(3, 8, ZERO_ONE)
-        with pytest.raises(ContractViolation):
-            Point(0, 0, ZERO_ONE)
-
-    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_hamming_metric(self, a, b, c):
-        pa, pb, pc = (Point(12, v, PLUS_MINUS) for v in (a, b, c))
-        assert pa.hamming(pa) == 0
-        assert pa.hamming(pb) == pb.hamming(pa)
-        assert pa.hamming(pc) <= pa.hamming(pb) + pb.hamming(pc)
-
-    def test_hamming_mismatch(self):
-        with pytest.raises(ContractViolation):
-            Point(3, 0, ZERO_ONE).hamming(Point(3, 0, PLUS_MINUS))
 
 
 AND_TREE = DecisionTree(
@@ -69,34 +32,27 @@ AND_TREE = DecisionTree(
 class TestEvaluate:
     def test_poly_conjunction(self):
         f = SparsePolynomial(3, {0b011: 1.0}, ZERO_ONE)
-        assert evaluate(f, Point(3, 0b011, ZERO_ONE)) == 1.0
-        assert evaluate(f, Point(3, 0b111, ZERO_ONE)) == 1.0
-        assert evaluate(f, Point(3, 0b101, ZERO_ONE)) == 0.0
+        assert f.value_at(0b011) == 1.0
+        assert f.value_at(0b111) == 1.0
+        assert f.value_at(0b101) == 0.0
 
     def test_empty_poly_is_zero(self):
         f = SparsePolynomial(4, {}, ZERO_ONE)
         for bits in range(16):
-            assert evaluate(f, Point(4, bits, ZERO_ONE)) == 0.0
+            assert f.value_at(bits) == 0.0
 
     def test_dnf_example(self):
         # (x1 and not-x2) or (x3) at (+1, +1, -1): both terms falsified
         f = DnfFormula(3, (((0, True), (1, False)), ((2, True),)), PLUS_MINUS)
-        assert evaluate(f, Point(3, 0b011, PLUS_MINUS)) == -1.0
-        assert evaluate(f, Point(3, 0b001, PLUS_MINUS)) == 1.0
-        assert evaluate(f, Point(3, 0b100, PLUS_MINUS)) == 1.0
-
-    def test_domain_mismatch_rejected(self):
-        f = SparsePolynomial(3, {0b1: 1.0}, ZERO_ONE)
-        with pytest.raises(ContractViolation):
-            evaluate(f, Point(3, 0, PLUS_MINUS))
-        with pytest.raises(ContractViolation):
-            evaluate(f, Point(4, 0, ZERO_ONE))
+        assert f.value_at(0b011) == -1.0
+        assert f.value_at(0b001) == 1.0
+        assert f.value_at(0b100) == 1.0
 
     def test_pm_poly_is_parity_combination(self):
         f = SparsePolynomial(3, {0b101: 2.0}, PLUS_MINUS)
         # chi_{0,2}(x) = x0 * x2
-        assert evaluate(f, Point(3, 0b101, PLUS_MINUS)) == 2.0
-        assert evaluate(f, Point(3, 0b001, PLUS_MINUS)) == -2.0
+        assert f.value_at(0b101) == 2.0
+        assert f.value_at(0b001) == -2.0
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -127,18 +83,18 @@ class TestSparsePolynomialInvariants:
 class TestTruncatePolynomial:
     def test_drops_high_degree(self):
         f = SparsePolynomial(4, {0: 1.0, 0b0111: 5.0}, ZERO_ONE)
-        cut = truncate_polynomial(f, 2)
+        cut = f.truncate(2)
         assert cut.terms == {0: 1.0}
 
     def test_identity_when_degree_small(self):
         f = SparsePolynomial(4, {0: 1.0, 0b0111: 5.0}, ZERO_ONE)
-        assert truncate_polynomial(f, 3).terms == f.terms
+        assert f.truncate(3).terms == f.terms
 
     def test_agreement_where_no_dropped_monomial_fires(self):
         rng = np.random.default_rng(11)
         f = random_sparse_poly(10, 8, rng, max_degree=6)
         d = 3
-        cut = truncate_polynomial(f, d)
+        cut = f.truncate(d)
         dropped = [m for m in f.terms if popcount(m) > d]
         masks = all_masks(10)
         quiet = np.ones(masks.shape, dtype=bool)
@@ -156,7 +112,7 @@ class TestTruncatePolynomial:
             dist = random_smooth_table(12, alpha, rng, domain=ZERO_ONE)
             a_star = verify_smoothness(dist)
             d = 3
-            cut = truncate_polynomial(f, d)
+            cut = f.truncate(d)
             masks = all_masks(12)
             differs = np.abs(f.value_batch(masks) - cut.value_batch(masks)) > 1e-12
             p = exact_event_prob_masked(dist, differs)
@@ -174,12 +130,12 @@ def full_path_tree(n, depth):
 
 class TestTruncateTree:
     def test_unchanged_when_shallow(self):
-        assert truncate_tree(AND_TREE, 5).to_json() == AND_TREE.to_json()
+        assert AND_TREE.truncate(5).to_json() == AND_TREE.to_json()
 
     def test_depth_capped_exactly(self):
         deep = full_path_tree(8, 6)
         assert deep.depth == 6
-        cut = truncate_tree(deep, 3)
+        cut = deep.truncate(3)
         assert cut.depth == 3
 
     def test_leaf_count_never_grows(self):
@@ -187,12 +143,12 @@ class TestTruncateTree:
         for seed in range(10):
             tree = random_tree(10, 12, np.random.default_rng(seed))
             for d in (1, 2, 3):
-                assert truncate_tree(tree, d).leaf_count <= tree.leaf_count
+                assert tree.truncate(d).leaf_count <= tree.leaf_count
 
     def test_cap_label_knob(self):
         deep = full_path_tree(4, 3)
-        lo = truncate_tree(deep, 1, cap_label=-1)
-        hi = truncate_tree(deep, 1, cap_label=1)
+        lo = deep.truncate(1, cap_label=-1)
+        hi = deep.truncate(1, cap_label=1)
         assert lo.value_at(0b1111) == -1.0 and hi.value_at(0b1111) == 1.0
 
     def test_product_truncation_error_bound(self):
@@ -206,7 +162,7 @@ class TestTruncateTree:
         means = rng.uniform(-0.4, 0.4, size=12)
         dist = Distribution.product(list(means), PLUS_MINUS)
         d = max(1, math.ceil(math.log(tree.leaf_count / tau) / math.log(1 / (1 - c))))
-        cut = truncate_tree(tree, d)
+        cut = tree.truncate(d)
         masks = all_masks(12)
         differs = tree.value_batch(masks) != cut.value_batch(masks)
         assert exact_event_prob_masked(dist, differs) <= tau
