@@ -15,6 +15,7 @@ Two constructions:
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +55,15 @@ def bernoulli(key: int, masks, p: float) -> np.ndarray:
     return keyed_u64(key, masks) < _U(thresh)
 
 
+@lru_cache(maxsize=256)
+def _keyed_blake2b(key: bytes):
+    """A blake2b state that has absorbed the key block; copies of it hash
+    points without keying again."""
+    return hashlib.blake2b(key=key[:64], digest_size=8)
+
+
 def crypto_bit(key: bytes, mask: int) -> int:
     """One output bit of a keyed cryptographic hash."""
-    h = hashlib.blake2b(mask.to_bytes(8, "little"), key=key[:64], digest_size=8)
+    h = _keyed_blake2b(key).copy()
+    h.update(mask.to_bytes(8, "little"))
     return h.digest()[0] & 1

@@ -34,7 +34,9 @@ class Distribution:
 
     Product parameters are stored as per-bit probabilities of bit 1,
     regardless of domain tag; `means` converts back to the domain's
-    natural parameterization (p_i over {0,1}, mu_i over +-1).
+    natural parameterization (p_i over {0,1}, mu_i over +-1). A table
+    keeps its masses once as a read-only float64 array (`probs_array`),
+    and `probs` is the same masses as a tuple of floats.
     """
 
     kind: str
@@ -62,17 +64,20 @@ class Distribution:
                 )
             if self.probs is None or len(self.probs) != (1 << self.n):
                 raise ContractViolation("table distribution needs 2**n probabilities")
-            pr = np.asarray(self.probs, dtype=np.float64)
+            pr = np.array(self.probs, dtype=np.float64)  # a private copy
             if np.any(pr < 0):
                 raise ContractViolation("negative probability in table")
             if np.any((pr > 0) & (pr < _MIN_TABLE_PROB)):
                 raise ContractViolation(
                     f"table probabilities below {_MIN_TABLE_PROB} are rejected"
                 )
-            total = math.fsum(pr.tolist())
+            masses = pr.tolist()
+            total = math.fsum(masses)
             if abs(total - 1.0) > 1e-12:
                 raise ContractViolation(f"table probabilities sum to {total}, not 1")
-            object.__setattr__(self, "probs", tuple(float(p) for p in pr))
+            pr.flags.writeable = False
+            object.__setattr__(self, "_masses", pr)
+            object.__setattr__(self, "probs", tuple(masses))
 
     # ---------------------------------------------------------------- factories
 
@@ -94,10 +99,10 @@ class Distribution:
 
     @classmethod
     def table(cls, probs, domain: str = PLUS_MINUS) -> "Distribution":
-        n = int(round(math.log2(len(probs))))
-        if 1 << n != len(probs):
+        size = len(probs)
+        if size < 1 or size & (size - 1):
             raise ContractViolation("table length must be a power of two")
-        return cls(TABLE, n, domain, probs=tuple(float(p) for p in probs))
+        return cls(TABLE, size.bit_length() - 1, domain, probs=probs)
 
     # ---------------------------------------------------------------- accessors
 
@@ -123,11 +128,12 @@ class Distribution:
         return self.probs[bits]
 
     def probs_array(self) -> np.ndarray:
-        """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS."""
+        """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS.
+        A table returns its own read-only array."""
         if self.n > ENUM_MAX_BITS:
             raise EnumerationLimitError(f"cannot enumerate 2**{self.n} masses")
         if self.kind == TABLE:
-            return np.asarray(self.probs, dtype=np.float64)
+            return self._masses
         masks = all_masks(self.n)
         if self.kind == UNIFORM:
             return np.full(masks.shape, 0.5**self.n)
@@ -140,7 +146,7 @@ class Distribution:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.probs, dtype=np.float64))
+        return np.cumsum(self._masses)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Masks drawn iid from the distribution."""
@@ -191,18 +197,15 @@ def verify_smoothness(dist: Distribution) -> float:
         for p in dist.p_high:
             worst = max(worst, p / (1.0 - p), (1.0 - p) / p)
         return worst
-    pr = np.asarray(dist.probs, dtype=np.float64)
+    pr = dist.probs_array()
+    masks = all_masks(dist.n)
+    zero = pr == 0
+    support = masks[~zero]  # never empty: the masses sum to 1
     worst = 1.0
     for i in range(dist.n):
-        flipped = pr[all_masks(dist.n) ^ (1 << i)]
-        both_zero = (pr == 0) & (flipped == 0)
-        mismatch = (pr == 0) != (flipped == 0)
-        if bool(np.any(mismatch)):
+        if bool(np.any(zero != zero[masks ^ (1 << i)])):
             return math.inf
-        ok = ~both_zero
-        if bool(np.any(ok)):
-            ratio = np.max(pr[ok] / flipped[ok])
-            worst = max(worst, float(ratio))
+        worst = max(worst, float(np.max(pr[support] / pr[support ^ (1 << i)])))
     return worst
 
 
@@ -235,21 +238,15 @@ def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Di
             p_high=tuple(dist.p_high[i] for i in rest),
         )
     masks = all_masks(dist.n)
-    pr = np.asarray(dist.probs, dtype=np.float64)
+    pr = dist.probs_array()
     match = (masks & subset) == assignment
     mass = math.fsum(pr[match].tolist())
     if mass <= 0.0:
         raise ZeroMassError("conditioning event has zero probability")
-    out = np.zeros(1 << len(rest), dtype=np.float64)
-    sel = masks[match]
-    compressed = np.zeros(sel.shape, dtype=np.int64)
-    for j, pos in enumerate(rest):
-        compressed |= ((sel >> pos) & 1) << j
-    np.add.at(out, compressed, pr[match])
-    out = out / mass
+    out = _sum_by_bits(masks[match], rest, pr[match]) / mass
     # renormalize exactly enough for the table constructor
     out = out / math.fsum(out.tolist())
-    return Distribution.table(out.tolist(), dist.domain)
+    return Distribution.table(out, dist.domain)
 
 
 def marginal(dist: Distribution, keep_subset: int) -> Distribution:
@@ -264,15 +261,18 @@ def marginal(dist: Distribution, keep_subset: int) -> Distribution:
             PRODUCT, len(keep), dist.domain,
             p_high=tuple(dist.p_high[i] for i in keep),
         )
-    masks = all_masks(dist.n)
-    pr = np.asarray(dist.probs, dtype=np.float64)
-    out = np.zeros(1 << len(keep), dtype=np.float64)
-    compressed = np.zeros(masks.shape, dtype=np.int64)
-    for j, pos in enumerate(keep):
-        compressed |= ((masks >> pos) & 1) << j
-    np.add.at(out, compressed, pr)
+    out = _sum_by_bits(all_masks(dist.n), keep, dist.probs_array())
     out = out / math.fsum(out.tolist())
-    return Distribution.table(out.tolist(), dist.domain)
+    return Distribution.table(out, dist.domain)
+
+
+def _sum_by_bits(masks: np.ndarray, positions: list[int], mass: np.ndarray) -> np.ndarray:
+    """Total mass per pattern of the bits at `positions` (bit j of the
+    result index is bit positions[j] of the mask), summed in mask order."""
+    compressed = np.zeros(masks.shape, dtype=np.int64)
+    for j, pos in enumerate(positions):
+        compressed |= ((masks >> pos) & 1) << j
+    return np.bincount(compressed, weights=mass, minlength=1 << len(positions))
 
 
 def random_smooth_table(
@@ -307,13 +307,14 @@ def random_smooth_table(
     log_alpha = math.log(alpha) * (1.0 - 1e-9)  # undershoot float rounding
     scale = 0.0 if max_load == 0.0 else log_alpha / max_load
     masks = all_masks(n)
+    bit = [(masks >> i) & 1 for i in range(n)]
     logp = np.zeros(masks.shape, dtype=np.float64)
     for i in range(n):
-        logp += scale * w[i] * ((masks >> i) & 1)
+        logp += scale * w[i] * bit[i]
     for i, j, wij in edges:
-        logp += scale * wij * (((masks >> i) & 1) * ((masks >> j) & 1))
+        logp += scale * wij * (bit[i] * bit[j])
     logp -= np.max(logp)
     probs = np.exp(logp)
     probs /= math.fsum(probs.tolist())
     probs /= math.fsum(probs.tolist())
-    return Distribution.table(probs.tolist(), domain)
+    return Distribution.table(probs, domain)

@@ -222,12 +222,8 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
             out = out.reshape(values.size)
     else:
         raise ContractViolation(f"unknown basis {basis!r}")
-    coeffs = {
-        int(m): float(c)
-        for m, c in enumerate(out.tolist())
-        if abs(c) > zero_tol
-    }
-    return FourierSpectrum(n, basis, coeffs)
+    kept = np.flatnonzero(np.abs(out) > zero_tol)
+    return FourierSpectrum(n, basis, dict(zip(kept.tolist(), out[kept].tolist())))
 
 
 # --------------------------------------------------------------- restrictions

@@ -113,22 +113,22 @@ def learn_g_onelocal(session, budget: int) -> dict:
 
     Each example (x1 x_suffix, label) is paired with the query flipping
     the first bit; the XOR of the two {0,1} labels is s_i for the block
-    of the suffix. Budget examples are drawn; if some block is never hit
+    of the suffix. Examples are drawn in blocks of at most n - 1 (never
+    more than `budget` in all), each block's flips asked in one batch,
+    until every block of the secret is seen; if some block is never hit
     the run reports a coverage failure (retryable, coupon-collector
     probability).
     """
     ns = session.n - 1
     seen: dict[int, int] = {}
-    for j in range(budget):
-        idx, masks, labels = session.draw_batch(1)
-        bits = int(masks[0])
-        other = session.local_query(bits ^ 1, int(idx[0]))
-        b0 = (1.0 + labels[0]) / 2.0
-        b1 = (1.0 + other) / 2.0
-        block = int(partition_block(bits >> 1, ns))
-        seen[block] = int(b0) ^ int(b1)
-        if len(seen) == ns:
-            break
+    drawn = 0
+    while drawn < budget and len(seen) < ns:
+        count = min(ns, budget - drawn)
+        idx, masks, labels = session.draw_batch(count)
+        drawn += count
+        others = session.local_query_matrix((masks ^ 1)[:, None], idx)[:, 0]
+        blocks = partition_block(masks >> 1, ns)
+        seen.update(zip(blocks.tolist(), (labels != others).astype(np.int64).tolist()))
     if len(seen) < ns:
         missing = [i for i in range(1, ns + 1) if i not in seen]
         return {"recovered": None, "covered": False, "missing_blocks": missing,
@@ -152,34 +152,31 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
     local queries (which, against a pseudorandom target, help nothing).
     Reports the held-out error of the training winner.
     """
+    if not 0 <= r_probe <= session.n:
+        raise ContractViolation(f"r_probe={r_probe} outside [0, n={session.n}]")
     rng = np.random.default_rng([rng_seed & 0x7FFFFFFF, 0xBA5E])
     _, masks, labels = session.draw_batch(train)
-    masks = masks.tolist()
-    labels = labels.tolist()
     if r_probe > 0:
         idxs, amasks, _ = session.draw_batch(train)
-        for i, base in zip(idxs.tolist(), amasks.tolist()):
-            flips = rng.choice(session.n, size=r_probe, replace=False)
-            q = base
-            for f in flips:
-                q ^= 1 << int(f)
-            y = session.local_query(q, i)
-            masks.append(q)
-            labels.append(y)
-    masks_arr = np.asarray(masks, dtype=np.int64)
-    labels_arr = np.asarray(labels)
+        # r_probe distinct coordinates per example: the first columns of a
+        # random permutation of 0..n-1 in each row
+        flips = np.argsort(rng.random((train, session.n)), axis=1)[:, :r_probe]
+        probes = amasks ^ np.bitwise_or.reduce(1 << flips, axis=1)
+        answers = session.local_query_matrix(probes[:, None], idxs)[:, 0]
+        masks = np.concatenate([masks, probes])
+        labels = np.concatenate([labels, answers])
 
     def candidates():
-        yield "const+1", np.ones(masks_arr.shape)
-        yield "const-1", -np.ones(masks_arr.shape)
+        yield "const+1", np.ones(masks.shape)
+        yield "const-1", -np.ones(masks.shape)
         for i in range(session.n):
-            lit = 2.0 * ((masks_arr >> i) & 1) - 1.0
+            lit = 2.0 * ((masks >> i) & 1) - 1.0
             yield f"x{i}", lit
             yield f"!x{i}", -lit
 
     best_name, best_err = None, math.inf
     for name, preds in candidates():
-        err = float(np.mean(preds != labels_arr))
+        err = float(np.mean(preds != labels))
         if err < best_err:
             best_name, best_err = name, err
     _, te_masks, te_labels = session.draw_batch(test)
@@ -195,7 +192,7 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
         "winner": best_name,
         "train_error": best_err,
         "holdout_error": float(np.mean(te_preds != te_labels)),
-        "train_size": len(masks),
+        "train_size": masks.size,
         "test_size": test,
     }
 

@@ -251,8 +251,7 @@ def suite_fact_smooth(n: int = 10, alpha: float = 1.5, trials: int = 200, seed: 
         other = random_smooth_table(n, alpha, rng)
         lam = float(rng.uniform(0.2, 0.8))
         mix = Distribution.table(
-            [lam * a + (1 - lam) * b for a, b in zip(dist.probs, other.probs)],
-            dist.domain,
+            lam * dist.probs_array() + (1 - lam) * other.probs_array(), dist.domain
         )
         a_mix = verify_smoothness(mix)
         a_both = max(a_star, verify_smoothness(other))

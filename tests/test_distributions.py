@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmq import ContractViolation, Distribution, ZeroMassError, conditional_marginal, verify_smoothness
 from localmq.distributions import (
@@ -154,6 +156,10 @@ class TestConditionalMarginal:
 
 
 class TestConstructionContracts:
+    def test_empty_table_rejected(self):
+        with pytest.raises(ContractViolation):
+            Distribution.table([])
+
     def test_bad_sum_rejected(self):
         with pytest.raises(ContractViolation):
             Distribution.table([0.5, 0.6], ZERO_ONE)
@@ -195,3 +201,87 @@ class TestConstructionContracts:
                 [d.point_prob(int(m)) for m in masks],
                 [again.point_prob(int(m)) for m in masks],
             )
+
+
+def compress(mask, positions):
+    """Bit j of the result is bit positions[j] of mask."""
+    return sum((mask >> pos & 1) << j for j, pos in enumerate(positions))
+
+
+@st.composite
+def small_tables(draw):
+    """A table over n = 1..8 bits with integer weights, some of them zero."""
+    n = draw(st.integers(1, 8), label="n")
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=1 << n, max_size=1 << n).filter(any),
+        label="weights",
+    )
+    probs = np.asarray(weights, dtype=np.float64) / sum(weights)
+    probs /= math.fsum(probs.tolist())
+    return Distribution.table(probs, ZERO_ONE)
+
+
+class TestTableArrays:
+    """Table queries read one float64 array; each equals its definition
+    evaluated point by point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dist=small_tables(), data=st.data())
+    def test_marginal_matches_per_point_sums(self, dist, data):
+        n = dist.n
+        keep = data.draw(st.integers(1, (1 << n) - 1), label="keep")
+        positions = [i for i in range(n) if keep >> i & 1]
+        sums = [
+            math.fsum(dist.probs[x] for x in range(1 << n) if compress(x, positions) == y)
+            for y in range(1 << len(positions))
+        ]
+        want = [v / math.fsum(sums) for v in sums]
+        assert marginal(dist, keep).probs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dist=small_tables(), data=st.data())
+    def test_conditional_marginal_matches_per_point_sums(self, dist, data):
+        n = dist.n
+        if n == 1:
+            return  # conditioning on the only bit leaves nothing
+        subset = data.draw(st.integers(1, (1 << n) - 2), label="subset")
+        assignment = data.draw(st.integers(0, (1 << n) - 1), label="assignment") & subset
+        rest = [i for i in range(n) if not subset >> i & 1]
+        match = [x for x in range(1 << n) if x & subset == assignment]
+        mass = math.fsum(dist.probs[x] for x in match)
+        if mass == 0.0:
+            with pytest.raises(ZeroMassError):
+                conditional_marginal(dist, subset, assignment)
+            return
+        want = [
+            math.fsum(dist.probs[x] for x in match if compress(x, rest) == y) / mass
+            for y in range(1 << len(rest))
+        ]
+        got = conditional_marginal(dist, subset, assignment).probs
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dist=small_tables())
+    def test_smoothness_matches_neighbour_scan(self, dist):
+        assert verify_smoothness(dist) == brute_force_alpha(dist)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dist=small_tables())
+    def test_list_tuple_and_array_build_equal_tables(self, dist):
+        source = np.array(dist.probs)
+        built = [
+            Distribution.table(form, ZERO_ONE)
+            for form in (list(dist.probs), tuple(dist.probs), source)
+        ]
+        source[:] = 0.0  # the table keeps its own copy
+        for table in built:
+            assert table.probs == dist.probs
+            assert all(type(p) is float for p in table.probs)
+            assert np.array_equal(table.probs_array(), np.asarray(dist.probs))
+
+    @settings(max_examples=20, deadline=None)
+    @given(dist=small_tables())
+    def test_probs_array_is_read_only(self, dist):
+        with pytest.raises(ValueError):
+            dist.probs_array()[0] = 0.5
+        assert dist.probs_array()[0] == dist.probs[0]

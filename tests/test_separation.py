@@ -1,12 +1,14 @@
 """Separation targets: secret-recovery with one-local queries, the
 examples-only baseline scoring chance, and the full-MQ break."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from localmq import (
+    ContractViolation,
     Distribution,
     LocalityError,
     OracleSession,
@@ -16,6 +18,7 @@ from localmq import (
     pac_baseline,
 )
 from localmq._prf import crypto_bit
+from localmq.cli import EXIT_CONTRACT, main as cli_main
 from localmq.oracles import AUDIT_COUNTS, AUDIT_FULL
 from localmq.separation import VARIANT_G, VARIANT_GPRIME, partition_block, prf_quality
 from localmq.targets import DecisionTree, Leaf
@@ -103,6 +106,70 @@ class TestGVariant:
         assert result["holdout_error"] == 0.0
 
 
+class TestBatchedQueries:
+    """learn_g_onelocal and pac_baseline ask their queries in batches."""
+
+    def test_onelocal_overshoots_the_sequential_count_by_less_than_a_block(self):
+        ns = 8
+        target = PrfTarget(ns, 0b01101100, VARIANT_G, key_seed=13)
+        session = g_session(target, seed=13, audit_mode=AUDIT_FULL)
+        result = learn_g_onelocal(session, budget=500)
+        assert result["covered"] and result["recovered"] == target.secret
+        examples = [r for r in session.records if r["op"] == "ex"]
+        queries = [r for r in session.records if r["op"] == "mq"]
+        assert len(examples) == len(queries) == result["examples_used"] == result["queries_used"]
+        assert [q["anchor"] for q in queries] == list(range(len(examples)))
+        # the example at which a one-at-a-time learner would have stopped
+        seen = set()
+        for used, mask in enumerate(session.anchor_masks(np.arange(len(examples))).tolist(), 1):
+            seen.add(partition_block(mask >> 1, ns))
+            if len(seen) == ns:
+                break
+        assert used <= result["examples_used"] < used + ns
+
+    @pytest.mark.parametrize("budget", [1, 5, 7])
+    def test_onelocal_budget_below_the_block_count(self, budget):
+        target = PrfTarget(8, 0b1011, VARIANT_G, key_seed=14)
+        session = g_session(target, seed=14)
+        result = learn_g_onelocal(session, budget=budget)
+        assert not result["covered"] and result["recovered"] is None
+        assert result["examples_used"] == session.ex_count == budget
+        assert len(result["missing_blocks"]) >= 8 - budget
+
+    def test_onelocal_budget_is_never_exceeded(self):
+        for seed in range(10):
+            target = PrfTarget(8, 0b1011, VARIANT_G, key_seed=seed)
+            session = g_session(target, seed=seed)
+            learn_g_onelocal(session, budget=11)
+            assert session.ex_count <= 11 and session.mq_count <= 11
+
+    def test_baseline_probes_flip_exactly_r_bits(self):
+        n, train = 12, 300
+        target = PrfTarget(n, 0b110010110010, VARIANT_GPRIME, key_seed=15)
+        session = g_session(target, r=2, seed=15, audit_mode=AUDIT_FULL)
+        result = pac_baseline(session, train=train, test=100, r_probe=2, rng_seed=15)
+        queries = [r for r in session.records if r["op"] == "mq"]
+        assert len(queries) == train and result["train_size"] == 2 * train
+        anchors = session.anchor_masks(np.arange(session.ex_count)).tolist()
+        assert {q["anchor"] for q in queries} == set(range(train, 2 * train))
+        for q in queries:
+            probe = int(q["point"][::-1], 2)  # variable 0 is written first
+            assert q["dist"] == 2 and (probe ^ anchors[q["anchor"]]).bit_count() == 2
+
+    @pytest.mark.parametrize("r_probe", [-1, 13])
+    def test_baseline_rejects_probes_outside_the_cube(self, r_probe):
+        target = PrfTarget(12, 0b1, VARIANT_GPRIME, key_seed=16)
+        session = g_session(target, r=12, seed=16)
+        with pytest.raises(ContractViolation):
+            pac_baseline(session, train=10, test=10, r_probe=r_probe)
+
+    def test_cli_exits_3_on_too_many_probe_flips(self, capsys):
+        argv = ["demo-separation", "--variant", "gprime", "--n", "12", "--baseline-r", "13",
+                "--examples", "20", "--trials", "1"]
+        assert cli_main(argv) == EXIT_CONTRACT
+        assert "contract violation" in capsys.readouterr().err
+
+
 class TestGPrimeVariant:
     def test_full_mq_break(self):
         n = 10
@@ -142,6 +209,12 @@ class TestPrfGate:
         target = PrfTarget(17, 0b10010, VARIANT_GPRIME, key_seed=11)
         report = prf_quality(target, samples=100_000)
         assert report["monobit_pass"] and report["serial_pass"]
+
+    def test_crypto_bit_is_one_keyed_blake2b_call(self):
+        key = PrfTarget(10, 0b101, VARIANT_G, key_seed=17)._key
+        for mask in [*range(0, 1 << 12, 61), (1 << 40) + 3]:
+            digest = hashlib.blake2b(mask.to_bytes(8, "little"), key=key, digest_size=8).digest()
+            assert crypto_bit(key, mask) == digest[0] & 1
 
     def test_distinct_keys_give_distinct_functions(self):
         a = PrfTarget(10, 0, VARIANT_GPRIME, key_seed=1)
