@@ -23,7 +23,6 @@ from .fourier import (
     UNIFORM_PM,
     FourierSpectrum,
     ProductBasis,
-    RestrictionEstimate,
     estimate_restriction,
     exact_transform,
     l2_test,

@@ -80,8 +80,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def all_masks(n: int) -> np.ndarray:
-    if n > 25:
-        raise EnumerationLimitError(f"refusing to enumerate 2**{n} masks")
+    """Every point of the n-cube in ascending mask order; the one way the
+    package enumerates a cube, so n <= ENUM_MAX_BITS bounds them all."""
+    if n > ENUM_MAX_BITS:
+        raise EnumerationLimitError(f"exact enumeration needs n <= {ENUM_MAX_BITS}, got {n}")
     return np.arange(1 << n, dtype=np.int64)
 
 

@@ -130,8 +130,6 @@ class Distribution:
     def probs_array(self) -> np.ndarray:
         """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS.
         A table returns its own read-only array."""
-        if self.n > ENUM_MAX_BITS:
-            raise EnumerationLimitError(f"cannot enumerate 2**{self.n} masses")
         if self.kind == TABLE:
             return self._masses
         masks = all_masks(self.n)
@@ -290,8 +288,7 @@ def random_smooth_table(
     """
     if alpha < 1.0:
         raise ContractViolation("alpha must be >= 1")
-    if n > ENUM_MAX_BITS:
-        raise EnumerationLimitError(f"table generator needs n <= {ENUM_MAX_BITS}, got {n}")
+    masks = all_masks(n)
     w = rng.normal(size=n)
     edges = []
     for i in range(n):
@@ -306,7 +303,6 @@ def random_smooth_table(
     max_load = float(np.max(load)) if n else 1.0
     log_alpha = math.log(alpha) * (1.0 - 1e-9)  # undershoot float rounding
     scale = 0.0 if max_load == 0.0 else log_alpha / max_load
-    masks = all_masks(n)
     bit = [(masks >> i) & 1 for i in range(n)]
     logp = np.zeros(masks.shape, dtype=np.float64)
     for i in range(n):

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, bits_of, mask_of, parity_sign, popcount
-from .errors import ContractViolation, EnumerationLimitError
+from ._bits import all_masks, bits_of, mask_of, parity_sign, popcount
+from .errors import ContractViolation
 from .targets import PLUS_MINUS, ZERO_ONE
 
 DEFAULT_ZERO_TOL = 1e-10
@@ -191,8 +191,6 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
     Coefficients with |c| <= zero_tol are dropped.
     """
     n = target.n
-    if n > ENUM_MAX_BITS:
-        raise EnumerationLimitError(f"exact transform needs n <= {ENUM_MAX_BITS}, got {n}")
     values = np.asarray(target.value_batch(all_masks(n)), dtype=np.float64)
     if basis is UNIFORM_PM:
         out = _fwht(values)
@@ -229,17 +227,21 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
 # --------------------------------------------------------------- restrictions
 
 
-def _flip_patterns(subset: int) -> tuple[np.ndarray, np.ndarray]:
-    """All assignments of the subset bits, with the sign prod(2a_i - 1)
-    of each assignment (parity of the zeros inside the subset)."""
+def _flip_queries(session, subset: int, anchors: np.ndarray):
+    """Ask the 2**|S| flips of the subset bits around each anchor example
+    in one batch. Returns the labels (one row per anchor, one column per
+    assignment a of the subset bits), the flip patterns a, and the sign
+    prod(2a_i - 1) of each (parity of the zeros inside the subset)."""
     positions = bits_of(subset)
-    k = len(positions)
-    assign = np.arange(1 << k, dtype=np.int64)
-    patterns = np.zeros(1 << k, dtype=np.int64)
+    assign = np.arange(1 << len(positions), dtype=np.int64)
+    patterns = np.zeros(assign.size, dtype=np.int64)
     for j, pos in enumerate(positions):
         patterns |= ((assign >> j) & 1) << pos
     signs = parity_sign(subset & ~patterns).astype(np.float64)
-    return patterns, signs
+    anchors = np.asarray(anchors, dtype=np.int64)
+    base = session.anchor_masks(anchors) & ~subset
+    labels = session.local_query_matrix(base[:, None] | patterns[None, :], anchors)
+    return labels, patterns, signs
 
 
 def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarray:
@@ -250,11 +252,7 @@ def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarr
     """
     if session.domain != ZERO_ONE:
         raise ContractViolation("restriction_values_01 needs a {0,1} session")
-    patterns, signs = _flip_patterns(subset)
-    anchors = np.asarray(anchors, dtype=np.int64)
-    base = session.anchor_masks(anchors) & ~subset
-    queries = base[:, None] | patterns[None, :]
-    labels = session.local_query_matrix(queries, anchors)
+    labels, _, signs = _flip_queries(session, subset, anchors)
     return labels @ signs
 
 
@@ -268,26 +266,18 @@ def restriction_values_pm(
     """
     if session.domain != PLUS_MINUS:
         raise ContractViolation("restriction_values_pm needs a +-1 session")
-    patterns, signs = _flip_patterns(subset)
-    k = int(popcount(subset))
-    anchors = np.asarray(anchors, dtype=np.int64)
-    base = session.anchor_masks(anchors) & ~subset
-    queries = base[:, None] | patterns[None, :]
-    labels = session.local_query_matrix(queries, anchors)
+    if basis is not UNIFORM_PM and not (
+        isinstance(basis, ProductBasis) and len(basis.means) == session.n
+    ):
+        raise ContractViolation(f"unsupported basis {basis!r} for restrictions on {session.n} bits")
+    labels, patterns, signs = _flip_queries(session, subset, anchors)
     if basis is UNIFORM_PM:
-        return (labels @ signs) / (1 << k)
-    if not isinstance(basis, ProductBasis):
-        raise ContractViolation(f"unsupported basis {basis!r} for restrictions")
+        return (labels @ signs) / patterns.size
     weights = np.ones(patterns.shape, dtype=np.float64)
-    chi = np.ones(patterns.shape, dtype=np.float64)
-    sig = basis.sigmas()
     for i in bits_of(subset):
-        bit = (patterns >> i) & 1
         p = (1.0 + basis.means[i]) / 2.0
-        weights *= np.where(bit, p, 1.0 - p)
-        x = 2.0 * bit - 1.0
-        chi *= (x - basis.means[i]) / sig[i]
-    return labels @ (weights * chi)
+        weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
+    return labels @ (weights * char_values(basis, subset, patterns, session.n))
 
 
 # ---------------------------------------------------------------------- tests
@@ -299,31 +289,13 @@ class TestResult(NamedTuple):
     samples: int
 
 
-@dataclass(frozen=True)
-class RestrictionEstimate:
-    """Sampled restriction values with their provenance: each value came
-    from exactly 2**|S| local queries anchored at one natural example."""
-
-    subset: int
-    values: np.ndarray
-    anchors: np.ndarray
-    sample_size: int
-
-    def mean_square(self) -> float:
-        return float(np.mean(self.values * self.values))
-
-    def nonzero_rate(self, zero_tol: float) -> float:
-        return float(np.mean(np.abs(self.values) > zero_tol))
-
-
-def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> RestrictionEstimate:
-    """Draw m fresh natural examples and compute f_S at each of them."""
+def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> np.ndarray:
+    """Draw m fresh natural examples and return f_S at each of them, as
+    float64 values; each costs exactly 2**|S| local queries."""
     anchors, _, _ = session.draw_batch(m)
     if session.domain == ZERO_ONE:
-        vals = restriction_values_01(session, subset, anchors)
-    else:
-        vals = restriction_values_pm(session, subset, anchors, basis)
-    return RestrictionEstimate(subset, vals, anchors, m)
+        return restriction_values_01(session, subset, anchors)
+    return restriction_values_pm(session, subset, anchors, basis)
 
 
 def default_test_samples(theta_gap: float, delta_test: float) -> int:
@@ -338,7 +310,8 @@ def default_test_samples(theta_gap: float, delta_test: float) -> int:
 def l2_test(session, subset: int, theta: float, m: int, basis=UNIFORM_PM) -> TestResult:
     """Estimate E[f_S(x)^2] from m fresh natural examples and compare
     against theta**2. Each example costs 2**|S| local queries."""
-    est = estimate_restriction(session, subset, m, basis).mean_square()
+    values = estimate_restriction(session, subset, m, basis)
+    est = float(np.mean(values * values))
     return TestResult(est > theta * theta, est, m)
 
 
@@ -348,5 +321,6 @@ def nonzero_test(
     """Estimate Pr[|f_S| > zero_tol] over the rest-marginal from m fresh
     natural examples (the subset coordinates are simply ignored) and
     compare against theta."""
-    est = estimate_restriction(session, subset, m, basis).nonzero_rate(zero_tol)
+    values = estimate_restriction(session, subset, m, basis)
+    est = float(np.mean(np.abs(values) > zero_tol))
     return TestResult(est >= theta, est, m)

@@ -22,7 +22,7 @@ from scipy import stats
 from ._bits import popcount
 from ._prf import bernoulli
 from .errors import BudgetExceededError, ContractViolation
-from .fourier import TestResult, restriction_values_pm
+from .fourier import TestResult, estimate_restriction
 from .targets import PLUS_MINUS
 
 
@@ -84,8 +84,7 @@ def noisy_nonzero_test(
     if k == 0:
         # f_S = f itself is +-1 valued, never zero
         return TestResult(True, 1.0, 0)
-    anchors, _, _ = session.draw_batch(m)
-    vals = restriction_values_pm(session, subset, anchors)
+    vals = estimate_restriction(session, subset, m)
     q_hat = float(np.mean(np.abs(vals) > zero_tol))
     half = 1 << (k - 1)
     p0 = rcn_collision_prob(half, 0, eta)
@@ -110,8 +109,7 @@ def noisy_l2_estimate(
     if eta >= 0.5:
         raise ContractViolation("eta = 1/2 leaves nothing to correct")
     k = int(popcount(subset))
-    anchors, _, _ = session.draw_batch(m)
-    vals = restriction_values_pm(session, subset, anchors)
+    vals = estimate_restriction(session, subset, m)
     raw = float(np.mean(vals * vals))
     bias = 2.0 ** (-k) * 4.0 * eta * (1.0 - eta)
     corrected = (raw - bias) / (1.0 - 2.0 * eta) ** 2

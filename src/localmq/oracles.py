@@ -39,7 +39,7 @@ from typing import IO
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, DistinctMasks, popcount
+from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, popcount
 from .errors import ContractViolation, LocalityError
 from .targets import TargetFunction
 from .distributions import Distribution
@@ -150,7 +150,7 @@ class OracleSession:
             self._labelled += masks.size
             if not (self._enumerable and self._labelled >= 1 << self.n):
                 return self._evaluate(masks)
-            self._table = self._evaluate(np.arange(1 << self.n, dtype=np.int64))
+            self._table = self._evaluate(all_masks(self.n))
         return self._table[masks]
 
     def _evaluate(self, masks: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import popcount
+from ._bits import all_masks, popcount
 from ._prf import coin_pm
 from .distributions import Distribution
 from .errors import (
@@ -349,9 +349,7 @@ def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:
     terms off the code leave it unchanged.
     """
     n, m = embedded.n, embedded.m
-    if m > 22:
-        raise EnumerationLimitError(f"m={m} too large for exact correlation")
-    z = np.arange(1 << m, dtype=np.int64)
+    z = all_masks(m)
     x = z[: 1 << n]
     gx = g.value_batch(x)
     lhs = math.fsum((embedded.value_batch(z) * gx[z & (x.size - 1)]).tolist()) / (1 << m)

@@ -198,9 +198,12 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
 
 
 def prf_quality(target: PrfTarget, samples: int = 100_000) -> dict:
-    """Monobit and lag-one serial-correlation gate for the PRF bit."""
-    limit = min(samples, 1 << target.n)
-    bits = target._bits(np.arange(limit)).astype(np.float64)
+    """Monobit and lag-one serial-correlation gate for the PRF bit, read
+    over the PRF's own domain: the n-bit suffixes for 'g' and every point
+    for 'gprime' (the target bits of 'g' come in pairs that carry the
+    secret, and a secret-0 pair is two copies of one PRF bit)."""
+    limit = min(samples, 1 << target.secret_n)
+    bits = target._prf(np.arange(limit)).astype(np.float64)
     mean = float(bits.mean())
     x = bits - mean
     denom = float(np.sum(x * x))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localmq import (
+    ContractViolation,
     Distribution,
     FourierSpectrum,
     OracleSession,
@@ -28,6 +29,7 @@ from localmq.fourier import (
     MONOMIAL_01,
     char_values,
     default_test_samples,
+    estimate_restriction,
     restriction_values_01,
     restriction_values_pm,
 )
@@ -215,15 +217,28 @@ class TestRestrictionPm:
                 )
 
     def test_restriction_estimate_budget(self):
-        from localmq.fourier import estimate_restriction
-
         rng = np.random.default_rng(13)
         tree = random_tree(8, 6, rng, max_depth=3)
         s = poly_session(tree, Distribution.uniform(8, PLUS_MINUS), r=2)
-        est = estimate_restriction(s, 0b11, m=25)
-        assert est.sample_size == 25 and est.values.shape == (25,)
+        values = estimate_restriction(s, 0b11, m=25)
+        assert values.dtype == np.float64 and values.shape == (25,)
         assert s.mq_count == 25 * 4  # 2**|S| queries per anchored example
-        assert len(est.anchors) == 25
+        assert s.ex_count == 25
+
+    def test_refused_basis_asks_no_queries(self):
+        f = SparsePolynomial(6, {0b11: 1.0}, PLUS_MINUS)
+        s = OracleSession(f, Distribution.uniform(6, PLUS_MINUS), r=2)
+        idx, _, _ = s.draw_batch(5)
+        with pytest.raises(ContractViolation, match="unsupported basis"):
+            restriction_values_pm(s, 0b11, idx, MONOMIAL_01)
+        with pytest.raises(ContractViolation, match="unsupported basis"):
+            l2_test(s, 0b11, theta=0.5, m=5, basis=MONOMIAL_01)
+        # a product basis for another dimension is refused the same way
+        for means in [(0.1,) * 5, (0.1,) * 7]:
+            with pytest.raises(ContractViolation, match="unsupported basis"):
+                restriction_values_pm(s, 0b11, idx, ProductBasis(means))
+        assert s.mq_count == 0
+        assert [rec["op"] for rec in s.records] == ["ex"] * 10
 
     def test_uniform_matches_spectrum_sum(self):
         rng = np.random.default_rng(8)
@@ -294,6 +309,50 @@ class TestRestrictionProperty:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
         assert s.mq_count == idx.size << k
         assert s.max_locality_used == k
+
+
+class TestRestrictionOfTargets:
+    """Generated targets (sparse polynomials in both domains, trees under
+    product bases): the value functions and the sampler return the
+    symbolic restriction at each anchor, and every query of the call lies
+    within |S| of its anchor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_values_and_query_distances(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        r = data.draw(st.integers(0, n), label="r")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["poly01", "polypm", "tree"]), label="target")
+        if kind == "tree":
+            means = random_product_means(n, rng)
+            target = random_tree(n, int(rng.integers(1, 9)), rng)
+            basis, dist = ProductBasis(tuple(means)), Distribution.product(means, PLUS_MINUS)
+            symbolic = tree_to_polynomial(target, basis)
+        else:
+            domain = ZERO_ONE if kind == "poly01" else PLUS_MINUS
+            target = random_sparse_poly(n, int(rng.integers(1, 7)), rng, domain=domain)
+            basis, dist = UNIFORM_PM, Distribution.uniform(n, domain)
+            symbolic = target
+        subset = random_subset(n, r, rng)
+        k = int(popcount(subset))
+        s = OracleSession(target, dist, r=r, seed=n)
+        m = data.draw(st.integers(1, 6), label="anchors")
+        if data.draw(st.booleans(), label="sampler"):
+            got = estimate_restriction(s, subset, m, basis)
+        elif dist.domain == ZERO_ONE:
+            got = restriction_values_01(s, subset, s.draw_batch(m)[0])
+        else:
+            got = restriction_values_pm(s, subset, s.draw_batch(m)[0], basis)
+        anchors = s.anchor_masks(np.arange(m))
+        assert got.dtype == np.float64
+        want = symbolic.restrict(subset).value_batch(anchors)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        queries = [rec for rec in s.records if rec["op"] != "ex"]
+        assert len(queries) == m << k
+        for rec in queries:
+            point = int(rec["point"][::-1], 2)  # variable 0 first
+            assert rec["op"] == "mq" and popcount(point ^ int(anchors[rec["anchor"]])) <= k
 
 
 class TestL2Test:

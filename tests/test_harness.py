@@ -170,7 +170,7 @@ class TestCliSubcommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["recovery_rate"] == 1.0
-        assert obj["prf_gate"]["monobit_pass"]
+        assert obj["prf_gate"]["monobit_pass"] and obj["prf_gate"]["serial_pass"]
 
     def test_audit_roundtrip(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.jsonl"
@@ -218,6 +218,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("contract violation: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_cube_past_the_table_limit_is_3(self, n, capsys):
+        code = main(["verify", "--suite", "tree-truncation", "--n", str(n), "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"contract violation: exact enumeration needs n <= 20, got {n}\n"
 
     def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
         # r = 0 makes the learner's first query a violation (exit 3)

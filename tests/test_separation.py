@@ -253,11 +253,15 @@ class TestBatchEvaluation:
         assert [target.value_at(int(m)) for m in cube[:20]] == want[:20].tolist()
 
     @pytest.mark.parametrize("variant", [VARIANT_G, VARIANT_GPRIME])
-    def test_gate_reads_the_same_bits(self, variant):
+    def test_gate_reads_the_prf_bits(self, variant):
+        # the gate reads the PRF over its own 2**secret_n points (the
+        # suffixes of 'g'), not the paired target bits of 'g'
         target = PrfTarget(8, 0, variant, key_seed=12)
-        limit = 1 << target.n
-        bits = np.asarray([reference_bit(target, x) for x in range(limit)], dtype=np.float64)
+        limit = 1 << target.secret_n
+        bits = np.asarray([crypto_bit(target._key, x) for x in range(limit)], dtype=np.float64)
         x = bits - bits.mean()
         report = prf_quality(target, samples=10 * limit)
         assert report["samples"] == limit and report["bit_mean"] == float(bits.mean())
         assert report["serial_correlation"] == float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
+        assert report["monobit_pass"] and report["serial_pass"]
+        assert prf_quality(target, samples=100)["samples"] == 100
