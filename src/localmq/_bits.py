@@ -31,6 +31,12 @@ class DistinctMasks:
         else:
             self._seen[masks] = True
 
+    def add_one(self, mask: int) -> None:
+        if isinstance(self._seen, set):
+            self._seen.add(mask)
+        else:
+            self._seen[mask] = True
+
     def __len__(self) -> int:
         if isinstance(self._seen, set):
             return len(self._seen)

@@ -185,7 +185,8 @@ class Distribution:
 def verify_smoothness(dist: Distribution) -> float:
     """Tightest alpha* = max over Hamming-neighbor pairs of D(x)/D(x').
 
-    Returns inf when a zero-mass point neighbors positive mass. Uniform
+    Returns inf when a zero-mass point neighbors positive mass, which on
+    the connected cube means whenever any point has zero mass. Uniform
     distributions give exactly 1; products are computed in closed form.
     """
     if dist.kind == UNIFORM:
@@ -196,15 +197,17 @@ def verify_smoothness(dist: Distribution) -> float:
             worst = max(worst, p / (1.0 - p), (1.0 - p) / p)
         return worst
     pr = dist.probs_array()
-    masks = all_masks(dist.n)
-    zero = pr == 0
-    support = masks[~zero]  # never empty: the masses sum to 1
-    worst = 1.0
+    if not pr.all():
+        # the cube is connected, so a zero-mass point borders positive mass
+        return math.inf
+    # each point's lightest neighbour; reversing the pairs of one axis of
+    # the cube viewed as (high bits, bit i, low bits) maps x to x ^ (1 << i).
+    # Division rounds monotonically, so D(x) over it is the largest ratio
+    # at x, bit for bit.
+    lightest = np.full(pr.size, math.inf)
     for i in range(dist.n):
-        if bool(np.any(zero != zero[masks ^ (1 << i)])):
-            return math.inf
-        worst = max(worst, float(np.max(pr[support] / pr[support ^ (1 << i)])))
-    return worst
+        np.minimum(lightest, pr.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1), out=lightest)
+    return max(1.0, float(np.max(pr / lightest)))
 
 
 def exact_event_prob_masked(dist: Distribution, hold: np.ndarray) -> float:

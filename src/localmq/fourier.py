@@ -256,6 +256,16 @@ def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarr
     return labels @ signs
 
 
+def _check_pm_basis(session, basis) -> None:
+    """Refuse a session or basis that restriction_values_pm cannot weigh."""
+    if session.domain != PLUS_MINUS:
+        raise ContractViolation("restriction_values_pm needs a +-1 session")
+    if basis is not UNIFORM_PM and not (
+        isinstance(basis, ProductBasis) and len(basis.means) == session.n
+    ):
+        raise ContractViolation(f"unsupported basis {basis!r} for restrictions on {session.n} bits")
+
+
 def restriction_values_pm(
     session, subset: int, anchors: np.ndarray, basis=UNIFORM_PM
 ) -> np.ndarray:
@@ -264,12 +274,7 @@ def restriction_values_pm(
     Uniform basis averages chi_S(x) f(x) over the 2**|S| flips; the
     product basis weighs the same points by mu_S and uses chi^mu_S.
     """
-    if session.domain != PLUS_MINUS:
-        raise ContractViolation("restriction_values_pm needs a +-1 session")
-    if basis is not UNIFORM_PM and not (
-        isinstance(basis, ProductBasis) and len(basis.means) == session.n
-    ):
-        raise ContractViolation(f"unsupported basis {basis!r} for restrictions on {session.n} bits")
+    _check_pm_basis(session, basis)
     labels, patterns, signs = _flip_queries(session, subset, anchors)
     if basis is UNIFORM_PM:
         return (labels @ signs) / patterns.size
@@ -291,10 +296,13 @@ class TestResult(NamedTuple):
 
 def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> np.ndarray:
     """Draw m fresh natural examples and return f_S at each of them, as
-    float64 values; each costs exactly 2**|S| local queries."""
-    anchors, _, _ = session.draw_batch(m)
+    float64 values; each costs exactly 2**|S| local queries. A basis the
+    +-1 restriction cannot weigh is refused before any example is drawn."""
     if session.domain == ZERO_ONE:
+        anchors, _, _ = session.draw_batch(m)
         return restriction_values_01(session, subset, anchors)
+    _check_pm_basis(session, basis)
+    anchors, _, _ = session.draw_batch(m)
     return restriction_values_pm(session, subset, anchors, basis)
 
 

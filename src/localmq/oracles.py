@@ -18,7 +18,9 @@ from one specific natural example, so the anchor is always known.
 
 Queries are point masks. A gateway that simulates its target (the
 reduction's simulator) overrides only `draw_batch`, which stores its
-draws through `_keep`, and `_answer`, which labels checked queries.
+draws through `_keep`, and the two hooks that label checked queries:
+`_answer` for a batch and `_answer_one` for the scalar `local_query`,
+which builds no array once the label table exists.
 
 Distinct-query counting is exact: a 2**n boolean bitmap when
 n <= ENUM_MAX_BITS (20), a set of masks above that. Labels come from the
@@ -165,6 +167,14 @@ class OracleSession:
         answer here."""
         return self._labels_for(queries.ravel()).reshape(queries.shape)
 
+    def _answer_one(self, query: int, anchor: int) -> float:
+        """Label of one checked query anchored at the drawn example
+        `anchor`; the same value `_answer` gives it."""
+        if self._table is not None:
+            return float(self._table[query])
+        queries = np.array([[query]], dtype=np.int64)
+        return float(self._answer(queries, np.array([anchor], dtype=np.int64))[0, 0])
+
     # ------------------------------------------------------------- examples
 
     def _keep(self, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -206,13 +216,12 @@ class OracleSession:
             self.violations += 1
             self._log(_VIOLATION, query, anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
-        bits = np.array([[query]], dtype=np.int64)
-        label = float(self._answer(bits, np.array([anchor], dtype=np.int64))[0, 0])
+        label = self._answer_one(query, anchor)
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
         if self._distinct is not None:
-            self._distinct.add(bits)
-        self._log(_MQ, bits, anchor, dist, label)
+            self._distinct.add_one(query)
+        self._log(_MQ, query, anchor, dist, label)
         return label
 
     def local_query_matrix(

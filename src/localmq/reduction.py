@@ -9,6 +9,11 @@ parity appended) and is 0 everywhere else, where 0 is realized as a
 persistent fair coin keyed by the point. Since codewords are 2k+1 apart,
 no k-local query can connect two distinct codeword balls, which is what
 makes the embedding simulable without membership queries.
+
+Distances to the code come from syndrome decoding: each code keeps one
+table, indexed by syndrome, of coset leaders (a lightest word of each
+coset), so the distance from a word to the code and its nearest codeword
+cost one table read however many codewords there are.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import all_masks, popcount
+from ._bits import ENUM_MAX_BITS, all_masks, popcount
 from ._prf import coin_pm
 from .distributions import Distribution
 from .errors import (
@@ -62,8 +67,10 @@ def ball_size(m: int, k: int) -> int:
 @dataclass(frozen=True)
 class LinearCode:
     """Systematic binary linear code: message bits occupy positions
-    0..n-1 of each codeword, parity the rest. Decoding is brute-force
-    nearest codeword, exact at desk scale."""
+    0..n-1 of each codeword, parity the rest. Decoding reads a table of
+    coset leaders indexed by the syndrome, the m - n parity bits of
+    z ^ encode(message bits of z), which is 0 exactly on codewords; the
+    table has 2^(m-n) entries, so m - n <= ENUM_MAX_BITS."""
 
     n: int
     m: int
@@ -75,9 +82,15 @@ class LinearCode:
             raise ContractViolation("one generator row per message bit required")
         if self.n > 16:
             raise EnumerationLimitError("brute-force codes support n <= 16")
+        if self.m - self.n > ENUM_MAX_BITS:
+            raise EnumerationLimitError(
+                f"syndrome tables support m - n <= {ENUM_MAX_BITS}, got {self.m - self.n}"
+            )
 
     @cached_property
     def codewords(self) -> np.ndarray:
+        """Every codeword, indexed by its message; enumerated only for the
+        exhaustive `distance` check."""
         words = np.zeros(1, dtype=np.int64)
         for row in self.rows:
             words = np.concatenate([words, words ^ row])
@@ -87,6 +100,28 @@ class LinearCode:
     def distance(self) -> int:
         weights = popcount(self.codewords[1:])
         return int(weights.min()) if weights.size else self.m
+
+    @cached_property
+    def _coset_leaders(self) -> tuple[np.ndarray, np.ndarray]:
+        """(leader, weight) per syndrome: a lightest word with that
+        syndrome and its weight, the distance from any such word to the
+        code. Breadth-first from syndrome 0 over the unit vectors'
+        syndromes, so each syndrome is first reached by a lightest word;
+        one unit at a time, so memory stays within a few frontiers."""
+        units = np.left_shift(1, np.arange(self.m, dtype=np.int64))
+        leaders = np.full(1 << (self.m - self.n), -1, dtype=np.int64)
+        leaders[0] = 0
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            grown = []
+            for unit, syndrome in zip(units.tolist(), self._syndromes(units).tolist()):
+                # x -> x ^ syndrome is one to one, so `reached` has no repeats
+                reached = frontier ^ syndrome
+                new = leaders[reached] < 0
+                leaders[reached[new]] = leaders[frontier[new]] ^ unit
+                grown.append(reached[new])
+            frontier = np.concatenate(grown)
+        return leaders, popcount(leaders)
 
     def encode(self, message: int) -> int:
         out = 0
@@ -102,22 +137,24 @@ class LinearCode:
             out ^= row * ((messages >> i) & 1)
         return out
 
+    def _syndromes(self, words) -> np.ndarray:
+        """Parity bits of z ^ encode(message bits of z), shifted down to
+        bit 0; 0 exactly on codewords, and linear in z."""
+        words = np.asarray(words, dtype=np.int64)
+        return (words ^ self.encode_batch(words & ((1 << self.n) - 1))) >> self.n
+
     def decode(self, word: int) -> int | None:
         """Message of the unique codeword within distance k, else None."""
-        dists = popcount(self.codewords ^ word)
-        best = int(np.argmin(dists))
-        return best if int(dists[best]) <= self.k else None
+        word, msg_mask = int(word), (1 << self.n) - 1
+        syndrome = (word ^ self.encode(word & msg_mask)) >> self.n
+        leaders, weights = self._coset_leaders
+        if weights[syndrome] > self.k:
+            return None
+        return (word ^ int(leaders[syndrome])) & msg_mask
 
     def min_distance_batch(self, words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
-        out = np.full(words.shape, self.m + 1, dtype=np.int64)
-        cw = self.codewords
-        chunk = max(1, (1 << 22) // max(1, words.size))
-        for lo in range(0, cw.size, chunk):
-            block = cw[lo : lo + chunk]
-            d = popcount(words[:, None] ^ block[None, :]).min(axis=1)
-            out = np.minimum(out, d)
-        return out
+        """Hamming distance from each word to the nearest codeword."""
+        return self._coset_leaders[1][self._syndromes(words)]
 
     def pad(self, extra: int) -> "LinearCode":
         """Append `extra` constant-zero coordinates; distance unchanged."""
@@ -338,6 +375,11 @@ class ReductionSimulator(OracleSession):
         on_code = queries == self._words[anchors][:, None]
         coin = super()._answer(queries, anchors)
         return np.where(on_code, self._base_labels[anchors][:, None], coin)
+
+    def _answer_one(self, query: int, anchor: int) -> float:
+        if query == self._words[anchor]:
+            return float(self._base_labels[anchor])
+        return super()._answer_one(query, anchor)
 
 
 def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:

@@ -32,7 +32,40 @@ def brute_force_alpha(dist):
     return worst
 
 
+def per_bit_alpha(dist):
+    """The scan one variable at a time: a pass over the cube per bit."""
+    pr = dist.probs_array()
+    masks = all_masks(dist.n)
+    zero = pr == 0
+    support = masks[~zero]
+    worst = 1.0
+    for i in range(dist.n):
+        if bool(np.any(zero != zero[masks ^ (1 << i)])):
+            return math.inf
+        worst = max(worst, float(np.max(pr[support] / pr[support ^ (1 << i)])))
+    return worst
+
+
 class TestVerifySmoothness:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_bit_scan(self, seed):
+        # bit-identical alpha*; odd seeds zero out some points
+        rng = np.random.default_rng([seed, 17])
+        for n in range(1, 13):
+            probs = rng.random(1 << n) ** 4
+            if seed % 2:
+                probs[rng.random(1 << n) < 0.2] = 0.0
+                probs[0] = 1.0
+            probs /= probs.sum()
+            probs /= math.fsum(probs.tolist())
+            d = Distribution.table(probs.tolist(), ZERO_ONE)
+            want = per_bit_alpha(d)
+            assert verify_smoothness(d) == want
+            # the cube is connected: any zero-mass point borders positive mass
+            assert (want == math.inf) == bool(np.any(probs == 0))
+            smooth = random_smooth_table(n, 1.0 + seed, rng)
+            assert verify_smoothness(smooth) == per_bit_alpha(smooth)
+
     def test_uniform_is_one(self):
         assert verify_smoothness(Distribution.uniform(12)) == 1.0
 

@@ -238,7 +238,9 @@ class TestRestrictionPm:
             with pytest.raises(ContractViolation, match="unsupported basis"):
                 restriction_values_pm(s, 0b11, idx, ProductBasis(means))
         assert s.mq_count == 0
-        assert [rec["op"] for rec in s.records] == ["ex"] * 10
+        # the refused l2_test draws nothing: only the five examples above
+        assert s.ex_count == 5
+        assert [rec["op"] for rec in s.records] == ["ex"] * 5
 
     def test_uniform_matches_spectrum_sum(self):
         rng = np.random.default_rng(8)

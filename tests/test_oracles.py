@@ -410,6 +410,60 @@ class TestLabelTable:
         assert s._table is None  # 1000 of 1024 points labelled
 
 
+class TestScalarMatchesBatch:
+    """A scalar `local_query` gives the label a one-entry
+    `local_query_matrix` gives, and leaves the same counters, distinct
+    count and full audit, before and after the label table is built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_label_counters_and_audit(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        r = data.draw(st.integers(0, n), label="r")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        noisy = data.draw(st.booleans(), label="noisy")
+        tree = random_tree(n, min(4, 1 << n), np.random.default_rng(seed))
+
+        def session():
+            noise = NoiseWrapper(0.3, seed=seed) if noisy else None
+            return fresh_session(tree, n=n, r=r, seed=seed, noise=noise)
+
+        scalar, batch = session(), session()
+
+        def ask(pairs):
+            for anchor, flip in pairs:
+                anchor %= scalar.ex_count
+                query = int(scalar.anchor_masks([anchor])[0]) ^ flip
+                try:
+                    got = scalar.local_query(query, anchor)
+                except LocalityError as err:
+                    with pytest.raises(LocalityError) as again:
+                        batch.local_query_matrix([[query]], [anchor])
+                    assert again.value.distance == err.distance
+                    continue
+                want = batch.local_query_matrix([[query]], [anchor])[0, 0]
+                assert np.float64(got).tobytes() == want.tobytes()
+
+        pairs = st.lists(
+            st.tuples(st.integers(0, 1 << 10), st.integers(0, (1 << n) - 1)), max_size=8
+        )
+        first = data.draw(st.integers(1, 3), label="first")
+        for s in (scalar, batch):
+            s.draw_batch(first)
+        ask(data.draw(pairs, label="before"))
+        if n >= 4:  # at most 11 of 2**n points labelled so far
+            assert scalar._table is None and batch._table is None
+        for s in (scalar, batch):
+            s.draw_batch(1 << n)
+        assert scalar._table is not None and batch._table is not None
+        ask(data.draw(pairs, label="after"))
+        assert scalar.audit_report() == batch.audit_report()
+        logs = [io.StringIO(), io.StringIO()]
+        scalar.write_audit_jsonl(logs[0])
+        batch.write_audit_jsonl(logs[1])
+        assert logs[0].getvalue() == logs[1].getvalue()
+
+
 class SealedTarget:
     """Evaluation-counting double: label reads must equal logged calls."""
 

@@ -13,6 +13,7 @@ from scipy import stats
 from localmq import (
     ContractViolation,
     Distribution,
+    EnumerationLimitError,
     LocalityError,
     OracleSession,
     PLUS_MINUS,
@@ -23,7 +24,7 @@ from localmq import (
 )
 from localmq.oracles import AUDIT_COUNTS
 from localmq.generators import random_tree
-from localmq.reduction import ReductionSimulator, ball_size, reduction_report
+from localmq.reduction import LinearCode, ReductionSimulator, ball_size, reduction_report
 from localmq._bits import all_masks, popcount
 from localmq._prf import coin_pm
 
@@ -88,6 +89,41 @@ class TestBuildCode:
             build_code(17, 1)
         with pytest.raises(ContractViolation):
             build_code(8, 4)
+
+
+def nearest_codeword(code, words):
+    """Brute force over every codeword: each word's distance to the code
+    and the message of its first nearest codeword."""
+    dists = popcount(words[:, None] ^ code.codewords[None, :])
+    return dists.min(axis=1), dists.argmin(axis=1)
+
+
+class TestSyndromeDecoding:
+    """The coset-leader table gives exactly what a search over every
+    codeword gives: on every word when m <= 14, else on random words."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 13) for k in range(4)])
+    def test_equals_nearest_codeword_search(self, n, k):
+        rng = np.random.default_rng([n, k, 41])
+        code = build_code(n, k)
+        for padded in (code, code.pad(1), code.pad(3)):
+            if padded.m <= 14:
+                words = all_masks(padded.m)
+            else:
+                words = rng.integers(0, 1 << padded.m, size=600, dtype=np.int64)
+            for lo in range(0, words.size, 512):
+                block = words[lo : lo + 512]
+                dists, best = nearest_codeword(padded, block)
+                assert np.array_equal(padded.min_distance_batch(block), dists)
+                want = [b if d <= k else None for d, b in zip(dists.tolist(), best.tolist())]
+                assert [padded.decode(w) for w in block.tolist()] == want
+
+    def test_syndrome_table_is_bounded(self):
+        LinearCode(1, 21, 0, (1,))  # 2**20 syndromes
+        with pytest.raises(EnumerationLimitError):
+            LinearCode(1, 22, 0, (1,))
+        with pytest.raises(EnumerationLimitError):
+            build_code(6, 3).pad(6)  # m - n = 15 + 6
 
 
 class TestEmbedding:
@@ -314,6 +350,47 @@ class TestSimulatorGateway:
             tally["ex"], tally["mq"], tally["violations"], tally["max_dist"]
         )
         assert rep.distinct_mq_points == len(seen)
+
+
+class TestSimulatorScalarMatchesBatch:
+    """The simulator's scalar hook answers as its batch hook does, on and
+    off the anchors' codewords, with the same counters and distinct count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_labels_and_counters(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        k = data.draw(st.sampled_from([0, 1, 2]), label="k")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        f = random_tree(n, 4, np.random.default_rng(seed))
+        emb = embed(f, k, coin_seed=seed)
+        scalar, batch = (
+            ReductionSimulator(emb, base_session(f, seed=seed), seed=seed) for _ in range(2)
+        )
+        count = data.draw(st.integers(1, 40), label="count")
+        _, masks, _ = scalar.draw_batch(count)
+        batch.draw_batch(count)
+
+        def ask(anchor, query):
+            try:
+                got = scalar.local_query(query, anchor)
+            except LocalityError:
+                with pytest.raises(LocalityError):
+                    batch.local_query_matrix([[query]], [anchor])
+                return
+            assert got == batch.local_query_matrix([[query]], [anchor])[0, 0]
+            assert got == emb.label_batch(np.asarray([query]))[0]
+
+        flips = st.tuples(st.integers(0, count - 1), st.integers(0, (1 << emb.m) - 1))
+        for anchor, flip in data.draw(st.lists(flips, max_size=30), label="queries"):
+            ask(anchor, int(masks[anchor]) ^ flip)
+        # every anchor within k of a codeword also asks for that codeword
+        for anchor, word in enumerate(masks.tolist()):
+            msg = emb.code.decode(word)
+            if msg is not None:
+                ask(anchor, emb.code.encode(msg))
+        assert scalar.audit_report() == batch.audit_report()
+        assert scalar.base_session.audit_report() == batch.base_session.audit_report()
 
 
 def parity(n, mask):
