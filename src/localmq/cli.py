@@ -678,9 +678,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
     v.set_defaults(fn=_cmd_verify)
 
-    r = sub.add_parser("reduce", help="exercise the embedding simulator")
-    r.add_argument("--n", type=int, default=6)
-    r.add_argument("--k", type=int, default=1)
+    r = sub.add_parser(
+        "reduce",
+        help="exercise the embedding simulator",
+        description="Embed a random tree over n bits with a distance-(2k+1) code of "
+        "length m, simulate examples of the embedded function, and check the "
+        "correlation identity exactly. The check enumerates all 2^m words, so "
+        "codes with m > 20 exit 3 (any n <= 30 builds a code).",
+    )
+    r.add_argument("--n", type=int, default=6, help="message bits")
+    r.add_argument("--k", type=int, default=1, help="query radius, 0 to 3")
     r.add_argument("--draws", type=int, default=10000)
     common(r)
     r.set_defaults(fn=_cmd_reduce)

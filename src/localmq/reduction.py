@@ -10,10 +10,13 @@ persistent fair coin keyed by the point. Since codewords are 2k+1 apart,
 no k-local query can connect two distinct codeword balls, which is what
 makes the embedding simulable without membership queries.
 
-Distances to the code come from syndrome decoding: each code keeps one
-table, indexed by syndrome, of coset leaders (a lightest word of each
-coset), so the distance from a word to the code and its nearest codeword
-cost one table read however many codewords there are.
+Distances to the code come from syndrome decoding (MacWilliams & Sloane,
+1977): each code keeps one table, indexed by syndrome, of coset leaders
+(a lightest word of each coset), so the distance from a word to the code
+and its nearest codeword cost one table read however many codewords
+there are. The breadth-first walk that fills the table also gives the
+code's minimum distance, so a code is built and checked without listing
+its 2^n codewords; the table's 2^(m-n) entries are the only limit.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ _BCH_TABLE = [
 ]
 
 
-_CODE_SLACK = 8  # extra code length allowed beyond n + k*ceil(log2 n)
-
-
 def _poly_mod(value: int, g: int) -> int:
     gd = g.bit_length() - 1
     while value.bit_length() - 1 >= gd and value:
@@ -70,7 +70,9 @@ class LinearCode:
     0..n-1 of each codeword, parity the rest. Decoding reads a table of
     coset leaders indexed by the syndrome, the m - n parity bits of
     z ^ encode(message bits of z), which is 0 exactly on codewords; the
-    table has 2^(m-n) entries, so m - n <= ENUM_MAX_BITS."""
+    table has 2^(m-n) entries, so m - n <= ENUM_MAX_BITS. The walk that
+    fills the table also gives the minimum distance, so no codeword is
+    ever enumerated."""
 
     n: int
     m: int
@@ -80,48 +82,56 @@ class LinearCode:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ContractViolation("one generator row per message bit required")
-        if self.n > 16:
-            raise EnumerationLimitError("brute-force codes support n <= 16")
         if self.m - self.n > ENUM_MAX_BITS:
             raise EnumerationLimitError(
                 f"syndrome tables support m - n <= {ENUM_MAX_BITS}, got {self.m - self.n}"
             )
 
-    @cached_property
-    def codewords(self) -> np.ndarray:
-        """Every codeword, indexed by its message; enumerated only for the
-        exhaustive `distance` check."""
-        words = np.zeros(1, dtype=np.int64)
-        for row in self.rows:
-            words = np.concatenate([words, words ^ row])
-        return words
-
-    @cached_property
+    @property
     def distance(self) -> int:
-        weights = popcount(self.codewords[1:])
-        return int(weights.min()) if weights.size else self.m
+        return self._coset_leaders[2]
 
     @cached_property
-    def _coset_leaders(self) -> tuple[np.ndarray, np.ndarray]:
-        """(leader, weight) per syndrome: a lightest word with that
-        syndrome and its weight, the distance from any such word to the
-        code. Breadth-first from syndrome 0 over the unit vectors'
-        syndromes, so each syndrome is first reached by a lightest word;
-        one unit at a time, so memory stays within a few frontiers."""
+    def _coset_leaders(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(leader, weight) per syndrome, a lightest word with that
+        syndrome and its weight (the distance from any such word to the
+        code), and the code's minimum distance. Breadth-first from
+        syndrome 0 over the unit vectors' syndromes, so each syndrome is
+        first reached by a lightest word; one unit at a time, so memory
+        stays within a few frontiers.
+
+        A step s -> s' along a unit that reaches a syndrome already seen
+        closes a cycle: leader(s) ^ unit ^ leader(s') is a codeword. The
+        lightest nonzero one is a lightest nonzero codeword c. Adding the
+        units of c one at a time walks syndromes 0 = s_0, ..., s_d = 0,
+        and leader(s_j) weighs at most min(j, d - j), so each step's
+        leader(s_(j-1)) ^ unit ^ leader(s_j) weighs at most d = weight(c).
+        These words XOR to c, so one is nonzero; it is never a step that
+        first reached s_j (there the word is 0), so the walk sees it. Its
+        step starts from a leader of weight at most d/2, so cycles are
+        read only from frontiers that light."""
         units = np.left_shift(1, np.arange(self.m, dtype=np.int64))
         leaders = np.full(1 << (self.m - self.n), -1, dtype=np.int64)
         leaders[0] = 0
         frontier = np.zeros(1, dtype=np.int64)
+        distance = self.m  # kept only by a code without a nonzero codeword
+        level = 0  # the weight of every leader in the frontier
         while frontier.size:
             grown = []
             for unit, syndrome in zip(units.tolist(), self._syndromes(units).tolist()):
                 # x -> x ^ syndrome is one to one, so `reached` has no repeats
                 reached = frontier ^ syndrome
                 new = leaders[reached] < 0
+                if 2 * level <= distance:
+                    cycles = popcount(leaders[frontier[~new]] ^ unit ^ leaders[reached[~new]])
+                    cycles = cycles[cycles > 0]
+                    if cycles.size:
+                        distance = min(distance, int(cycles.min()))
                 leaders[reached[new]] = leaders[frontier[new]] ^ unit
                 grown.append(reached[new])
             frontier = np.concatenate(grown)
-        return leaders, popcount(leaders)
+            level += 1
+        return leaders, popcount(leaders), distance
 
     def encode(self, message: int) -> int:
         out = 0
@@ -147,7 +157,7 @@ class LinearCode:
         """Message of the unique codeword within distance k, else None."""
         word, msg_mask = int(word), (1 << self.n) - 1
         syndrome = (word ^ self.encode(word & msg_mask)) >> self.n
-        leaders, weights = self._coset_leaders
+        leaders, weights, _ = self._coset_leaders
         if weights[syndrome] > self.k:
             return None
         return (word ^ int(leaders[syndrome])) & msg_mask
@@ -181,7 +191,7 @@ def _hamming_rows(n: int) -> tuple[int, list[int]]:
     return n + p, rows
 
 
-def _bch_rows(n: int, k: int) -> tuple[int, list[int]] | None:
+def _bch_rows(n: int, k: int) -> tuple[int, list[int]]:
     for length, msg_bits, dist, g in _BCH_TABLE:
         if msg_bits >= n and dist >= 2 * k + 1:
             deg = g.bit_length() - 1
@@ -189,51 +199,32 @@ def _bch_rows(n: int, k: int) -> tuple[int, list[int]] | None:
                 (1 << i) | (_poly_mod((1 << i) << deg, g) << n) for i in range(n)
             ]
             return n + deg, rows
-    return None
+    raise CodeConstructionError(f"no BCH generator of distance {2 * k + 1} for n={n}")
 
 
 def build_code(n: int, k: int) -> LinearCode:
-    """Binary linear code with distance >= 2k+1 within the length budget
-    m <= n + k*ceil(log2 n) + _CODE_SLACK.
-
-    Prefers the identity code (k=0), shortened Hamming (k=1), and
-    shortened BCH generators (k=2,3); falls back to random systematic
-    codes filtered by exact distance. The returned distance is always
-    verified exhaustively.
+    """Binary linear code with distance >= 2k+1 and length
+    m <= n + k*ceil(log2 n) + 8 (both hold for every n <= 30): the
+    identity code (k=0), shortened Hamming (k=1) or shortened BCH (k=2,3).
+    The distance is read from the syndrome walk; a code that misses 2k+1
+    raises CodeConstructionError.
     """
     if n < 1 or k < 0:
         raise ContractViolation("need n >= 1, k >= 0")
-    if n > 16 or k > 3:
-        raise ContractViolation("desk scale supports n <= 16, k <= 3")
-    budget = n + k * math.ceil(math.log2(max(n, 2))) + _CODE_SLACK
+    if k > 3:
+        raise ContractViolation("desk scale supports k <= 3")
     if k == 0:
-        return LinearCode(n, n, 0, tuple(1 << i for i in range(n)))
-    candidates = []
-    if k == 1:
+        m, rows = n, [1 << i for i in range(n)]
+    elif k == 1:
         m, rows = _hamming_rows(n)
-        candidates.append((m, rows))
-    bch = _bch_rows(n, k)
-    if bch is not None:
-        candidates.append(bch)
-    for m, rows in sorted(candidates):
-        if m > budget:
-            continue
-        code = LinearCode(n, m, k, tuple(rows))
-        if code.distance >= 2 * k + 1:
-            return code
-    # random systematic fallback
-    rng = np.random.default_rng(0xC0DE)
-    for extra in range(1, budget - n + 1):
-        for _ in range(200):
-            rows = [
-                (1 << i) | (int(rng.integers(0, 1 << extra)) << n) for i in range(n)
-            ]
-            code = LinearCode(n, n + extra, k, tuple(rows))
-            if code.distance >= 2 * k + 1:
-                return code
-    raise CodeConstructionError(
-        f"no distance-{2 * k + 1} code for n={n} within m <= {budget}"
-    )
+    else:
+        m, rows = _bch_rows(n, k)
+    code = LinearCode(n, m, k, tuple(rows))
+    if code.distance < 2 * k + 1:
+        raise CodeConstructionError(
+            f"code for n={n} has distance {code.distance} < {2 * k + 1}"
+        )
+    return code
 
 
 @dataclass(frozen=True)
@@ -387,8 +378,8 @@ def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:
 
     Returns (E_{U_m}[f_e(z) g'(z)], 2^{n-m} E_{U_n}[f(x) g(x)]) where
     g'(z) applies g to the message bits of z. Both sides are enumerated,
-    the left over all 2^m words; fsum is correctly rounded, so the zero
-    terms off the code leave it unchanged.
+    the left over all 2^m words, so m <= ENUM_MAX_BITS; fsum is correctly
+    rounded, so the zero terms off the code leave it unchanged.
     """
     n, m = embedded.n, embedded.m
     z = all_masks(m)

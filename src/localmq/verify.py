@@ -13,6 +13,7 @@ worst margin observed together with any violating instance.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -604,36 +605,26 @@ def suite_tree_expansion(n: int = 10, trials: int = 100, seed: int = 0):
                    {"tolerance": 1e-9})
 
 
-def agnostic_parity_stub(sim, max_size: int = 2, samples: int = 50_000):
-    """Brute-force agnostic learner over signed parities of the message
-    bits, run through a reduction simulator: draws simulated examples and
-    returns the empirical-correlation maximizer (subset, sign)."""
-    n = sim.embedded.n
-    _, masks, labels = sim.draw_batch(samples)
-    best = (0, 1.0, -math.inf)
-    for size in range(max_size + 1):
-        for subset_vars in combinations(range(n), size):
-            subset = 0
-            for i in subset_vars:
-                subset |= 1 << i
-            chi = char_values(UNIFORM_PM, subset, masks, n)
-            corr = float(np.mean(labels * chi))
-            for sign in (1.0, -1.0):
-                if sign * corr > best[2]:
-                    best = (subset, sign, sign * corr)
-    return best[0], best[1]
+def pull_back(outcome, n: int):
+    """A learner's outcome over the m-bit cube of an embedding, pulled
+    back to the n message bits: only the coefficients on sets inside the
+    message bits are kept, and the outcome's sign rule is unchanged."""
+    spec = outcome.hypothesis
+    kept = {s: c for s, c in spec.coeffs.items() if s >> n == 0}
+    return replace(outcome, hypothesis=FourierSpectrum(n, spec.basis, kept))
 
 
-def agnostic_excess(base_target, subset: int, sign: float, max_size: int = 2):
-    """Exact correlations for the agnostic guarantee: returns
-    (achieved, best) where achieved = E_U[f * h'] for the pulled-back
-    hypothesis h'(x) = sign * chi_subset(x) and best is the top
-    correlation over the signed-parity class."""
-    spec = exact_transform(base_target, UNIFORM_PM, zero_tol=0.0)
-    achieved = sign * spec.coeff(subset)
+def agnostic_excess(target, outcome, max_size: int):
+    """Exact correlations for the agnostic guarantee over signed parities
+    of degree <= max_size: returns (achieved, best), where achieved is
+    E_U[target * h] for the outcome's +-1 prediction h and best is the
+    largest |target^(S)| with |S| <= max_size. `target` needs only `n`
+    and a +-1 `value_batch` over its whole cube."""
+    x = all_masks(target.n)
+    achieved = float(np.mean(target.value_batch(x) * outcome.predict_batch(x)))
+    spec = exact_transform(target, UNIFORM_PM, zero_tol=0.0)
     best = max(
-        (abs(spec.coeff(s)) for s in range(1 << base_target.n) if popcount(s) <= max_size),
-        default=0.0,
+        (abs(c) for s, c in spec.coeffs.items() if popcount(s) <= max_size), default=0.0
     )
     return achieved, best
 

@@ -9,6 +9,7 @@ import json
 import math
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from localmq.verify import (
     SUITES,
     VerifierOracle,
     agnostic_excess,
-    agnostic_parity_stub,
+    pull_back,
     run_lemma_suite,
 )
 from localmq._bits import all_masks, popcount
@@ -446,8 +447,8 @@ def test_c07_noise():
 def test_c08_reduction():
     """Correlation identity exact to 1e-12 on 5 random pairs (n=6, k=1);
     simulated-example distribution within TV 0.01 of exact; base session
-    never queried; the pulled-back stub hypothesis satisfies the
-    agnostic-excess inequality."""
+    never queried; the tree learner, run with d = k through the
+    simulator, meets the agnostic-excess inequality on both cubes."""
     # correlation identity
     worst_resid = 0.0
     for seed in range(5):
@@ -477,22 +478,38 @@ def test_c08_reduction():
     tv_ok = tv <= 0.01
     mq_ok = bs.mq_count == 0
 
-    # agnostic excess for the parity stub, pulled back to the base cube
-    target = SparsePolynomial(10, {0b110: 1.0}, PLUS_MINUS)
-    emb10 = embed(target, 1, coin_seed=86)
+    # agnostic excess for the tree learner run through the simulator with
+    # d = k: its k-local restriction tests reach sets of size <= k only,
+    # so the target is a degree-1 parity
+    k, epsilon = 1, 0.5
+    target = SparsePolynomial(10, {0b100: 1.0}, PLUS_MINUS)
+    emb10 = embed(target, k, coin_seed=86)
     bs10 = counts_session(target, Distribution.uniform(10, PLUS_MINUS), r=0, seed=86)
     sim10 = ReductionSimulator(emb10, bs10, seed=86)
-    subset, sign = agnostic_parity_stub(sim10, max_size=2, samples=60_000)
-    achieved, best = agnostic_excess(target, subset, sign, max_size=2)
-    epsilon = 0.5
-    eps_prime = epsilon * 2.0 ** (target.n - emb10.m)
-    excess_ok = achieved >= best - epsilon and bs10.mq_count == 0
+    signal = 2.0 ** (target.n - emb10.m)
+    config = LearnerConfig(epsilon=epsilon, t=1, d=k, theta=0.5 * signal, m=2000, seed=86)
+    outcome = learn_tree_uniform(sim10, config)
+    rep10 = sim10.audit_report()
+    # base side: the hypothesis pulled back to the message bits
+    achieved, best = agnostic_excess(target, pull_back(outcome, target.n), max_size=k)
+    # embedded side: f_e as realized, coin included, over all 2^m words
+    realized = SimpleNamespace(n=emb10.m, value_batch=emb10.label_batch)
+    achieved_e, best_e = agnostic_excess(realized, outcome, max_size=k)
+    eps_prime = epsilon * signal
+    excess_ok = (
+        achieved >= best - epsilon
+        and achieved_e >= best_e - eps_prime
+        and rep10.mq_count > 0
+        and rep10.max_locality_used <= k
+        and bs10.mq_count == 0
+    )
     _report(
         8,
         "agnostic reduction",
         corr_ok and tv_ok and mq_ok and excess_ok,
-        f"resid={worst_resid:.1e} TV={tv:.4f} eps'={eps_prime:.4f} "
-        f"achieved={achieved:.3f} best={best:.3f}",
+        f"resid={worst_resid:.1e} TV={tv:.4f} simulated-mq={rep10.mq_count} "
+        f"base-mq={bs10.mq_count} achieved={achieved:.3f} best={best:.3f} "
+        f"eps'={eps_prime:.4f} achieved_e={achieved_e:.4f} best_e={best_e:.4f}",
     )
 
 

@@ -1,5 +1,5 @@
-"""CLI surface, the audit reader's fast and JSON paths, suite runner,
-verifier independence (mutation check), and the agnostic stub round trip."""
+"""CLI surface, the audit reader's fast and JSON paths, suite runner, and
+verifier independence (mutation check)."""
 
 import io
 import json
@@ -24,13 +24,7 @@ from localmq.cli import main
 from localmq.errors import AuditLogError
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.oracles import AUDIT_COUNTS
-from localmq.reduction import ReductionSimulator, embed
-from localmq.verify import (
-    VerifierOracle,
-    agnostic_excess,
-    agnostic_parity_stub,
-    run_lemma_suite,
-)
+from localmq.verify import run_lemma_suite
 from localmq.targets import ZERO_ONE
 
 
@@ -225,6 +219,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == f"contract violation: exact enumeration needs n <= 20, got {n}\n"
+
+    def test_reduce_past_the_correlation_check_limit_is_3(self, capsys):
+        # n = 12, k = 3 builds a code of length m = 27; the exact correlation
+        # check enumerates all 2^m words, so it refuses m > 20
+        code = main(["reduce", "--n", "12", "--k", "3", "--draws", "100"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "contract violation: exact enumeration needs n <= 20, got 27\n"
 
     def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
         # r = 0 makes the learner's first query a violation (exit 3)
@@ -523,23 +525,3 @@ class TestVerifierIndependence:
         monkeypatch.setattr(fourier_mod, "restriction_values_01", corrupted)
         bad = fourier_mod.restriction_values_01(session, subset, np.asarray([int(idx[0])]))[0]
         assert abs(bad - symbolic) > 1e-3  # the oracle flags the mutation
-
-
-class TestAgnosticStub:
-    def test_stub_finds_planted_parity(self):
-        # n = 10 keeps the persistent-coin correlation bias (~2^(-m/2))
-        # well below the scaled signal 2^(n-m)
-        from localmq import SparsePolynomial
-
-        f = SparsePolynomial(10, {0b11: 1.0}, PLUS_MINUS)  # pure parity target
-        emb = embed(f, 1, coin_seed=21)
-        bs = OracleSession(
-            f, Distribution.uniform(10, PLUS_MINUS), r=0, seed=21,
-            audit_mode=AUDIT_COUNTS,
-        )
-        sim = ReductionSimulator(emb, bs, seed=21)
-        subset, sign = agnostic_parity_stub(sim, max_size=2, samples=60_000)
-        assert subset == 0b11 and sign == 1.0
-        achieved, best = agnostic_excess(f, subset, sign)
-        assert achieved == best == pytest.approx(1.0)
-        assert bs.mq_count == 0

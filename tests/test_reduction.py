@@ -1,5 +1,5 @@
-"""Code embedding: exhaustive code checks, simulator distribution, and the
-correlation identity."""
+"""Code embedding: exhaustive code checks, simulator distribution, the
+correlation identity, and a learner run through the simulator."""
 
 import math
 from collections import Counter
@@ -14,6 +14,7 @@ from localmq import (
     ContractViolation,
     Distribution,
     EnumerationLimitError,
+    LearnerConfig,
     LocalityError,
     OracleSession,
     PLUS_MINUS,
@@ -21,12 +22,14 @@ from localmq import (
     build_code,
     correlation_check,
     embed,
+    learn_tree_uniform,
 )
 from localmq.oracles import AUDIT_COUNTS
 from localmq.generators import random_tree
 from localmq.reduction import LinearCode, ReductionSimulator, ball_size, reduction_report
-from localmq._bits import all_masks, popcount
+from localmq._bits import ENUM_MAX_BITS, all_masks, popcount
 from localmq._prf import coin_pm
+from localmq.verify import agnostic_excess, pull_back
 
 
 def base_session(target, seed=0, r=0):
@@ -51,8 +54,7 @@ class TestBuildCode:
         assert code.m <= 7
         # exhaustive pairwise distance via min nonzero weight
         assert code.distance >= 3
-        weights = popcount(code.codewords[1:])
-        assert int(weights.min()) == code.distance
+        assert code.distance == brute_force_distance(code)
 
     def test_exhaustive_error_correction_n8_k1(self):
         code = build_code(8, 1)
@@ -62,7 +64,7 @@ class TestBuildCode:
             for j in range(code.m):
                 assert code.decode(word ^ (1 << j)) == msg
 
-    @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (6, 3), (12, 2), (16, 3)])
+    @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (6, 3), (12, 2), (16, 3), (30, 3)])
     def test_bch_distances(self, n, k):
         code = build_code(n, k)
         assert code.distance >= 2 * k + 1
@@ -86,15 +88,57 @@ class TestBuildCode:
 
     def test_desk_scale_contract(self):
         with pytest.raises(ContractViolation):
-            build_code(17, 1)
-        with pytest.raises(ContractViolation):
             build_code(8, 4)
+
+    @pytest.mark.parametrize("n", range(17, 31))
+    def test_every_message_length_to_30(self, n):
+        # every message length a target supports gets a code; past n = 20,
+        # where the brute-force reference stops, the walk's distance alone
+        # shows it reaches 2k+1, within the documented length
+        for k in range(4):
+            code = build_code(n, k)
+            assert code.distance >= 2 * k + 1
+            assert code.m <= n + k * math.ceil(math.log2(n)) + 8
+
+
+def codewords(code):
+    """Every codeword, indexed by its message."""
+    return code.encode_batch(all_masks(code.n))
+
+
+def brute_force_distance(code):
+    return int(popcount(codewords(code)[1:]).min())
+
+
+class TestWalkDistance:
+    """The distance read from the coset-leader walk equals the least
+    weight of a nonzero codeword, listed by the encoder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_systematic_codes(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        parity = data.draw(st.integers(0, 8), label="parity bits")
+        checks = data.draw(
+            st.lists(st.integers(0, (1 << parity) - 1), min_size=n, max_size=n), label="checks"
+        )
+        code = LinearCode(n, n + parity, 1, tuple((1 << i) | (c << n) for i, c in enumerate(checks)))
+        assert code.distance == brute_force_distance(code)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_built_codes_and_their_pads(self, n):
+        for k in range(4):
+            code = build_code(n, k)
+            want = brute_force_distance(code)
+            for extra in (0, 1, 3):
+                if code.m + extra - n <= ENUM_MAX_BITS:  # the syndrome table's limit
+                    assert code.pad(extra).distance == want
 
 
 def nearest_codeword(code, words):
     """Brute force over every codeword: each word's distance to the code
     and the message of its first nearest codeword."""
-    dists = popcount(words[:, None] ^ code.codewords[None, :])
+    dists = popcount(words[:, None] ^ codewords(code)[None, :])
     return dists.min(axis=1), dists.argmin(axis=1)
 
 
@@ -151,10 +195,10 @@ class TestEmbedding:
     @pytest.mark.parametrize("n,k", [(3, 0), (4, 1), (6, 1), (4, 2), (3, 3)])
     def test_whole_cube_against_codeword_table(self, n, k):
         # f_e over every m-bit word, against a word -> message table built
-        # here from the code's enumerated codewords
+        # here from the encoder's codewords
         f = random_tree(n, 4, np.random.default_rng([n, k]))
         emb = embed(f, k, coin_seed=n + k)
-        message_of = {w: msg for msg, w in enumerate(emb.code.codewords.tolist())}
+        message_of = {w: msg for msg, w in enumerate(codewords(emb.code).tolist())}
         assert len(message_of) == 1 << n
         words = np.arange(1 << emb.m, dtype=np.int64)
         want = np.asarray(
@@ -397,6 +441,29 @@ def parity(n, mask):
     return SparsePolynomial(n, {mask: 1.0}, PLUS_MINUS)
 
 
+class TestLearnerThroughSimulator:
+    def test_tree_learner_picks_the_planted_parity(self):
+        # the tree learner with d = k, at the attenuated threshold
+        # theta = 2^(n-m) / 2; n = 10 keeps the persistent coin's
+        # coefficients (~2^(-m/2)) well below the signal 2^(n-m)
+        n, k = 10, 1
+        f = parity(n, 0b1000)
+        emb = embed(f, k, coin_seed=21)
+        bs = base_session(f, seed=21)
+        sim = ReductionSimulator(emb, bs, seed=21)
+        signal = 2.0 ** (n - emb.m)
+        config = LearnerConfig(epsilon=0.5, t=1, d=k, theta=0.5 * signal, m=2000, seed=21)
+        outcome = learn_tree_uniform(sim, config)
+        pulled = pull_back(outcome, n)
+        terms = {s: c for s, c in pulled.hypothesis.coeffs.items() if s}
+        assert max(terms, key=lambda s: abs(terms[s])) == 0b1000 and terms[0b1000] > 0
+        achieved, best = agnostic_excess(f, pulled, max_size=k)
+        assert best == 1.0 and achieved >= 0.5
+        rep = sim.audit_report()
+        assert rep.mq_count > 0 and rep.max_locality_used <= k
+        assert bs.mq_count == 0
+
+
 class TestCorrelationIdentity:
     def test_self_correlation(self):
         f = random_tree(6, 6, np.random.default_rng(10))
@@ -427,7 +494,7 @@ class TestCorrelationIdentity:
         rng = np.random.default_rng([n, k, 32])
         f, g = random_tree(n, 6, rng), random_tree(n, 6, rng)
         emb = embed(f, k)
-        words = emb.code.codewords.tolist()
+        words = codewords(emb.code).tolist()
         msg_mask = (1 << n) - 1
         lhs = math.fsum(f.value_at(x) * g.value_at(w & msg_mask) for x, w in enumerate(words))
         rhs = math.fsum(f.value_at(x) * g.value_at(x) for x in range(1 << n))
