@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -351,34 +350,27 @@ def _record_problem(rec, width: int | None) -> str | None:
     return None
 
 
-def _audit_columns(lines: list[bytes], width: int | None):
+def _json_columns(lines: list[bytes], width: int | None, lineno: int):
     """Op codes, point masks, anchors (-1 for null) and dists of a chunk of
-    audit lines, and the log's point width. Applies the checks of
-    `_record_problem` to the whole chunk at once and raises ValueError,
-    KeyError, TypeError or OverflowError if any record fails them."""
-    # a line holding no value or several values breaks the parse or
-    # changes the record count
-    recs = json.loads(b"[" + b",".join(lines) + b"]")
-    if len(recs) != len(lines):
-        raise ValueError("a line holds more than one value")
-    ops, points, anchors, dists, _, _ = [list(map(itemgetter(key), recs)) for key in _AUDIT_KEYS]
-    codes = np.fromiter(map(_OP_CODES.__getitem__, ops), np.uint8, len(ops))
-    if width is None:
-        width = len(points[0])
-    if not (
-        1 <= width <= MAX_BITS
-        and set(map(type, points)) == {str}
-        and set(map(len, points)) == {width}
-        and set(map(type, anchors)) <= {int, type(None)}
-        and set(map(type, dists)) == {int}
-    ):
-        raise TypeError("malformed field")
-    digits = np.asarray(points, dtype=f"U{width}").view(np.uint32).reshape(-1, width) - ord("0")
-    if (digits > 1).any():
-        raise ValueError("point is not a 0/1 string")
-    masks = (digits.astype(np.int64) << np.arange(width)).sum(axis=1)
-    anchors = np.asarray([-1 if a is None else a for a in anchors], dtype=np.int64)
-    return codes, masks, anchors, np.asarray(dists, dtype=np.int64), width
+    audit lines, and the log's point width, read one JSON record per line
+    under the rules of `_record_problem`. Raises AuditLogError naming the
+    first bad line; `lineno` is the chunk's first line."""
+    codes, masks, anchors, dists = [], [], [], []
+    for offset, line in enumerate(lines):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise AuditLogError(lineno + offset, f"bad JSON: {exc}") from None
+        problem = _record_problem(rec, width)
+        if problem:
+            raise AuditLogError(lineno + offset, problem)
+        width = len(rec["point"])
+        codes.append(_OP_CODES[rec["op"]])
+        masks.append(int(rec["point"][::-1], 2))  # digit k is bit k
+        anchors.append(-1 if rec["anchor"] is None else rec["anchor"])
+        dists.append(rec["dist"])
+    columns = [np.array(codes, np.uint8)] + [np.array(c, np.int64) for c in (masks, anchors, dists)]
+    return *columns, width
 
 
 _MAX_DIGITS = 18  # any decimal of at most 18 digits fits int64
@@ -424,11 +416,11 @@ def _canonical_integers(words: np.ndarray, starts: np.ndarray, lengths: np.ndarr
 
 
 def _canonical_columns(lines: list[bytes], width: int | None):
-    """Fast path of `_audit_columns` for a chunk in which every line is
+    """Fast path of `_json_columns` for a chunk in which every line is
     exactly as `OracleSession.write_audit_jsonl` writes it: keys sorted,
     one space after each separator, plain decimal integers, a JSON number
     as resp, and `"noisy": true` in every line or in none. Returns the
-    same columns as `_audit_columns`, or None for any other chunk, which
+    same columns as `_json_columns`, or None for any other chunk, which
     then takes the JSON path.
 
     The chunk is read as one byte array; `words[i]` holds its bytes i to
@@ -529,21 +521,6 @@ def _canonical_columns(lines: list[bytes], width: int | None):
     return codes, masks, anchors, dists, width
 
 
-def _raise_first_problem(lines: list[bytes], lineno: int, width: int | None):
-    """Raise AuditLogError naming the first malformed line of a chunk that
-    `_audit_columns` rejected; `lineno` is the chunk's first line."""
-    for offset, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise AuditLogError(lineno + offset, f"bad JSON: {exc}") from None
-        problem = _record_problem(rec, width)
-        if problem:
-            raise AuditLogError(lineno + offset, problem)
-        width = len(rec["point"])
-    raise AuditLogError(lineno, "malformed record")
-
-
 def _check_audit_log(fh) -> dict:
     """Summarise a JSONL audit log and recompute the distance of every
     query, answered or refused, from the example its anchor names. A
@@ -558,10 +535,7 @@ def _check_audit_log(fh) -> dict:
     for lines in iter(lambda: list(islice(fh, _AUDIT_CHUNK)), []):
         columns = _canonical_columns(lines, width)
         if columns is None:
-            try:
-                columns = _audit_columns(lines, width)
-            except (ValueError, KeyError, TypeError, OverflowError):
-                _raise_first_problem(lines, lineno, width)
+            columns = _json_columns(lines, width, lineno)
         codes, masks, anchors, dists, width = columns
         lineno += len(lines)
         is_ex = codes == _OP_CODES["ex"]

@@ -17,6 +17,10 @@ from .targets import (
 
 
 def random_subset(n: int, max_size: int, rng: np.random.Generator, min_size: int = 0) -> int:
+    """A uniformly sized random subset of the n bits, sizes clamped to n."""
+    max_size = min(max_size, n)
+    if min_size > max_size:
+        raise ContractViolation(f"min_size {min_size} above max_size {max_size} (n={n})")
     size = int(rng.integers(min_size, max_size + 1))
     if size == 0:
         return 0
@@ -39,9 +43,9 @@ def random_sparse_poly(
     min_degree: int = 0,
 ) -> SparsePolynomial:
     """t distinct monomials with coefficients drawn from coeff_choices."""
-    max_degree = n if max_degree is None else max_degree
+    max_degree = n if max_degree is None else min(max_degree, n)
     if max_degree < min_degree:
-        raise ContractViolation("max_degree < min_degree")
+        raise ContractViolation(f"min_degree {min_degree} above max_degree {max_degree} (n={n})")
     terms: dict[int, float] = {}
     if include_constant:
         terms[0] = float(rng.choice(coeff_choices))
@@ -116,6 +120,8 @@ def random_dnf(
     width: int = 3,
     domain: str = PLUS_MINUS,
 ) -> DnfFormula:
+    if width > n:
+        raise ContractViolation(f"DNF width {width} above n={n}")
     terms = []
     for _ in range(s):
         vars_ = rng.choice(n, size=width, replace=False)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ._bits import popcount
 from ._prf import bernoulli
@@ -42,12 +41,30 @@ class NoiseWrapper:
         return np.where(flip, -1.0, 1.0)
 
 
+def _binom_pmf(size: int, eta: float) -> np.ndarray:
+    """The masses of Bin(size, eta) on 0..size.
+
+    The ratio of neighbouring masses is (size - j) / (j + 1) * eta / (1 - eta);
+    the ratios are multiplied outward from the mode, where every partial
+    product stays in (0, 1], and the weights are scaled to sum to 1.
+    """
+    odds = eta / (1.0 - eta)
+    j = np.arange(size)
+    up = (size - j) / (j + 1) * odds  # mass[j + 1] / mass[j]
+    mode = min(int((size + 1) * eta), size)
+    weights = np.ones(size + 1)
+    weights[mode + 1 :] = np.cumprod(up[mode:])
+    weights[:mode] = np.cumprod(1.0 / up[:mode][::-1])[::-1]
+    return weights / math.fsum(weights.tolist())
+
+
 def rcn_collision_prob(k: int, i: int, eta: float) -> float:
     """Pr[Z1 - Z2 = i] for Z1 ~ Bin(k+i, eta), Z2 ~ Bin(k-i, eta).
 
     Starting from (k+i) labels at +1 and (k-i) at -1 and flipping each
     independently with probability eta, this is the probability the
-    signed sum lands on zero. Exact convolution, compensated summation.
+    signed sum lands on zero. Exact convolution of the two pmfs,
+    compensated summation.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
@@ -55,10 +72,8 @@ def rcn_collision_prob(k: int, i: int, eta: float) -> float:
         raise ContractViolation(f"offset i={i} outside [0, {k}]")
     if not 0.0 <= eta < 1.0:
         raise ContractViolation(f"eta={eta} outside [0, 1)")
-    j = np.arange(0, k - i + 1)
-    pmf2 = stats.binom.pmf(j, k - i, eta)
-    pmf1 = stats.binom.pmf(j + i, k + i, eta)
-    return float(math.fsum((pmf1 * pmf2).tolist()))
+    pmf1 = _binom_pmf(k + i, eta)[i : k + 1]  # Z1 = j + i for j = 0..k-i
+    return float(math.fsum((pmf1 * _binom_pmf(k - i, eta)).tolist()))
 
 
 def noisy_nonzero_test(

@@ -6,14 +6,17 @@ exact small-scale quadratic programs) and deliberately shares no code
 path with the learners' sampled estimators, so a corrupted estimator
 cannot hide from these checks.
 
-Each suite runs a fixed seed schedule (seeds 1..trials) and reports the
-worst margin observed together with any violating instance.
+A lemma suite is the body of one trial, which yields a margin for each
+check it makes; one driver runs the trials on a fixed seed schedule and
+reports the worst margin together with the first violating instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -181,372 +184,273 @@ class VerifierOracle:
         return best_w, best_val
 
 
-# ---------------------------------------------------------------- suite tools
+# --------------------------------------------------------------- suite driver
+
+# the (k, eta) grid of the two rcn suites, one trial per point
+_RCN_GRID = tuple(
+    (k, eta) for k in (1, 2, 4, 8, 16, 64, 256, 1024) for eta in (0.05, 0.1, 0.2, 0.3, 0.45)
+)
+_EXACT_BOUND = "exact bound, 1e-12 float cushion"
+_EXACT_BOUNDS = "exact bounds, 1e-12 float cushion"
+_MAX_COUNTEREXAMPLES = 5
 
 
-def _report(suite: str, trials: int, margins: list[float], violations: list, extra=None):
-    rep = {
-        "suite": suite,
-        "trials": trials,
-        "violations": len(violations),
-        "worst_margin": min(margins) if margins else None,
-        "passed": not violations,
-    }
-    if violations:
-        rep["counterexamples"] = violations[:5]
-    if extra:
-        rep.update(extra)
-    return rep
+@dataclass(frozen=True)
+class _Suite:
+    """One lemma suite. `checks` is the body of one trial: it takes the
+    trial's case and the size parameters, and yields (margin, context)
+    for every check it makes, a negative margin being a violation.
+    `sizes` names the size parameters with their defaults. `trials` is
+    the default trial count; None runs one trial per point of
+    `_RCN_GRID`, whatever count is asked for."""
+
+    name: str
+    checks: Callable[..., Iterator[tuple[float, dict]]]
+    sizes: dict
+    trials: int | None
+    tolerance: float | str
+
+    def __call__(self, *, n=None, alpha=None, trials=None, seed=0) -> dict:
+        """Run the suite and report it. Trial t of 1..trials draws from
+        default_rng([seed, t]); each violation is kept with its trial."""
+        if trials is not None and trials < 1:
+            raise ContractViolation(f"a suite needs at least one trial, got {trials}")
+        given = {"n": n, "alpha": alpha}
+        sizes = {k: v if given[k] is None else given[k] for k, v in self.sizes.items()}
+        if self.trials is None:
+            count, cases = len(_RCN_GRID), _RCN_GRID
+        else:
+            count = self.trials if trials is None else trials
+            cases = (np.random.default_rng([seed, t]) for t in range(1, count + 1))
+        margins, violations = [], []
+        for trial, case in enumerate(cases, start=1):
+            for margin, context in self.checks(case, **sizes):
+                margins.append(margin)
+                if margin < 0:
+                    violations.append({"trial": trial, **context})
+        report = {
+            "suite": self.name,
+            "trials": count,
+            "violations": len(violations),
+            "worst_margin": min(margins, default=None),
+            "passed": not violations,
+            "tolerance": self.tolerance,
+        }
+        if violations:
+            report["counterexamples"] = violations[:_MAX_COUNTEREXAMPLES]
+        return report
 
 
-def _push(margins, violations, margin: float, context) -> None:
-    margins.append(margin)
-    if margin < 0:
-        violations.append(context)
+# ---------------------------------------------------------------- suite checks
 
 
-# --------------------------------------------------------------------- suites
-
-
-def suite_fact_smooth(n: int = 10, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _fact_smooth(rng, n, alpha):
     """Single-bit and subset probability bounds, marginal and conditional
     smoothness closure, and smoothness of convex combinations."""
-    margins, violations = [], []
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        dist = random_smooth_table(n, alpha, rng)
-        a_star = verify_smoothness(dist)
-        _push(
-            margins,
-            violations,
-            alpha - a_star + 1e-12,
-            {"trial": trial, "alpha_star": a_star},
-        )
-        masks = all_masks(n)
-        lo, hi = 1.0 / (1.0 + a_star), a_star / (1.0 + a_star)
-        for i in range(n):
-            p1 = exact_event_prob_masked(dist, ((masks >> i) & 1) == 1)
-            for p in (p1, 1.0 - p1):
-                _push(margins, violations, p - lo + 1e-12, {"trial": trial, "bit": i, "p": p})
-                _push(margins, violations, hi - p + 1e-12, {"trial": trial, "bit": i, "p": p})
-        subset = random_subset(n, 3, rng, min_size=1)
-        assignment = int(rng.integers(0, 1 << n)) & subset
-        k = int(popcount(subset))
-        p_sub = exact_event_prob_masked(dist, (masks & subset) == assignment)
-        _push(margins, violations, p_sub - lo**k + 1e-12, {"trial": trial, "set_prob": p_sub})
-        _push(margins, violations, hi**k - p_sub + 1e-12, {"trial": trial, "set_prob": p_sub})
-        keep = random_subset(n, n - 1, rng, min_size=1)
-        _push(
-            margins,
-            violations,
-            a_star - verify_smoothness(marginal(dist, keep)) + 1e-12,
-            {"trial": trial, "marginal_of": bits_of(keep)},
-        )
-        cond = conditional_marginal(dist, subset, assignment)
-        _push(
-            margins,
-            violations,
-            a_star - verify_smoothness(cond) + 1e-12,
-            {"trial": trial, "conditioned_on": bits_of(subset)},
-        )
-        other = random_smooth_table(n, alpha, rng)
-        lam = float(rng.uniform(0.2, 0.8))
-        mix = Distribution.table(
-            lam * dist.probs_array() + (1 - lam) * other.probs_array(), dist.domain
-        )
-        a_mix = verify_smoothness(mix)
-        a_both = max(a_star, verify_smoothness(other))
-        _push(margins, violations, a_both - a_mix + 1e-12, {"trial": trial, "mix_alpha": a_mix})
-    return _report("fact-smooth", trials, margins, violations,
-                   {"tolerance": "exact bounds, 1e-12 float cushion"})
+    dist = random_smooth_table(n, alpha, rng)
+    a_star = verify_smoothness(dist)
+    yield alpha - a_star + 1e-12, {"alpha_star": a_star}
+    masks = all_masks(n)
+    lo, hi = 1.0 / (1.0 + a_star), a_star / (1.0 + a_star)
+    for i in range(n):
+        p1 = exact_event_prob_masked(dist, ((masks >> i) & 1) == 1)
+        for p in (p1, 1.0 - p1):
+            yield p - lo + 1e-12, {"bit": i, "p": p}
+            yield hi - p + 1e-12, {"bit": i, "p": p}
+    subset = random_subset(n, 3, rng, min_size=1)
+    assignment = int(rng.integers(0, 1 << n)) & subset
+    k = int(popcount(subset))
+    p_sub = exact_event_prob_masked(dist, (masks & subset) == assignment)
+    yield p_sub - lo**k + 1e-12, {"set_prob": p_sub}
+    yield hi**k - p_sub + 1e-12, {"set_prob": p_sub}
+    keep = random_subset(n, n - 1, rng, min_size=1)
+    yield a_star - verify_smoothness(marginal(dist, keep)) + 1e-12, {"marginal_of": bits_of(keep)}
+    cond = conditional_marginal(dist, subset, assignment)
+    yield a_star - verify_smoothness(cond) + 1e-12, {"conditioned_on": bits_of(subset)}
+    other = random_smooth_table(n, alpha, rng)
+    lam = float(rng.uniform(0.2, 0.8))
+    mix = Distribution.table(
+        lam * dist.probs_array() + (1 - lam) * other.probs_array(), dist.domain
+    )
+    a_mix = verify_smoothness(mix)
+    yield max(a_star, verify_smoothness(other)) - a_mix + 1e-12, {"mix_alpha": a_mix}
 
 
-def suite_parseval(n: int = 12, trials: int = 200, seed: int = 0):
+def _parseval(rng, n):
     """Parseval identity in the uniform and product bases, exact to 1e-9."""
-    margins, violations = [], []
-    tol = 1e-9
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=6)
-        spec_u = exact_transform(tree, UNIFORM_PM)
-        gap_u = abs(spec_u.l2() - 1.0)
-        _push(margins, violations, tol - gap_u, {"trial": trial, "basis": "uniform", "gap": gap_u})
-        means = random_product_means(n, rng)
-        basis = ProductBasis(tuple(means))
-        spec_p = exact_transform(tree, basis)
-        dist = Distribution.product(means, PLUS_MINUS)
-        masks = all_masks(n)
-        e2 = math.fsum(
-            (dist.probs_array() * np.asarray(tree.value_batch(masks)) ** 2).tolist()
-        )
-        gap_p = abs(spec_p.l2() - e2)
-        _push(margins, violations, tol - gap_p, {"trial": trial, "basis": "product", "gap": gap_p})
-    return _report("parseval", trials, margins, violations, {"tolerance": tol})
+    tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=6)
+    gap_u = abs(exact_transform(tree, UNIFORM_PM).l2() - 1.0)
+    yield 1e-9 - gap_u, {"basis": "uniform", "gap": gap_u}
+    means = random_product_means(n, rng)
+    spec_p = exact_transform(tree, ProductBasis(tuple(means)))
+    dist = Distribution.product(means, PLUS_MINUS)
+    e2 = math.fsum(
+        (dist.probs_array() * np.asarray(tree.value_batch(all_masks(n))) ** 2).tolist()
+    )
+    gap_p = abs(spec_p.l2() - e2)
+    yield 1e-9 - gap_p, {"basis": "product", "gap": gap_p}
 
 
-def suite_km_norms(n: int = 12, trials: int = 200, seed: int = 0):
+def _km_norms(rng, n):
     """Per-coefficient bound t/2^|S| and total L1 bound t for t-leaf trees."""
-    margins, violations = [], []
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 17))
-        tree = random_tree(n, t, rng, max_depth=8)
-        t_real = tree.leaf_count
-        spec = exact_transform(tree, UNIFORM_PM)
-        for s, c in spec.coeffs.items():
-            bound = t_real / 2.0 ** int(popcount(s))
-            _push(
-                margins,
-                violations,
-                bound - abs(c) + 1e-12,
-                {"trial": trial, "set": bits_of(s), "coeff": c, "bound": bound},
-            )
-        _push(
-            margins,
-            violations,
-            t_real - spec.l1() + 1e-9,
-            {"trial": trial, "l1": spec.l1(), "t": t_real},
-        )
-    return _report("km-norms", trials, margins, violations,
-                   {"tolerance": "exact bounds, 1e-12 float cushion"})
+    tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=8)
+    t = tree.leaf_count
+    spec = exact_transform(tree, UNIFORM_PM)
+    for s, c in spec.coeffs.items():
+        bound = t / 2.0 ** int(popcount(s))
+        yield bound - abs(c) + 1e-12, {"set": bits_of(s), "coeff": c, "bound": bound}
+    yield t - spec.l1() + 1e-9, {"l1": spec.l1(), "t": t}
 
 
-def suite_spectral_tail(n: int = 12, trials: int = 200, seed: int = 0):
+def _spectral_tail(rng, n):
     """Spectral tail above log(t^2/tau) carries at most tau of the mass."""
-    margins, violations = [], []
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=8)
-        t = tree.leaf_count
-        spec = exact_transform(tree, UNIFORM_PM)
-        for tau in (0.5, 0.1, 0.05):
-            cut = math.log2(t * t / tau)
-            tail = math.fsum(
-                c * c for s, c in spec.coeffs.items() if popcount(s) >= cut
-            )
-            _push(
-                margins,
-                violations,
-                tau - tail + 1e-12,
-                {"trial": trial, "tau": tau, "tail": tail},
-            )
-    return _report("spectral-tail", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=8)
+    t = tree.leaf_count
+    spec = exact_transform(tree, UNIFORM_PM)
+    for tau in (0.5, 0.1, 0.05):
+        cut = math.log2(t * t / tau)
+        tail = math.fsum(c * c for s, c in spec.coeffs.items() if popcount(s) >= cut)
+        yield tau - tail + 1e-12, {"tau": tau, "tail": tail}
 
 
-def suite_nonzero_constant_term(n: int = 12, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _nonzero_constant_term(rng, n, alpha):
     """Sparse {0,1} polynomials with a non-zero constant term are non-zero
     with probability at least (1+alpha)^(-log2 t)."""
-    margins, violations = [], []
-    ver = VerifierOracle()
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 9))
-        poly = random_sparse_poly(
-            n, t, rng, max_degree=6, domain=ZERO_ONE, include_constant=True
-        )
-        dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
-        a_star = verify_smoothness(dist)
-        p = ver.exact_nonzero_prob(poly, dist, tol=1e-12)
-        bound = (1.0 / (1.0 + a_star)) ** math.log2(max(poly.sparsity, 2))
-        _push(
-            margins,
-            violations,
-            p - bound + 1e-12,
-            {"trial": trial, "p": p, "bound": bound, "t": poly.sparsity},
-        )
-    return _report("nonzero-constant-term", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    t = int(rng.integers(2, 9))
+    poly = random_sparse_poly(n, t, rng, max_degree=6, domain=ZERO_ONE, include_constant=True)
+    dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
+    a_star = verify_smoothness(dist)
+    p = VerifierOracle().exact_nonzero_prob(poly, dist, tol=1e-12)
+    bound = (1.0 / (1.0 + a_star)) ** math.log2(max(poly.sparsity, 2))
+    yield p - bound + 1e-12, {"p": p, "bound": bound, "t": poly.sparsity}
 
 
-def suite_nonzero_lower_bound(n: int = 12, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _nonzero_lower_bound(rng, n, alpha):
     """If f_S keeps a monomial of degree <= d-|S|, its non-zero probability
     is at least (1+alpha)^-(d-|S|+log2 t)."""
-    margins, violations = [], []
-    ver = VerifierOracle()
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 9))
-        poly = random_sparse_poly(n, t, rng, max_degree=5, domain=ZERO_ONE)
-        dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
-        a_star = verify_smoothness(dist)
-        support = [m for m in poly.terms]
-        base = support[int(rng.integers(0, len(support)))]
-        sub_choices = list(submasks(base))
-        subset = sub_choices[int(rng.integers(0, len(sub_choices)))]
-        restriction = poly.restrict(subset)
-        if not restriction.terms:
-            continue
-        min_deg = min(int(popcount(m)) for m in restriction.terms)
-        d = min_deg + int(popcount(subset))  # tightest d the premise allows
-        p = ver.exact_nonzero_prob(restriction, dist, tol=1e-12)
-        expo = d - int(popcount(subset)) + math.log2(max(poly.sparsity, 2))
-        bound = (1.0 / (1.0 + a_star)) ** expo
-        _push(
-            margins,
-            violations,
-            p - bound + 1e-12,
-            {"trial": trial, "set": bits_of(subset), "p": p, "bound": bound},
-        )
-    return _report("nonzero-lower-bound", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    t = int(rng.integers(2, 9))
+    poly = random_sparse_poly(n, t, rng, max_degree=5, domain=ZERO_ONE)
+    dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
+    a_star = verify_smoothness(dist)
+    support = list(poly.terms)
+    base = support[int(rng.integers(0, len(support)))]
+    sub_choices = list(submasks(base))
+    subset = sub_choices[int(rng.integers(0, len(sub_choices)))]
+    restriction = poly.restrict(subset)
+    if not restriction.terms:
+        return
+    min_deg = min(int(popcount(m)) for m in restriction.terms)
+    d = min_deg + int(popcount(subset))  # tightest d the premise allows
+    p = VerifierOracle().exact_nonzero_prob(restriction, dist, tol=1e-12)
+    expo = d - int(popcount(subset)) + math.log2(max(poly.sparsity, 2))
+    bound = (1.0 / (1.0 + a_star)) ** expo
+    yield p - bound + 1e-12, {"set": bits_of(subset), "p": p, "bound": bound}
 
 
-def suite_nonzero_upper_bound(n: int = 12, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _nonzero_upper_bound(rng, n, alpha):
     """If every term of f_S has degree >= d', the non-zero probability is
     at most t (alpha/(1+alpha))^d'."""
-    margins, violations = [], []
-    ver = VerifierOracle()
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 9))
-        d_floor = int(rng.integers(2, 6))
-        poly = random_sparse_poly(
-            n, t, rng, max_degree=min(n, d_floor + 3), min_degree=d_floor,
-            domain=ZERO_ONE,
-        )
-        dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
-        a_star = verify_smoothness(dist)
-        d_prime = min(int(popcount(m)) for m in poly.terms)
-        p = ver.exact_nonzero_prob(poly, dist, tol=1e-12)
-        bound = poly.sparsity * (a_star / (1.0 + a_star)) ** d_prime
-        _push(
-            margins,
-            violations,
-            bound - p + 1e-12,
-            {"trial": trial, "p": p, "bound": bound, "d_prime": d_prime},
-        )
-    return _report("nonzero-upper-bound", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    t = int(rng.integers(2, 9))
+    d_floor = int(rng.integers(2, 6))
+    poly = random_sparse_poly(
+        n, t, rng, max_degree=min(n, d_floor + 3), min_degree=d_floor, domain=ZERO_ONE
+    )
+    dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
+    a_star = verify_smoothness(dist)
+    d_prime = min(int(popcount(m)) for m in poly.terms)
+    p = VerifierOracle().exact_nonzero_prob(poly, dist, tol=1e-12)
+    bound = poly.sparsity * (a_star / (1.0 + a_star)) ** d_prime
+    yield bound - p + 1e-12, {"p": p, "bound": bound, "d_prime": d_prime}
 
 
-def suite_restriction_growth(n: int = 10, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _restriction_growth(rng, n, alpha):
     """Dropping one variable from a grown set shrinks the non-zero
     probability of the restriction by a factor of at most (1+alpha):
     Pr[f_S != 0] >= Pr[f_{S+i} != 0] / (1+alpha). Climbing from a
     maximal coefficient down to any subset chains this into the
     (1+alpha)^-d admission guarantee."""
-    margins, violations = [], []
+    tree = random_tree(n, int(rng.integers(2, 9)), rng, max_depth=4)
+    spec = exact_transform(tree, UNIFORM_PM)
+    dist = random_smooth_table(n, alpha, rng, domain=PLUS_MINUS)
+    a_star = verify_smoothness(dist)
+    support = sorted(spec.coeffs)
+    base = support[int(rng.integers(0, len(support)))]
+    subs = list(submasks(base))
+    subset = subs[int(rng.integers(0, len(subs)))]
+    i = int(rng.integers(0, n))
+    if subset >> i & 1:
+        return
     ver = VerifierOracle()
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        tree = random_tree(n, int(rng.integers(2, 9)), rng, max_depth=4)
-        spec = exact_transform(tree, UNIFORM_PM)
-        dist = random_smooth_table(n, alpha, rng, domain=PLUS_MINUS)
-        a_star = verify_smoothness(dist)
-        support = sorted(spec.coeffs)
-        base = support[int(rng.integers(0, len(support)))]
-        subs = list(submasks(base))
-        subset = subs[int(rng.integers(0, len(subs)))]
-        i = int(rng.integers(0, n))
-        if subset >> i & 1:
-            continue
-        p_s = ver.exact_nonzero_prob(spec.restrict(subset), dist, tol=1e-12)
-        p_si = ver.exact_nonzero_prob(
-            spec.restrict(subset | (1 << i)), dist, tol=1e-12
-        )
-        _push(
-            margins,
-            violations,
-            p_s - p_si / (1.0 + a_star) + 1e-12,
-            {"trial": trial, "set": bits_of(subset), "i": i, "p_s": p_s, "p_si": p_si},
-        )
-    return _report("restriction-growth", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    p_s = ver.exact_nonzero_prob(spec.restrict(subset), dist, tol=1e-12)
+    p_si = ver.exact_nonzero_prob(spec.restrict(subset | (1 << i)), dist, tol=1e-12)
+    yield (
+        p_s - p_si / (1.0 + a_star) + 1e-12,
+        {"set": bits_of(subset), "i": i, "p_s": p_s, "p_si": p_si},
+    )
 
 
-def suite_tree_truncation(n: int = 12, trials: int = 200, seed: int = 0, c: float = 0.3):
+_TRUNCATION_C = 0.3  # each bit takes either value with probability >= c
+
+
+def _tree_truncation(rng, n):
     """Truncation bounds for trees under bounded product distributions:
     truncation error, coefficient count/degree of the truncation, and the
     off-support spectral tail."""
-    margins, violations = [], []
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 17))
-        tree = random_tree(n, t, rng, max_depth=10)
-        t_real = tree.leaf_count
-        means = random_product_means(n, rng, -(1 - 2 * c), 1 - 2 * c)
-        dist = Distribution.product(means, PLUS_MINUS)
-        basis = ProductBasis(tuple(means))
-        rate = math.log(1.0 / (1.0 - c))
-        tau = 0.05
-        # depth-d truncation misses with probability at most tau
-        d5 = max(1, math.ceil(math.log(t_real / tau) / rate))
-        cut = tree.truncate(d5, cap_label=-1)
-        masks = all_masks(n)
-        diff = np.asarray(tree.value_batch(masks)) != np.asarray(cut.value_batch(masks))
-        p_diff = exact_event_prob_masked(dist, diff)
-        _push(margins, violations, tau - p_diff + 1e-12,
-              {"trial": trial, "check": "d5", "p_diff": p_diff, "d": d5})
-        # truncated tree has few, low-degree coefficients
-        d6 = min(d5, tree.depth)
-        spec_cut = exact_transform(cut, basis)
-        _push(margins, violations, t_real * 2**cut.depth - spec_cut.l0() + 0.5,
-              {"trial": trial, "check": "d6-count", "l0": spec_cut.l0()})
-        max_deg = max((int(popcount(s)) for s in spec_cut.coeffs), default=0)
-        _push(margins, violations, cut.depth - max_deg + 0.5,
-              {"trial": trial, "check": "d6-degree", "deg": max_deg})
-        # off-support tail of the full spectrum
-        d7 = max(1, math.ceil(math.log(4 * t_real / tau) / rate))
-        cut7 = tree.truncate(d7, cap_label=-1)
-        spec_full = exact_transform(tree, basis)
-        support7 = set(exact_transform(cut7, basis).coeffs)
-        tail = math.fsum(
-            cc * cc for s, cc in spec_full.coeffs.items() if s not in support7
-        )
-        _push(margins, violations, tau - tail + 1e-12,
-              {"trial": trial, "check": "d7", "tail": tail})
-    return _report("tree-truncation", trials, margins, violations,
-                   {"tolerance": "exact bounds at tau=0.05, 1e-12 float cushion"})
+    c = _TRUNCATION_C
+    tree = random_tree(n, int(rng.integers(2, 17)), rng, max_depth=10)
+    t = tree.leaf_count
+    means = random_product_means(n, rng, -(1 - 2 * c), 1 - 2 * c)
+    dist = Distribution.product(means, PLUS_MINUS)
+    basis = ProductBasis(tuple(means))
+    rate = math.log(1.0 / (1.0 - c))
+    tau = 0.05
+    # depth-d truncation misses with probability at most tau
+    d5 = max(1, math.ceil(math.log(t / tau) / rate))
+    cut = tree.truncate(d5, cap_label=-1)
+    masks = all_masks(n)
+    diff = np.asarray(tree.value_batch(masks)) != np.asarray(cut.value_batch(masks))
+    p_diff = exact_event_prob_masked(dist, diff)
+    yield tau - p_diff + 1e-12, {"check": "d5", "p_diff": p_diff, "d": d5}
+    # truncated tree has few, low-degree coefficients
+    spec_cut = exact_transform(cut, basis)
+    yield t * 2**cut.depth - spec_cut.l0() + 0.5, {"check": "d6-count", "l0": spec_cut.l0()}
+    max_deg = max((int(popcount(s)) for s in spec_cut.coeffs), default=0)
+    yield cut.depth - max_deg + 0.5, {"check": "d6-degree", "deg": max_deg}
+    # off-support tail of the full spectrum
+    d7 = max(1, math.ceil(math.log(4 * t / tau) / rate))
+    support7 = set(exact_transform(tree.truncate(d7, cap_label=-1), basis).coeffs)
+    tail = math.fsum(
+        cc * cc for s, cc in exact_transform(tree, basis).coeffs.items() if s not in support7
+    )
+    yield tau - tail + 1e-12, {"check": "d7", "tail": tail}
 
 
-def suite_truncation_poly(n: int = 12, alpha: float = 1.5, trials: int = 200, seed: int = 0):
+def _truncation_poly(rng, n, alpha):
     """Pr[f != f^d] <= t (alpha/(1+alpha))^d for {0,1} polynomials."""
-    margins, violations = [], []
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        t = int(rng.integers(2, 9))
-        poly = random_sparse_poly(n, t, rng, max_degree=8, domain=ZERO_ONE)
-        dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
-        a_star = verify_smoothness(dist)
-        d = int(rng.integers(1, 6))
-        cut = poly.truncate(d)
-        masks = all_masks(n)
-        diff = np.abs(
-            np.asarray(poly.value_batch(masks)) - np.asarray(cut.value_batch(masks))
-        ) > 1e-12
-        p_diff = exact_event_prob_masked(dist, diff)
-        bound = poly.sparsity * (a_star / (1.0 + a_star)) ** d
-        _push(
-            margins,
-            violations,
-            bound - p_diff + 1e-12,
-            {"trial": trial, "d": d, "p_diff": p_diff, "bound": bound},
-        )
-    return _report("truncation-poly", trials, margins, violations,
-                   {"tolerance": "exact bound, 1e-12 float cushion"})
+    t = int(rng.integers(2, 9))
+    poly = random_sparse_poly(n, t, rng, max_degree=8, domain=ZERO_ONE)
+    dist = random_smooth_table(n, alpha, rng, domain=ZERO_ONE)
+    a_star = verify_smoothness(dist)
+    d = int(rng.integers(1, 6))
+    cut = poly.truncate(d)
+    masks = all_masks(n)
+    diff = np.abs(
+        np.asarray(poly.value_batch(masks)) - np.asarray(cut.value_batch(masks))
+    ) > 1e-12
+    p_diff = exact_event_prob_masked(dist, diff)
+    bound = poly.sparsity * (a_star / (1.0 + a_star)) ** d
+    yield bound - p_diff + 1e-12, {"d": d, "p_diff": p_diff, "bound": bound}
 
 
-def suite_rcn_monotone(seed: int = 0, trials: int = 0):
+def _rcn_monotone(case):
     """Collision probabilities strictly decrease in the offset for every
     eta < 1/2 on a k-grid up to 2**10."""
-    margins, violations = [], []
-    ks = [1, 2, 4, 8, 16, 64, 256, 1024]
-    etas = [0.05, 0.1, 0.2, 0.3, 0.45]
-    for k in ks:
-        for eta in etas:
-            prev = rcn_collision_prob(k, 0, eta)
-            for i in range(1, min(k, 6) + 1):
-                cur = rcn_collision_prob(k, i, eta)
-                _push(
-                    margins,
-                    violations,
-                    prev - cur,
-                    {"k": k, "eta": eta, "i": i, "p_prev": prev, "p_cur": cur},
-                )
-                prev = cur
-    return _report("rcn-monotone", len(ks) * len(etas), margins, violations,
-                   {"tolerance": "strict monotonicity, exact arithmetic"})
+    k, eta = case
+    prev = rcn_collision_prob(k, 0, eta)
+    for i in range(1, min(k, 6) + 1):
+        cur = rcn_collision_prob(k, i, eta)
+        yield prev - cur, {"k": k, "eta": eta, "i": i, "p_prev": prev, "p_cur": cur}
+        prev = cur
 
 
 def walk_gap_floor(k: int) -> float:
@@ -559,50 +463,28 @@ def walk_gap_floor(k: int) -> float:
         return 1.0
     steps = 2 * (k - 1)
     # C(2k-2, k-1) - C(2k-2, k) = C(2k-2, k-1) / k; exact big-int ratio
-    from fractions import Fraction
-
     return float(Fraction(math.comb(steps, k - 1), k * 4 ** (k - 1)))
 
 
-def suite_rcn_gap(seed: int = 0, trials: int = 0):
+def _rcn_gap(case):
     """p0 - p1 >= (2 eta - 1)^2 * walk_gap_floor(k)."""
-    margins, violations = [], []
-    ks = [1, 2, 4, 8, 16, 64, 256, 1024]
-    etas = [0.05, 0.1, 0.2, 0.3, 0.45]
-    for k in ks:
-        for eta in etas:
-            gap = rcn_collision_prob(k, 0, eta) - rcn_collision_prob(k, 1, eta)
-            floor = (2.0 * eta - 1.0) ** 2 * walk_gap_floor(k)
-            _push(
-                margins,
-                violations,
-                gap - floor + 1e-14,
-                {"k": k, "eta": eta, "gap": gap, "floor": floor},
-            )
-    return _report("rcn-gap", len(ks) * len(etas), margins, violations,
-                   {"tolerance": "exact bound, 1e-14 float cushion"})
+    k, eta = case
+    gap = rcn_collision_prob(k, 0, eta) - rcn_collision_prob(k, 1, eta)
+    floor = (2.0 * eta - 1.0) ** 2 * walk_gap_floor(k)
+    yield gap - floor + 1e-14, {"k": k, "eta": eta, "gap": gap, "floor": floor}
 
 
-def suite_tree_expansion(n: int = 10, trials: int = 100, seed: int = 0):
+def _tree_expansion(rng, n):
     """Path expansion of trees agrees pointwise with tree evaluation and
     with the direct transform, in all three bases."""
-    margins, violations = [], []
-    ver = VerifierOracle()
-    for trial in range(1, trials + 1):
-        rng = np.random.default_rng([seed, trial])
-        tree = random_tree(n, int(rng.integers(2, 9)), rng, max_depth=5)
-        masks = all_masks(n)
-        tv = np.asarray(tree.value_batch(masks))
-        for basis in (UNIFORM_PM, ProductBasis(tuple(random_product_means(n, rng)))):
-            spec = tree_to_polynomial(tree, basis)
-            gap = float(np.max(np.abs(np.asarray(spec.value_batch(masks)) - tv)))
-            _push(margins, violations, 1e-9 - gap,
-                  {"trial": trial, "basis": getattr(basis, "tag", "?"), "gap": gap})
-            budget = tree.leaf_count * 2**tree.depth
-            _push(margins, violations, budget - spec.l0() + 0.5,
-                  {"trial": trial, "check": "count"})
-    return _report("tree-expansion", trials, margins, violations,
-                   {"tolerance": 1e-9})
+    tree = random_tree(n, int(rng.integers(2, 9)), rng, max_depth=5)
+    masks = all_masks(n)
+    tv = np.asarray(tree.value_batch(masks))
+    for basis in (UNIFORM_PM, ProductBasis(tuple(random_product_means(n, rng)))):
+        spec = tree_to_polynomial(tree, basis)
+        gap = float(np.max(np.abs(np.asarray(spec.value_batch(masks)) - tv)))
+        yield 1e-9 - gap, {"basis": getattr(basis, "tag", "?"), "gap": gap}
+        yield tree.leaf_count * 2**tree.depth - spec.l0() + 0.5, {"check": "count"}
 
 
 def pull_back(outcome, n: int):
@@ -630,30 +512,46 @@ def agnostic_excess(target, outcome, max_size: int):
 
 
 SUITES = {
-    "fact-smooth": suite_fact_smooth,
-    "parseval": suite_parseval,
-    "km-norms": suite_km_norms,
-    "spectral-tail": suite_spectral_tail,
-    "nonzero-constant-term": suite_nonzero_constant_term,
-    "nonzero-lower-bound": suite_nonzero_lower_bound,
-    "nonzero-upper-bound": suite_nonzero_upper_bound,
-    "restriction-growth": suite_restriction_growth,
-    "tree-truncation": suite_tree_truncation,
-    "truncation-poly": suite_truncation_poly,
-    "rcn-monotone": suite_rcn_monotone,
-    "rcn-gap": suite_rcn_gap,
-    "tree-expansion": suite_tree_expansion,
+    suite.name: suite
+    for suite in (
+        _Suite("fact-smooth", _fact_smooth, {"n": 10, "alpha": 1.5}, 200, _EXACT_BOUNDS),
+        _Suite("parseval", _parseval, {"n": 12}, 200, 1e-9),
+        _Suite("km-norms", _km_norms, {"n": 12}, 200, _EXACT_BOUNDS),
+        _Suite("spectral-tail", _spectral_tail, {"n": 12}, 200, _EXACT_BOUND),
+        _Suite(
+            "nonzero-constant-term", _nonzero_constant_term, {"n": 12, "alpha": 1.5}, 200,
+            _EXACT_BOUND,
+        ),
+        _Suite(
+            "nonzero-lower-bound", _nonzero_lower_bound, {"n": 12, "alpha": 1.5}, 200,
+            _EXACT_BOUND,
+        ),
+        _Suite(
+            "nonzero-upper-bound", _nonzero_upper_bound, {"n": 12, "alpha": 1.5}, 200,
+            _EXACT_BOUND,
+        ),
+        _Suite(
+            "restriction-growth", _restriction_growth, {"n": 10, "alpha": 1.5}, 200,
+            _EXACT_BOUND,
+        ),
+        _Suite(
+            "tree-truncation", _tree_truncation, {"n": 12}, 200,
+            "exact bounds at tau=0.05, 1e-12 float cushion",
+        ),
+        _Suite("truncation-poly", _truncation_poly, {"n": 12, "alpha": 1.5}, 200, _EXACT_BOUND),
+        _Suite("rcn-monotone", _rcn_monotone, {}, None, "strict monotonicity, exact arithmetic"),
+        _Suite("rcn-gap", _rcn_gap, {}, None, "exact bound, 1e-14 float cushion"),
+        _Suite("tree-expansion", _tree_expansion, {"n": 10}, 100, 1e-9),
+    )
 }
 
 
 def run_lemma_suite(suite: str, **params) -> dict:
+    """Report of one suite, or {"suites": [...]} of all of them for
+    "all"; `params` are the suite keywords n, alpha, trials and seed, and
+    n, alpha or trials given as None take the suite's default."""
     if suite == "all":
         return {"suites": [run_lemma_suite(name, **params) for name in SUITES]}
     if suite not in SUITES:
         raise ContractViolation(f"unknown suite {suite!r}; have {sorted(SUITES)}")
-    fn = SUITES[suite]
-    import inspect
-
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs = {k: v for k, v in params.items() if k in accepted and v is not None}
-    return fn(**kwargs)
+    return SUITES[suite](**params)

@@ -3,6 +3,9 @@ verifier independence (mutation check)."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
@@ -19,7 +22,7 @@ from localmq import (
     OracleSession,
     PLUS_MINUS,
 )
-from localmq import cli
+from localmq import cli, verify
 from localmq.cli import main
 from localmq.errors import AuditLogError
 from localmq.generators import random_sparse_poly, random_tree
@@ -220,6 +223,45 @@ class TestExitCodes:
         assert code == 3 and captured.out == ""
         assert captured.err == f"contract violation: exact enumeration needs n <= 20, got {n}\n"
 
+    @pytest.mark.parametrize("suite", ["all", "parseval", "rcn-gap"])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_below_one_is_3(self, suite, trials, capsys):
+        code = main(["verify", "--suite", suite, "--trials", str(trials)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        want = f"contract violation: a suite needs at least one trial, got {trials}\n"
+        assert captured.err == want
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            *[
+                (["gen-target", "--kind", "sparse-poly", "--n", "3", "--seed", str(s)], 0)
+                for s in range(4)
+            ],
+            (["gen-target", "--kind", "dnf", "--n", "2"], 3),
+            (["learn", "--algo", "dnf", "--n", "2"], 3),
+            *[
+                (["verify", "--suite", suite, "--n", str(n), "--trials", "20"], code)
+                for suite, code in [
+                    ("fact-smooth", 3), ("nonzero-lower-bound", 0), ("truncation-poly", 0)
+                ]
+                for n in (1, 2)
+            ],
+        ],
+    )
+    def test_sizes_above_n_are_clamped_or_refused(self, argv, expect, capsys):
+        # a size above n is clamped to n, and what cannot be built is a
+        # contract violation, never a numpy error
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expect
+        if code == 3:
+            assert captured.out == "" and captured.err.startswith("contract violation: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert captured.err == "" and json.loads(captured.out)
+
     def test_reduce_past_the_correlation_check_limit_is_3(self, capsys):
         # n = 12, k = 3 builds a code of length m = 27; the exact correlation
         # check enumerates all 2^m words, so it refuses m > 20
@@ -417,7 +459,7 @@ class TestCanonicalReader:
             chunk = lines[start : start + size]
             fast = cli._canonical_columns(chunk, width)
             assert fast is not None
-            want = cli._audit_columns(chunk, width)
+            want = cli._json_columns(chunk, width, start + 1)
             for got, ref in zip(fast[:4], want[:4]):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
             assert fast[4] == want[4]
@@ -499,6 +541,47 @@ class TestSuiteRunner:
         names = {r["suite"] for r in report["suites"]}
         assert "parseval" in names and "nonzero-lower-bound" in names
         assert all(r["passed"] for r in report["suites"])
+
+    def test_driver_reports_the_first_five_violations(self, monkeypatch):
+        # trial t draws from default_rng([seed, t]); trials 4..10 fail
+        def checks(rng, n):
+            draw = int(rng.integers(1 << 30))
+            trial = next(order)
+            yield 1.0, {"draw": draw}
+            if trial >= 4:
+                yield -float(trial), {"draw": draw, "n": n}
+
+        order = iter(range(1, 11))
+        stub = verify._Suite("stub", checks, {"n": 4}, 10, "none")
+        monkeypatch.setitem(verify.SUITES, "stub", stub)
+        report = run_lemma_suite("stub", n=None, alpha=2.0, trials=None, seed=9)
+        assert report["suite"] == "stub" and report["trials"] == 10
+        assert report["violations"] == 7 and report["passed"] is False
+        assert report["worst_margin"] == -10.0 and report["tolerance"] == "none"
+        assert report["counterexamples"] == [
+            {"trial": t, "draw": int(np.random.default_rng([9, t]).integers(1 << 30)), "n": 4}
+            for t in range(4, 9)
+        ]
+
+    @pytest.mark.parametrize("name", ["rcn-monotone", "rcn-gap"])
+    def test_rcn_suites_run_their_grid_whatever_they_are_given(self, name):
+        report = run_lemma_suite(name)
+        assert report["trials"] == 40 and report["passed"]
+        for params in ({"trials": 1}, {"trials": 200, "seed": 5}, {"n": 3, "seed": 11}):
+            assert run_lemma_suite(name, **params) == report
+
+    @pytest.mark.parametrize("name", ["parseval", "rcn-monotone"])
+    def test_trial_count_below_one_is_refused(self, name):
+        with pytest.raises(ContractViolation, match="at least one trial"):
+            run_lemma_suite(name, trials=0)
+
+    def test_package_imports_without_scipy(self):
+        probe = (
+            "import sys, localmq, localmq.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestVerifierIndependence:

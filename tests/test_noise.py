@@ -64,6 +64,27 @@ class TestCollisionProb:
             sigma = math.sqrt(p * (1 - p) / n_mc)
             assert abs(hat - p) < 4 * sigma
 
+    @staticmethod
+    def exact(k, i, eta):
+        """Pr[Z1 - Z2 = i] from the binomial sum in integers; eta is a
+        dyadic a/b, and int / int division rounds correctly."""
+        a, b = eta.as_integer_ratio()
+        n1, n2 = k + i, k - i
+        total = sum(
+            math.comb(n1, j + i) * math.comb(n2, j)
+            * a ** (2 * j + i) * (b - a) ** (n1 + n2 - 2 * j - i)
+            for j in range(n2 + 1)
+        )
+        return total / b ** (n1 + n2)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45, 0.49])
+    def test_matches_the_exact_sum(self, eta):
+        for k in range(1, 65):
+            for i in sorted({0, 1, min(6, k), k // 2, k}):
+                want = self.exact(k, i, eta)
+                got = rcn_collision_prob(k, i, eta)
+                assert abs(got - want) <= 2e-14 * want, (k, i, eta, got, want)
+
     def test_contracts(self):
         with pytest.raises(ContractViolation):
             rcn_collision_prob(0, 0, 0.1)
