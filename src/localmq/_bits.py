@@ -43,6 +43,16 @@ class DistinctMasks:
         return int(np.count_nonzero(self._seen))
 
 
+def grow_array(column: np.ndarray, size: int) -> np.ndarray:
+    """`column`, or a copy with room for `size` entries and at least twice
+    the capacity."""
+    if size <= column.size:
+        return column
+    grown = np.zeros(max(size, 2 * column.size), dtype=column.dtype)
+    grown[: column.size] = column
+    return grown
+
+
 def popcount(masks):
     """Number of set bits; works on python ints and numpy arrays."""
     if isinstance(masks, (int, np.integer)):

@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 import numpy as np
 
-from . import generators
+from . import audit, generators
 from .distributions import Distribution, random_smooth_table, verify_smoothness
-from ._bits import MAX_BITS, DistinctMasks
 from .errors import AuditLogError, BudgetExceededError, ContractViolation
 from .learners import (
     LearnerConfig,
@@ -30,7 +28,7 @@ from .learners import (
     learn_tree_uniform,
 )
 from .noise import NoiseWrapper
-from .oracles import AUDIT_COUNTS, AUDIT_FULL, AUDIT_OPS, OracleSession
+from .oracles import AUDIT_COUNTS, AUDIT_FULL, OracleSession
 from .reduction import ReductionSimulator, correlation_check, embed, reduction_report
 from .separation import (
     VARIANT_G,
@@ -317,262 +315,9 @@ def _cmd_demo_separation(args) -> int:
 # ---------------------------------------------------------------------- audit
 
 
-_AUDIT_KEYS = ("op", "point", "anchor", "dist", "resp", "seq")
-_OP_CODES = {op: code for code, op in enumerate(AUDIT_OPS)}
-_AUDIT_CHUNK = 1 << 16  # lines read and checked at a time
-
-
-def _is_int64(value) -> bool:
-    return type(value) is int and -(1 << 63) <= value < 1 << 63
-
-
-def _record_problem(rec, width: int | None) -> str | None:
-    """Why one parsed audit record is malformed, or None; `width` is the
-    log's point width, None while reading its first record."""
-    if not isinstance(rec, dict):
-        return "record is not a JSON object"
-    for key in _AUDIT_KEYS:
-        if key not in rec:
-            return f"missing key {key!r}"
-    op, point = rec["op"], rec["point"]
-    if type(op) is not str or op not in _OP_CODES:
-        return f"unknown op {op!r}"
-    if type(point) is not str or point.strip("01"):
-        return f"point {point!r} is not a 0/1 string"
-    if width is None and not 1 <= len(point) <= MAX_BITS:
-        return f"point width {len(point)} outside [1, {MAX_BITS}]"
-    if width is not None and len(point) != width:
-        return f"point {point!r} does not have the log's width {width}"
-    if not (rec["anchor"] is None or _is_int64(rec["anchor"])):
-        return f"anchor {rec['anchor']!r} is not an integer or null"
-    if not _is_int64(rec["dist"]):
-        return f"dist {rec['dist']!r} is not an integer"
-    return None
-
-
-def _json_columns(lines: list[bytes], width: int | None, lineno: int):
-    """Op codes, point masks, anchors (-1 for null) and dists of a chunk of
-    audit lines, and the log's point width, read one JSON record per line
-    under the rules of `_record_problem`. Raises AuditLogError naming the
-    first bad line; `lineno` is the chunk's first line."""
-    codes, masks, anchors, dists = [], [], [], []
-    for offset, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise AuditLogError(lineno + offset, f"bad JSON: {exc}") from None
-        problem = _record_problem(rec, width)
-        if problem:
-            raise AuditLogError(lineno + offset, problem)
-        width = len(rec["point"])
-        codes.append(_OP_CODES[rec["op"]])
-        masks.append(int(rec["point"][::-1], 2))  # digit k is bit k
-        anchors.append(-1 if rec["anchor"] is None else rec["anchor"])
-        dists.append(rec["dist"])
-    columns = [np.array(codes, np.uint8)] + [np.array(c, np.int64) for c in (masks, anchors, dists)]
-    return *columns, width
-
-
-_MAX_DIGITS = 18  # any decimal of at most 18 digits fits int64
-_MAX_RESP_WORDS = 4  # longest resp text the fast path reads, in 8-byte words
-_BYTE = np.uint64(0xFF)
-_LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
-_GATHER_BITS = np.uint64(0x0102040810204080)  # moves bit 0 of byte k to bit 56 + k
-
-
-def _low_bytes(count: int) -> np.uint64:
-    return np.uint64((1 << 8 * count) - 1)
-
-
-def _at(words: np.ndarray, offsets: np.ndarray, text: bytes) -> bool:
-    """Whether `text` occurs at every offset in `offsets`."""
-    for k in range(0, len(text), 8):
-        piece = text[k : k + 8]
-        if ((words[offsets + k] & _low_bytes(len(piece))) != int.from_bytes(piece, "little")).any():
-            return False
-    return True
-
-
-def _canonical_integers(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """Nonnegative integers written at [starts, starts + lengths) as plain
-    decimals of at most _MAX_DIGITS digits with no sign and no leading
-    zero, or None if any field is not."""
-    values = np.zeros(starts.size, dtype=np.int64)
-    if not starts.size:
-        return values
-    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
-        return None
-    for j in range(int(lengths.max())):
-        if j % 8 == 0:  # the field's next eight bytes
-            word = words[np.minimum(starts + j, words.size - 1)]
-        digit = ((word >> np.uint64(8 * (j % 8))) & _BYTE).astype(np.int64) - ord("0")
-        live = j < lengths
-        if (live & ((digit < 0) | (digit > 9))).any():
-            return None
-        if j == 0 and ((digit == 0) & (lengths > 1)).any():
-            return None
-        values = np.where(live, values * 10 + digit, values)
-    return values
-
-
-def _canonical_columns(lines: list[bytes], width: int | None):
-    """Fast path of `_json_columns` for a chunk in which every line is
-    exactly as `OracleSession.write_audit_jsonl` writes it: keys sorted,
-    one space after each separator, plain decimal integers, a JSON number
-    as resp, and `"noisy": true` in every line or in none. Returns the
-    same columns as `_json_columns`, or None for any other chunk, which
-    then takes the JSON path.
-
-    The chunk is read as one byte array; `words[i]` holds its bytes i to
-    i + 7 as a little-endian uint64, so one gather reads eight bytes of
-    every line."""
-    raw = b"".join(lines + [bytes(8)])
-    buf = np.frombuffer(raw, dtype=np.uint8, count=len(raw) - 8)
-    words = np.ndarray((buf.size + 1,), dtype="<u8", buffer=raw, strides=(1,))
-    count = len(lines)
-    ends = np.flatnonzero(buf == ord("\n"))  # each line's newline
-    if ends.size != count or buf[-1] != ord("\n") or not buf.all():
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    commas = np.flatnonzero(buf == ord(","))
-    per_line = commas.size // count
-    if per_line not in (5, 6) or commas.size != per_line * count:
-        return None
-    # the commas after anchor, dist, [noisy,] op, point and resp, if
-    # every line has per_line; else some value below comes out empty
-    commas = commas.reshape(count, per_line)
-    if per_line == 6:
-        after_anchor, after_dist, after_noisy, after_op, after_point, after_resp = commas.T
-        flag = b', "noisy": true'
-        if (after_noisy != after_dist + len(flag)).any() or not _at(words, after_dist, flag):
-            return None
-    else:
-        after_anchor, after_dist, after_op, after_point, after_resp = commas.T
-        after_noisy = after_dist
-    layout = {  # key: (offset of the segment before its value, segment, end of value)
-        "anchor": (starts, b'{"anchor": ', after_anchor),
-        "dist": (after_anchor, b', "dist": ', after_dist),
-        "op": (after_noisy, b', "op": "', after_op - 1),
-        "point": (after_op - 1, b'", "point": "', after_point - 1),
-        "resp": (after_point - 1, b'", "resp": ', after_resp),
-        "seq": (after_resp, b', "seq": ', ends - 1),
-    }
-    start = {key: offset + len(text) for key, (offset, text, _) in layout.items()}
-    length = {key: stop - start[key] for key, (_, _, stop) in layout.items()}
-    if min(int(lengths.min()) for lengths in length.values()) < 1:
-        return None
-    # every value is nonempty, so each constant segment lies inside its line
-    segments = [(offset, text) for offset, text, _ in layout.values()] + [(ends - 1, b"}")]
-    if not all(_at(words, offset, text) for offset, text in segments):
-        return None
-
-    # op: told apart by length and first byte, then confirmed
-    first = words[start["op"]] & _BYTE
-    codes = np.where(
-        length["op"] == len("mq_violation"),
-        _OP_CODES["mq_violation"],
-        np.where(first == ord("e"), _OP_CODES["ex"], _OP_CODES["mq"]),
-    ).astype(np.uint8)
-    for op, code in _OP_CODES.items():
-        rows = codes == code
-        if (length["op"][rows] != len(op)).any() or not _at(words, start["op"][rows], op.encode()):
-            return None
-
-    if width is None:
-        width = int(length["point"][0])
-    if not 1 <= width <= MAX_BITS or (length["point"] != width).any():
-        return None
-    masks = np.zeros(count, dtype=np.int64)
-    for k in range(0, width, 8):  # eight digits, variable k first, per gather
-        low = _low_bytes(min(8, width - k))
-        word = words[start["point"] + k] & low
-        if ((word | _LOW_BITS) & low != np.uint64(0x3131313131313131) & low).any():
-            return None  # a byte other than '0' or '1'
-        masks |= (((word & _LOW_BITS) * _GATHER_BITS) >> np.uint64(56)).astype(np.int64) << k
-
-    null = (words[start["anchor"]] & _BYTE) == ord("n")
-    if (length["anchor"][null] != 4).any() or not _at(words, start["anchor"][null], b"null"):
-        return None
-    values = [
-        _canonical_integers(words, start["anchor"][~null], length["anchor"][~null]),
-        _canonical_integers(words, start["dist"], length["dist"]),
-        _canonical_integers(words, start["seq"], length["seq"]),
-    ]
-    if any(v is None for v in values):
-        return None
-    anchors = np.full(count, -1, dtype=np.int64)
-    anchors[~null], dists, _ = values
-
-    # resp: each distinct text must parse, alone, as a JSON number
-    nwords = -(-int(length["resp"].max()) // 8)
-    if nwords > _MAX_RESP_WORDS:
-        return None
-    resp = np.stack(
-        [words[np.minimum(start["resp"] + 8 * k, words.size - 1)] for k in range(nwords)], axis=1
-    ).view(np.uint8)
-    resp[np.arange(8 * nwords) >= length["resp"][:, None]] = 0
-    for text in np.unique(resp.view(f"S{8 * nwords}")).tolist():
-        try:
-            value = json.loads(text)
-        except ValueError:
-            return None
-        if type(value) not in (int, float):
-            return None
-    return codes, masks, anchors, dists, width
-
-
-def _check_audit_log(fh) -> dict:
-    """Summarise a JSONL audit log and recompute the distance of every
-    query, answered or refused, from the example its anchor names. A
-    query whose anchor is null, negative or not yet drawn, or whose
-    logged distance is wrong, counts as a distance mismatch. Reads the
-    log in chunks and keeps one int64 mask per example."""
-    ex_masks = np.zeros(1024, dtype=np.int64)
-    ex_count = mq = max_dist = violations = mismatches = 0
-    distinct = None  # made once the log's width is known
-    width = None
-    lineno = 1
-    for lines in iter(lambda: list(islice(fh, _AUDIT_CHUNK)), []):
-        columns = _canonical_columns(lines, width)
-        if columns is None:
-            columns = _json_columns(lines, width, lineno)
-        codes, masks, anchors, dists, width = columns
-        lineno += len(lines)
-        is_ex = codes == _OP_CODES["ex"]
-        drawn = ex_count + np.cumsum(is_ex) - is_ex  # examples before each record
-        new = masks[is_ex]
-        if ex_count + new.size > ex_masks.size:
-            grown = np.zeros(max(2 * ex_masks.size, ex_count + new.size), dtype=np.int64)
-            grown[:ex_count] = ex_masks[:ex_count]
-            ex_masks = grown
-        ex_masks[ex_count : ex_count + new.size] = new
-        ex_count += new.size
-        is_query = ~is_ex
-        queries, anchor, dist = masks[is_query], anchors[is_query], dists[is_query]
-        named = (anchor >= 0) & (anchor < drawn[is_query])
-        true_dist = np.bitwise_count(queries[named] ^ ex_masks[anchor[named]])
-        mismatches += int(np.count_nonzero(~named) + np.count_nonzero(true_dist != dist[named]))
-        answered = codes[is_query] == _OP_CODES["mq"]
-        violations += int(np.count_nonzero(~answered))
-        if answered.any():
-            mq += int(np.count_nonzero(answered))
-            max_dist = max(max_dist, int(dist[answered].max()))
-            if distinct is None:
-                distinct = DistinctMasks(width)
-            distinct.add(queries[answered])
-    return {
-        "ex_count": ex_count,
-        "mq_count": mq,
-        "max_locality_used": max_dist,
-        "distinct_mq_points": 0 if distinct is None else len(distinct),
-        "violations": violations,
-        "distance_mismatches": mismatches,
-    }
-
-
 def _cmd_audit(args) -> int:
     with open(args.infile, "rb") as fh:
-        summary = _check_audit_log(fh)
+        summary = audit.check_log(fh)
     _emit(summary, args.out)
     return 0 if summary["distance_mismatches"] == 0 else 1
 

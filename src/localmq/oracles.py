@@ -8,9 +8,7 @@ audit trail (full per-call records, or counters only for large runs).
 
 A full audit is columnar: each call appends one chunk of columns (op code,
 mask, anchor, distance, response), 25 bytes per record of a query batch
-and 16 per example, and `write_audit_jsonl` formats them into JSONL in
-blocks of at most 64 Ki records, each built as one byte matrix with a row
-per record. A record's `seq` is its position in the log.
+and 16 per example, which `localmq.audit` writes as JSONL.
 
 The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
@@ -36,68 +34,19 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, popcount
+from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, grow_array, popcount
+from .audit import AUDIT_OPS  # noqa: F401 (importable from here as well)
+from .audit import COLUMN_DTYPES, EX, MQ, VIOLATION, AuditSummary, write_jsonl
 from .errors import ContractViolation, LocalityError
 from .targets import TargetFunction
 from .distributions import Distribution
 
 AUDIT_FULL = "full"
 AUDIT_COUNTS = "counts"
-
-# audit record ops, indexed by the op code stored in the columns
-AUDIT_OPS = ("ex", "mq", "mq_violation")
-_EX, _MQ, _VIOLATION = range(len(AUDIT_OPS))
-# column dtypes of one audit chunk: op, mask, anchor (-1 for none), dist, resp
-_AUDIT_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
-_EXPORT_CHUNK = 1 << 16  # records formatted per write
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _decimal_digits(values: np.ndarray) -> np.ndarray:
-    """ASCII decimal digits of nonnegative int64 `values`, one row per
-    value, left-justified and NUL-padded to the longest."""
-    ndigits = np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
-    out = np.zeros((values.size, int(ndigits.max(initial=1))), dtype=np.uint8)
-    for j in range(out.shape[1]):
-        exp = ndigits - 1 - j  # power of ten of the digit in column j
-        digit = values // _POW10[np.maximum(exp, 0)] % 10 + ord("0")
-        out[:, j] = np.where(exp >= 0, digit, 0)
-    return out
-
-
-def _text_rows(texts: list[bytes]) -> np.ndarray:
-    """Byte strings as NUL-padded uint8 rows."""
-    return np.asarray(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
-
-
-_OP_TEXT = _text_rows([op.encode() for op in AUDIT_OPS])
-
-
-def _grow(column: np.ndarray, size: int) -> np.ndarray:
-    """`column`, or a copy with room for `size` entries and at least twice
-    the capacity."""
-    if size <= column.size:
-        return column
-    grown = np.zeros(max(size, 2 * column.size), dtype=column.dtype)
-    grown[: column.size] = column
-    return grown
-
-
-@dataclass
-class AuditSummary:
-    ex_count: int
-    mq_count: int
-    max_locality_used: int
-    distinct_mq_points: int | None
-    violations: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class OracleSession:
@@ -182,9 +131,9 @@ class OracleSession:
         draw indices."""
         lo = self.ex_count
         self.ex_count += masks.size
-        self._masks = _grow(self._masks, self.ex_count)
+        self._masks = grow_array(self._masks, self.ex_count)
         self._masks[lo : self.ex_count] = masks
-        self._log(_EX, masks, -1, 0, labels)
+        self._log(EX, masks, -1, 0, labels)
         return np.arange(lo, self.ex_count)
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,14 +163,14 @@ class OracleSession:
         dist = (query ^ int(self._masks[anchor])).bit_count()
         if dist > self.r:
             self.violations += 1
-            self._log(_VIOLATION, query, anchor, dist, np.nan)
+            self._log(VIOLATION, query, anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
         label = self._answer_one(query, anchor)
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
         if self._distinct is not None:
             self._distinct.add_one(query)
-        self._log(_MQ, query, anchor, dist, label)
+        self._log(MQ, query, anchor, dist, label)
         return label
 
     def local_query_matrix(
@@ -244,7 +193,7 @@ class OracleSession:
             i, j = np.argwhere(dists > self.r)[0]
             dist, anchor = int(dists[i, j]), int(anchors[i])
             self.violations += 1
-            self._log(_VIOLATION, queries[i, j], anchor, dist, np.nan)
+            self._log(VIOLATION, queries[i, j], anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
         labels = self._answer(queries, anchors)
         self.mq_count += queries.size
@@ -252,7 +201,7 @@ class OracleSession:
         if self._distinct is not None:
             self._distinct.add(queries)
         if self.audit_mode == AUDIT_FULL:
-            self._log(_MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
+            self._log(MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
         return labels
 
     # ------------------------------------------------------------- audit
@@ -268,7 +217,7 @@ class OracleSession:
             (op, np.array(masks, dtype=np.int64).ravel())
             + tuple(
                 np.array(col, dtype=dtype).ravel() if isinstance(col, np.ndarray) else col
-                for col, dtype in zip(columns, _AUDIT_DTYPES[2:])
+                for col, dtype in zip(columns, COLUMN_DTYPES[2:])
             )
         )
 
@@ -281,78 +230,12 @@ class OracleSession:
             violations=self.violations,
         )
 
-    def _audit_blocks(self):
-        """The audit columns in blocks of at most _EXPORT_CHUNK records."""
-        pending: list[tuple[np.ndarray, ...]] = []
-        size = 0
-        for chunk in self._audit:
-            stop = chunk[1].size
-            chunk = [
-                np.broadcast_to(np.asarray(col, dtype), (stop,))
-                for col, dtype in zip(chunk, _AUDIT_DTYPES)
-            ]
-            start = 0
-            while start < stop:
-                take = min(_EXPORT_CHUNK - size, stop - start)
-                pending.append(tuple(col[start : start + take] for col in chunk))
-                size += take
-                start += take
-                if size == _EXPORT_CHUNK:
-                    yield tuple(map(np.concatenate, zip(*pending)))
-                    pending, size = [], 0
-        if pending:
-            yield tuple(map(np.concatenate, zip(*pending)))
-
-    def _format_block(self, block: tuple[np.ndarray, ...], seq: int) -> bytes:
-        """JSONL bytes of one block, identical to json.dumps(record,
-        sort_keys=True) per record. Each record is one row of a NUL-padded
-        byte matrix; no JSONL byte is NUL, so dropping the NULs packs the
-        rows into lines."""
-        ops, masks, anchors, dists, resps = block
-        anchor_text = _decimal_digits(np.maximum(anchors, 0))
-        null = anchors < 0
-        if null.any():
-            anchor_text = np.pad(anchor_text, ((0, 0), (0, max(0, 4 - anchor_text.shape[1]))))
-            anchor_text[null] = 0
-            anchor_text[null, :4] = np.frombuffer(b"null", np.uint8)
-        # variable 0 first: column i of the digit matrix is bit i
-        points = ((masks[:, None] >> np.arange(self.n)) & 1).astype(np.uint8) + ord("0")
-        # each distinct float (by bit pattern, so -0.0 keeps its sign) is
-        # formatted once, by json itself
-        patterns, inverse = np.unique(resps.view(np.int64), return_inverse=True)
-        resp_text = _text_rows(
-            [json.dumps(v).encode() for v in patterns.view(np.float64).tolist()]
-        )[inverse.ravel()]
-        noisy = b'"noisy": true, ' if self.noise is not None else b""
-        pieces = (
-            b'{"anchor": ', anchor_text,
-            b', "dist": ', _decimal_digits(dists.astype(np.int64)),
-            b', ' + noisy + b'"op": "', _OP_TEXT[ops],
-            b'", "point": "', points,
-            b'", "resp": ', resp_text,
-            b', "seq": ', _decimal_digits(np.arange(seq, seq + masks.size, dtype=np.int64)),
-            b"}\n",
-        )
-        rows = np.concatenate(
-            [
-                np.broadcast_to(np.frombuffer(p, np.uint8), (masks.size, len(p)))
-                if isinstance(p, bytes) else p
-                for p in pieces
-            ],
-            axis=1,
-        )
-        return rows[rows != 0].tobytes()
-
     def write_audit_jsonl(self, fh: IO[str]) -> int:
-        """Write the full audit as JSONL, one record per line with keys
-        sorted; returns the record count."""
+        """Write the full audit as JSONL in the layout of `localmq.audit`;
+        returns the record count."""
         if self.audit_mode != AUDIT_FULL:
             raise ContractViolation("session was not recording full audit")
-        written = 0
-        for block in self._audit_blocks():
-            fh.write(self._format_block(block, written).decode("ascii"))
-            written += block[0].size
-        return written
+        return write_jsonl(fh, self._audit, self.n, self.noise is not None)
 
     @property
     def records(self) -> list[dict]:

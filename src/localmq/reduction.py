@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, popcount
+from ._bits import ENUM_MAX_BITS, all_masks, grow_array, popcount
 from ._prf import coin_pm
 from .distributions import Distribution
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     EnumerationLimitError,
     SimulationError,
 )
-from .oracles import AUDIT_COUNTS, OracleSession, _grow
+from .oracles import AUDIT_COUNTS, OracleSession
 from .targets import PLUS_MINUS
 
 # Shortened systematic BCH generators (length, message bits, distance,
@@ -353,9 +353,9 @@ class ReductionSimulator(OracleSession):
             masks[~heads] = np.concatenate(got)
         labels = np.where(masks == words, base_labels, self._labels_for(masks))
         indices = self._keep(masks, labels)
-        self._words = _grow(self._words, self.ex_count)
+        self._words = grow_array(self._words, self.ex_count)
         self._words[indices] = words
-        self._base_labels = _grow(self._base_labels, self.ex_count)
+        self._base_labels = grow_array(self._base_labels, self.ex_count)
         self._base_labels[indices] = base_labels
         return indices, masks, labels
 

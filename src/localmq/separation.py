@@ -166,32 +166,21 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
         masks = np.concatenate([masks, probes])
         labels = np.concatenate([labels, answers])
 
-    def candidates():
-        yield "const+1", np.ones(masks.shape)
-        yield "const-1", -np.ones(masks.shape)
-        for i in range(session.n):
-            lit = 2.0 * ((masks >> i) & 1) - 1.0
-            yield f"x{i}", lit
-            yield f"!x{i}", -lit
-
-    best_name, best_err = None, math.inf
-    for name, preds in candidates():
-        err = float(np.mean(preds != labels))
-        if err < best_err:
-            best_name, best_err = name, err
+    # the candidate table: each rule maps masks to +-1 predictions
+    rules = [("const+1", lambda m: np.ones(m.shape)), ("const-1", lambda m: -np.ones(m.shape))]
+    for i in range(session.n):
+        rules.append((f"x{i}", lambda m, i=i: 2.0 * ((m >> i) & 1) - 1.0))
+        rules.append((f"!x{i}", lambda m, i=i: -(2.0 * ((m >> i) & 1) - 1.0)))
+    # the first candidate of least training error wins
+    best_err, best_name, best_rule = min(
+        ((float(np.mean(rule(masks) != labels)), name, rule) for name, rule in rules),
+        key=lambda candidate: candidate[0],
+    )
     _, te_masks, te_labels = session.draw_batch(test)
-    if best_name == "const+1":
-        te_preds = np.ones(te_masks.shape)
-    elif best_name == "const-1":
-        te_preds = -np.ones(te_masks.shape)
-    else:
-        i = int(best_name.lstrip("!x"))
-        lit = 2.0 * ((te_masks >> i) & 1) - 1.0
-        te_preds = -lit if best_name.startswith("!") else lit
     return {
         "winner": best_name,
         "train_error": best_err,
-        "holdout_error": float(np.mean(te_preds != te_labels)),
+        "holdout_error": float(np.mean(best_rule(te_masks) != te_labels)),
         "train_size": masks.size,
         "test_size": test,
     }

@@ -257,7 +257,7 @@ def _fact_smooth(rng, n, alpha):
         for p in (p1, 1.0 - p1):
             yield p - lo + 1e-12, {"bit": i, "p": p}
             yield hi - p + 1e-12, {"bit": i, "p": p}
-    subset = random_subset(n, 3, rng, min_size=1)
+    subset = random_subset(n, min(3, n - 1), rng, min_size=1)  # cond needs a free variable
     assignment = int(rng.integers(0, 1 << n)) & subset
     k = int(popcount(subset))
     p_sub = exact_event_prob_masked(dist, (masks & subset) == assignment)

@@ -22,7 +22,7 @@ from localmq import (
     OracleSession,
     PLUS_MINUS,
 )
-from localmq import cli, verify
+from localmq import audit, cli, verify
 from localmq.cli import main
 from localmq.errors import AuditLogError
 from localmq.generators import random_sparse_poly, random_tree
@@ -243,10 +243,11 @@ class TestExitCodes:
             (["learn", "--algo", "dnf", "--n", "2"], 3),
             *[
                 (["verify", "--suite", suite, "--n", str(n), "--trials", "20"], code)
-                for suite, code in [
-                    ("fact-smooth", 3), ("nonzero-lower-bound", 0), ("truncation-poly", 0)
+                for suite, codes in [
+                    ("fact-smooth", (3, 0)), ("nonzero-lower-bound", (0, 0)),
+                    ("truncation-poly", (0, 0)),
                 ]
-                for n in (1, 2)
+                for n, code in zip((1, 2), codes)
             ],
         ],
     )
@@ -261,6 +262,15 @@ class TestExitCodes:
             assert captured.err.count("\n") == 1
         else:
             assert captured.err == "" and json.loads(captured.out)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fact_smooth_runs_below_four_variables(self, n, capsys):
+        # the conditioning set leaves a variable free, so the conditional
+        # marginal exists at every n >= 2
+        argv = ["verify", "--suite", "fact-smooth", "--n", str(n), "--trials", "50", "--seed", "0"]
+        code, out = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and report["violations"] == 0
 
     def test_reduce_past_the_correlation_check_limit_is_3(self, capsys):
         # n = 12, k = 3 builds a code of length m = 27; the exact correlation
@@ -437,9 +447,9 @@ def _read_log(log: bytes, json_only: bool = False):
     `json_only` turns the canonical-line fast path off."""
     with ExitStack() as stack:
         if json_only:
-            stack.enter_context(mock.patch.object(cli, "_canonical_columns", lambda *a: None))
+            stack.enter_context(mock.patch.object(audit, "_canonical_columns", lambda *a: None))
         try:
-            return cli._check_audit_log(io.BytesIO(log))
+            return audit.check_log(io.BytesIO(log))
         except AuditLogError as exc:
             return f"AuditLogError: {exc}"
 
@@ -457,9 +467,9 @@ class TestCanonicalReader:
         width = None
         for start in range(0, len(lines), size):
             chunk = lines[start : start + size]
-            fast = cli._canonical_columns(chunk, width)
+            fast = audit._canonical_columns(chunk, width)
             assert fast is not None
-            want = cli._json_columns(chunk, width, start + 1)
+            want = audit._json_columns(chunk, width, start + 1)
             for got, ref in zip(fast[:4], want[:4]):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
             assert fast[4] == want[4]
@@ -478,7 +488,7 @@ class TestCanonicalReader:
         keep = pos + (edit != "insert")
         log = log[:pos] + (bytes([byte]) if edit != "delete" else b"") + log[keep:]
         chunk = data.draw(st.sampled_from([1, 5, 1 << 16]), label="chunk")
-        with mock.patch.object(cli, "_AUDIT_CHUNK", chunk):
+        with mock.patch.object(audit, "_CHUNK", chunk):
             assert _read_log(log) == _read_log(log, json_only=True)
 
     # line 0 is an example (anchor null), line 3 a query with anchor 0 and
@@ -506,7 +516,7 @@ class TestCanonicalReader:
         lineno, edit = self.EDITS[kind]
         lines = TestAuditCommand.small_log()
         lines[lineno] = edit(lines[lineno])
-        assert cli._canonical_columns([line.encode() for line in lines], None) is None
+        assert audit._canonical_columns([line.encode() for line in lines], None) is None
         log = "".join(lines).encode()
         assert _read_log(log) == _read_log(log, json_only=True)
 
@@ -525,7 +535,7 @@ class TestCanonicalReader:
         edited = [line.encode() for line in edited]
         assert edited != [line.encode() for line in lines]
         if rewrite == "insertion-order-keys":
-            assert cli._canonical_columns(edited, None) is None
+            assert audit._canonical_columns(edited, None) is None
         summary = _read_log("".join(lines).encode())
         assert summary["distance_mismatches"] == 0
         assert _read_log(b"".join(edited)) == _read_log(b"".join(edited), json_only=True) == summary

@@ -24,7 +24,8 @@ from localmq import (
 from localmq.distributions import exact_event_prob_masked
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.cli import main
-from localmq.oracles import AUDIT_COUNTS, _decimal_digits
+from localmq.audit import _decimal_digits
+from localmq.oracles import AUDIT_COUNTS
 from localmq._bits import all_masks, mask_to_bitstring
 
 
@@ -319,7 +320,7 @@ class TestColumnarAudit:
         s.local_query_matrix(masks[:, None] ^ np.asarray([[0b1, 0b10, 0b11]]), idx)
         whole = io.StringIO()
         s.write_audit_jsonl(whole)
-        monkeypatch.setattr("localmq.oracles._EXPORT_CHUNK", 7)
+        monkeypatch.setattr("localmq.audit._CHUNK", 7)
         chunked = io.StringIO()
         assert s.write_audit_jsonl(chunked) == 1200
         assert chunked.getvalue() == whole.getvalue()
@@ -338,7 +339,7 @@ class TestColumnarAudit:
         # blocks of 64 records: seq crosses 9 -> 10 in the first block and
         # 99 -> 100 in the second, and the anchors of the query records
         # cross 9 -> 10 (second block) and 99 -> 100 (third)
-        monkeypatch.setattr("localmq.oracles._EXPORT_CHUNK", 64)
+        monkeypatch.setattr("localmq.audit._CHUNK", 64)
         n = 7
         s = fresh_session(random_tree(n, 5, np.random.default_rng(6)), n=n, r=1, seed=6)
         _, masks, labels = s.draw_batch(120)
