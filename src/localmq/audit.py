@@ -1,15 +1,16 @@
 """The JSONL audit log: its record layout, its writer and its checker.
 
-A full-audit `OracleSession` keeps its records as chunks of columns and
+A full-audit `OracleSession` keeps its records in five columns and
 writes them here, one JSON record per line, with the keys sorted:
 
     {"anchor": 3, "dist": 1, "op": "mq", "point": "0110", "resp": -1.0, "seq": 12}
 
 `point` is variable 0 first, `anchor` the draw index of a query's anchor
-example (null for an example), `seq` the record's position in the log;
-a noisy session adds `"noisy": true` to every line. `_KEYS` and
-`_NOISY_FLAG` state that layout once: the writer's segments, the fast
-reader's segments and offsets, and the JSON reader's keys come from them.
+example (null for an example), `resp` null for a refused query, `seq` the
+record's position in the log; a noisy session adds `"noisy": true` to
+every line. `_KEYS` and `_NOISY_FLAG` state that layout once: the
+writer's segments, the fast reader's segments and offsets, and the JSON
+reader's keys come from them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import AuditLogError
 # record ops, indexed by the op code stored in the columns
 AUDIT_OPS = ("ex", "mq", "mq_violation")
 EX, MQ, VIOLATION = range(len(AUDIT_OPS))
-# column dtypes of one chunk of records: op, mask, anchor (-1 for none), dist, resp
+# dtypes of the record columns: op, mask, anchor (-1 for none), dist, resp (NaN if refused)
 COLUMN_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
 _CHUNK = 1 << 16  # records formatted per block written, and lines read per chunk checked
 
@@ -90,35 +91,15 @@ def _text_rows(texts: list[bytes]) -> np.ndarray:
     return np.asarray(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
-def _blocks(chunks):
-    """The records of `chunks`, each an (op, masks, anchors, dists, resps)
-    tuple whose columns are arrays or one scalar shared by the chunk's
-    records, as full columns in blocks of at most _CHUNK records."""
-    pending, size = [], 0
-    for chunk in chunks:
-        count = chunk[1].size
-        typed = zip(chunk, COLUMN_DTYPES)
-        pending.append([np.broadcast_to(np.asarray(col, dtype), (count,)) for col, dtype in typed])
-        size += count
-        if size >= _CHUNK:
-            columns = [np.concatenate(col) for col in zip(*pending)]
-            full = size - size % _CHUNK
-            for start in range(0, full, _CHUNK):
-                yield tuple(col[start : start + _CHUNK] for col in columns)
-            pending, size = [[col[full:] for col in columns]], size - full
-    if size:
-        yield tuple(np.concatenate(col) for col in zip(*pending))
-
-
-def _format_block(block: tuple[np.ndarray, ...], seq: int, n: int, noisy: bool) -> bytes:
+def _format_block(block: list[np.ndarray], seq: int, n: int, noisy: bool) -> bytes:
     """JSONL bytes of one block of records over the n-cube, the first
     numbered `seq`. Each record is one row of a NUL-padded byte matrix; no
     JSONL byte is NUL, so dropping the NULs packs the rows into lines."""
     ops, masks, anchors, dists, resps = block
     # each distinct float (by bit pattern, so -0.0 keeps its sign) is
-    # formatted once, by json itself
+    # formatted once, by json itself; NaN, a refused query's resp, is null
     patterns, inverse = np.unique(resps.view(np.int64), return_inverse=True)
-    resp_texts = [json.dumps(v).encode() for v in patterns.view(np.float64).tolist()]
+    resp_texts = [json.dumps(v if v == v else None).encode() for v in patterns.view(float).tolist()]
     values = {
         "op": _text_rows([op.encode() for op in AUDIT_OPS])[ops],
         # variable 0 first: column i of the digit matrix is bit i
@@ -137,14 +118,15 @@ def _format_block(block: tuple[np.ndarray, ...], seq: int, n: int, noisy: bool) 
     return rows[rows != 0].tobytes()
 
 
-def write_jsonl(fh, chunks, n: int, noisy: bool) -> int:
-    """Write the records of `chunks` (see `_blocks`) over the n-cube as
-    JSONL text to `fh`; returns the record count."""
-    written = 0
-    for block in _blocks(chunks):
-        fh.write(_format_block(block, written, n, noisy).decode("ascii"))
-        written += block[0].size
-    return written
+def write_jsonl(fh, columns, n: int, noisy: bool) -> int:
+    """Write the records held in `columns`, one array per COLUMN_DTYPES
+    entry, over the n-cube as JSONL text to `fh`, in blocks of _CHUNK
+    records; returns the record count."""
+    count = columns[0].size
+    for start in range(0, count, _CHUNK):
+        block = [col[start : start + _CHUNK] for col in columns]
+        fh.write(_format_block(block, start, n, noisy).decode("ascii"))
+    return count
 
 
 # ------------------------------------------------------------------ readers
@@ -175,14 +157,18 @@ def _record_problem(rec, width: int | None) -> str | None:
         return f"anchor {rec['anchor']!r} is not an integer or null"
     if not _is_int64(rec["dist"]):
         return f"dist {rec['dist']!r} is not an integer"
+    if not (type(rec["resp"]) in (int, float) or rec["resp"] is None and op == "mq_violation"):
+        return f"resp {rec['resp']!r} is not a number"
+    if not _is_int64(rec["seq"]):
+        return f"seq {rec['seq']!r} is not an integer"
     return None
 
 
 def _json_columns(lines: list[bytes], width: int | None, lineno: int):
     """Op codes, point masks, anchors (-1 for null) and dists of a chunk of
-    audit lines, and the log's point width, read one JSON record per line
-    under the rules of `_record_problem`. Raises AuditLogError naming the
-    first bad line; `lineno` is the chunk's first line."""
+    audit lines, the log's point width and their seqs, read one JSON record
+    per line under the rules of `_record_problem`. Raises AuditLogError
+    naming the first bad line; `lineno` is the chunk's first line."""
     rows = []
     for offset, line in enumerate(lines):
         try:
@@ -195,9 +181,9 @@ def _json_columns(lines: list[bytes], width: int | None, lineno: int):
         width = len(rec["point"])
         mask = int(rec["point"][::-1], 2)  # digit k is bit k
         anchor = -1 if rec["anchor"] is None else rec["anchor"]
-        rows.append((AUDIT_OPS.index(rec["op"]), mask, anchor, rec["dist"]))
-    codes, masks, anchors, dists = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return codes.astype(np.uint8), masks, anchors, dists, width
+        rows.append((AUDIT_OPS.index(rec["op"]), mask, anchor, rec["dist"], rec["seq"]))
+    codes, masks, anchors, dists, seqs = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return codes.astype(np.uint8), masks, anchors, dists, width, seqs
 
 
 _MAX_DIGITS = 18  # any decimal of at most 18 digits fits int64
@@ -239,9 +225,9 @@ def _canonical_integers(words: np.ndarray, starts: np.ndarray, lengths: np.ndarr
 
 def _canonical_columns(lines: list[bytes], width: int | None):
     """Fast path of `_json_columns` for a chunk whose every line is exactly
-    as `write_jsonl` writes it: plain decimal integers, a JSON number as
-    resp, and _NOISY_FLAG in every line or in none. Returns the same
-    columns, or None for any other chunk, which then takes the JSON path.
+    as `write_jsonl` writes it: plain decimal integers, a JSON number (null
+    if refused) as resp, and _NOISY_FLAG in every line or in none. Returns
+    the same columns, or None for any other chunk, which takes the JSON path.
 
     The chunk is read as one byte array; `words[i]` holds its bytes i to
     i + 7 as a little-endian uint64, so one gather reads eight bytes of
@@ -307,9 +293,9 @@ def _canonical_columns(lines: list[bytes], width: int | None):
     if any(v is None for v in values):
         return None
     anchors = np.full(count, -1, dtype=np.int64)
-    anchors[~null], dists, _ = values
+    anchors[~null], dists, seqs = values
 
-    # resp: each distinct text must parse, alone, as a JSON number
+    # resp: null in an mq_violation line, else each distinct text parses alone as a JSON number
     nwords = -(-int(length["resp"].max()) // 8)
     if nwords > _MAX_RESP_WORDS:
         return None
@@ -317,14 +303,18 @@ def _canonical_columns(lines: list[bytes], width: int | None):
         [words[np.minimum(start["resp"] + 8 * k, words.size - 1)] for k in range(nwords)], axis=1
     ).view(np.uint8)
     resp[np.arange(8 * nwords) >= length["resp"][:, None]] = 0
-    for text in np.unique(resp.view(f"S{8 * nwords}")).tolist():
+    texts = resp.view(f"S{8 * nwords}").ravel()
+    null = texts == b"null"
+    if (null & (codes != VIOLATION)).any():
+        return None
+    for text in np.unique(texts[~null]).tolist():
         try:
             value = json.loads(text)
         except ValueError:
             return None
         if type(value) not in (int, float):
             return None
-    return codes, masks, anchors, dists, width
+    return codes, masks, anchors, dists, width, seqs
 
 
 # ------------------------------------------------------------------ checker
@@ -335,7 +325,8 @@ def check_log(fh) -> dict:
     `fh`, and recompute the distance of every query, answered or refused,
     from the example its anchor names; a query whose anchor is null,
     negative or not yet drawn, or whose logged distance is wrong, is a
-    distance mismatch. Keeps one int64 mask per example."""
+    distance mismatch. Line k must have seq k - 1; the first line that
+    does not raises AuditLogError. Keeps one int64 mask per example."""
     ex_masks = np.zeros(1024, dtype=np.int64)
     ex_count = mq = max_dist = violations = mismatches = 0
     distinct = None  # made once the log's width is known
@@ -345,7 +336,11 @@ def check_log(fh) -> dict:
         columns = _canonical_columns(lines, width)
         if columns is None:
             columns = _json_columns(lines, width, lineno)
-        codes, masks, anchors, dists, width = columns
+        codes, masks, anchors, dists, width, seqs = columns
+        wrong = np.flatnonzero(seqs != np.arange(lineno - 1, lineno - 1 + len(lines)))
+        if wrong.size:
+            k = int(wrong[0])
+            raise AuditLogError(lineno + k, f"seq {seqs[k]} out of order, expected {lineno - 1 + k}")
         lineno += len(lines)
         is_ex = codes == EX
         drawn = ex_count + np.cumsum(is_ex) - is_ex  # examples before each record

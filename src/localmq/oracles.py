@@ -6,9 +6,10 @@ membership queries that stay within Hamming distance r of a previously
 drawn example, applies optional persistent label noise, and keeps an
 audit trail (full per-call records, or counters only for large runs).
 
-A full audit is columnar: each call appends one chunk of columns (op code,
-mask, anchor, distance, response), 25 bytes per record of a query batch
-and 16 per example, which `localmq.audit` writes as JSONL.
+A full audit is five growing columns (op code, mask, anchor, distance,
+response), 26 bytes per record for a scalar query and a batch alike (at
+most twice that with the spare room), which `localmq.audit` writes as
+JSONL in blocks sliced from them.
 
 The caller names the anchor example for every query, which makes the
 locality check O(n) per query; every algorithm here derives its queries
@@ -83,7 +84,8 @@ class OracleSession:
         self.seed = int(seed)
         self._rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 0x0AC1E])
         self.audit_mode = audit_mode
-        self._audit: list[tuple] = []
+        self._columns = [np.zeros(0, dtype=dtype) for dtype in COLUMN_DTYPES]
+        self._records = 0
         self._masks = np.zeros(256, dtype=np.int64)
         self.ex_count = 0
         self.mq_count = 0
@@ -201,25 +203,26 @@ class OracleSession:
         if self._distinct is not None:
             self._distinct.add(queries)
         if self.audit_mode == AUDIT_FULL:
-            self._log(MQ, queries, np.repeat(anchors, queries.shape[1]), dists, labels)
+            anchors = np.repeat(anchors, queries.shape[1])
+            self._log(MQ, queries.ravel(), anchors, dists.ravel(), labels.ravel())
         return labels
 
     # ------------------------------------------------------------- audit
 
     def _log(self, op: int, masks, anchors, dists, resps) -> None:
-        """Append one call's records to a full audit as one chunk: the op
-        code, a copy of the masks, and the other columns as arrays or as
-        one scalar shared by every record of the call."""
+        """Append one call's records to a full audit: one record if `masks`
+        is a scalar, else one per entry of the flat array `masks`; each
+        other value is a flat array alike or a scalar shared by them."""
         if self.audit_mode != AUDIT_FULL:
             return
-        columns = (anchors, dists, resps)
-        self._audit.append(
-            (op, np.array(masks, dtype=np.int64).ravel())
-            + tuple(
-                np.array(col, dtype=dtype).ravel() if isinstance(col, np.ndarray) else col
-                for col, dtype in zip(columns, COLUMN_DTYPES[2:])
-            )
-        )
+        batch = isinstance(masks, np.ndarray)
+        lo = self._records
+        self._records += masks.size if batch else 1
+        if self._records > self._columns[0].size:
+            self._columns = [grow_array(col, self._records) for col in self._columns]
+        at = slice(lo, self._records) if batch else lo  # an index sets one record fastest
+        for col, values in zip(self._columns, (op, masks, anchors, dists, resps)):
+            col[at] = values
 
     def audit_report(self) -> AuditSummary:
         return AuditSummary(
@@ -235,7 +238,8 @@ class OracleSession:
         returns the record count."""
         if self.audit_mode != AUDIT_FULL:
             raise ContractViolation("session was not recording full audit")
-        return write_jsonl(fh, self._audit, self.n, self.noise is not None)
+        columns = [col[: self._records] for col in self._columns]
+        return write_jsonl(fh, columns, self.n, self.noise is not None)
 
     @property
     def records(self) -> list[dict]:

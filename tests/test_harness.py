@@ -292,6 +292,9 @@ class TestExitCodes:
         assert code == 3
         lines = log.read_text().splitlines(keepends=True)
         assert json.loads(lines[-1])["op"] == "mq_violation"
+        # the refused query's resp is JSON null, which the fast path reads
+        assert '"resp": null' in lines[-1]
+        assert audit._canonical_columns([line.encode() for line in lines], None) is not None
         code, out = run_cli(capsys, ["audit", "--infile", str(log)])
         summary = json.loads(out)
         assert code == 0
@@ -357,6 +360,9 @@ class TestAuditCommand:
         ),
         "anchor-type": (lambda line: _edit_record(line, anchor="3"), "anchor '3'"),
         "dist-type": (lambda line: _edit_record(line, dist=1.0), "dist 1.0"),
+        "resp-type": (lambda line: _edit_record(line, resp="yes"), "resp 'yes' is not a number"),
+        "resp-null": (lambda line: _edit_record(line, resp=None), "resp None is not a number"),
+        "seq-type": (lambda line: _edit_record(line, seq="?"), "seq '?' is not an integer"),
     }
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
@@ -375,6 +381,30 @@ class TestAuditCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"corrupt audit log: line {lineno}: ")
         assert problem in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, lineno, problem",
+        [
+            pytest.param("delete", 35_001, "seq 35001 out of order, expected 35000", id="deleted"),
+            # lines 65,536 and 65,537 lie on either side of a reader chunk
+            pytest.param("swap", 65_536, "seq 65536 out of order, expected 65535", id="swapped"),
+        ],
+    )
+    def test_records_out_of_order_exit_1(
+        self, tmp_path, capsys, long_audit_log, edit, lineno, problem
+    ):
+        lines = list(long_audit_log)
+        if edit == "delete":
+            assert json.loads(lines[lineno - 1])["op"] == "mq"
+            del lines[lineno - 1]
+        else:
+            lines[lineno - 1], lines[lineno] = lines[lineno], lines[lineno - 1]
+        log = tmp_path / "reordered.jsonl"
+        log.write_text("".join(lines))
+        code = main(["audit", "--infile", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"corrupt audit log: line {lineno}: {problem}\n"
 
     @staticmethod
     def small_log():
@@ -502,6 +532,7 @@ class TestCanonicalReader:
         "float-anchor": (3, lambda line: line.replace('"anchor": 0', '"anchor": 0.0')),
         "bool-resp": (3, lambda line: _edit_record(line, resp=True)),
         "string-resp": (3, lambda line: _edit_record(line, resp="1.0")),
+        "null-resp-in-query": (3, lambda line: _edit_record(line, resp=None)),
         "spaced-null": (0, lambda line: line.replace('"anchor": null', '"anchor":  null')),
         "null-and-more": (0, lambda line: line.replace('"anchor": null', '"anchor": nullx')),
         "nul-after-resp": (3, lambda line: line.replace(', "seq"', '\x00, "seq"')),

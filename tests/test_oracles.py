@@ -3,6 +3,7 @@
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestColumnarAudit:
                 "point": "".join("1" if int(bits) >> i & 1 else "0" for i in range(n)),
                 "anchor": None if anchor is None else int(anchor),
                 "dist": int(dist),
-                "resp": float(resp),
+                "resp": None if resp is None else float(resp),
                 "seq": len(reference),
             }
             if noise is not None:
@@ -244,7 +245,7 @@ class TestColumnarAudit:
             try:
                 label = s.local_query(bits, anchor)
             except LocalityError as err:
-                expect("mq_violation", bits, anchor, err.distance, float("nan"))
+                expect("mq_violation", bits, anchor, err.distance, None)
             else:
                 expect("mq", bits, anchor, bin(bits ^ base).count("1"), label)
 
@@ -260,7 +261,7 @@ class TestColumnarAudit:
                     (i, j) for i, row in enumerate(dists) for j, d in enumerate(row) if d > r
                 )
                 assert (err.anchor, err.distance) == (anchors[i], dists[i][j])
-                expect("mq_violation", queries[i, j], anchors[i], dists[i][j], float("nan"))
+                expect("mq_violation", queries[i, j], anchors[i], dists[i][j], None)
             else:
                 for row, a, drow, lrow in zip(queries, anchors, dists, labels):
                     for q, d, y in zip(row, drow, lrow):
@@ -359,6 +360,24 @@ class TestColumnarAudit:
         buf = io.StringIO()
         assert s.write_audit_jsonl(buf) == 140
         assert buf.getvalue() == "".join(want)
+
+    def test_scalar_queries_keep_under_64_bytes_per_record(self):
+        # five columns of 26 B per record, at most doubled by spare room
+        calls = 50_000
+        n = 10
+        s = fresh_session(random_tree(n, 6, np.random.default_rng(7)), n=n, r=1, seed=7)
+        idx, masks, _ = s.draw_batch(100)
+        queries = (masks[:, None] ^ (1 << np.arange(n))).ravel().tolist()
+        anchors = np.repeat(idx, n).tolist()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(calls):
+                s.local_query(queries[k % len(queries)], anchors[k % len(anchors)])
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 * calls
 
 
 class TestLabelTable:
