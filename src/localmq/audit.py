@@ -132,6 +132,11 @@ def write_jsonl(fh, columns, n: int, noisy: bool) -> int:
 # ------------------------------------------------------------------ readers
 
 
+def _refuse_constant(token: str):
+    """`parse_constant` hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _is_int64(value) -> bool:
     return type(value) is int and -(1 << 63) <= value < 1 << 63
 
@@ -166,13 +171,14 @@ def _record_problem(rec, width: int | None) -> str | None:
 
 def _json_columns(lines: list[bytes], width: int | None, lineno: int):
     """Op codes, point masks, anchors (-1 for null) and dists of a chunk of
-    audit lines, the log's point width and their seqs, read one JSON record
-    per line under the rules of `_record_problem`. Raises AuditLogError
-    naming the first bad line; `lineno` is the chunk's first line."""
+    audit lines, the log's point width and their seqs, read one strict JSON
+    record (no NaN or Infinity) per line under the rules of
+    `_record_problem`. Raises AuditLogError naming the first bad line;
+    `lineno` is the chunk's first line."""
     rows = []
     for offset, line in enumerate(lines):
         try:
-            rec = json.loads(line)
+            rec = json.loads(line, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise AuditLogError(lineno + offset, f"bad JSON: {exc}") from None
         problem = _record_problem(rec, width)
@@ -309,7 +315,7 @@ def _canonical_columns(lines: list[bytes], width: int | None):
         return None
     for text in np.unique(texts[~null]).tolist():
         try:
-            value = json.loads(text)
+            value = json.loads(text, parse_constant=_refuse_constant)
         except ValueError:
             return None
         if type(value) not in (int, float):

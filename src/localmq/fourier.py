@@ -227,21 +227,10 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
 # --------------------------------------------------------------- restrictions
 
 
-def _flip_queries(session, subset: int, anchors: np.ndarray):
-    """Ask the 2**|S| flips of the subset bits around each anchor example
-    in one batch. Returns the labels (one row per anchor, one column per
-    assignment a of the subset bits), the flip patterns a, and the sign
-    prod(2a_i - 1) of each (parity of the zeros inside the subset)."""
-    positions = bits_of(subset)
-    assign = np.arange(1 << len(positions), dtype=np.int64)
-    patterns = np.zeros(assign.size, dtype=np.int64)
-    for j, pos in enumerate(positions):
-        patterns |= ((assign >> j) & 1) << pos
-    signs = parity_sign(subset & ~patterns).astype(np.float64)
-    anchors = np.asarray(anchors, dtype=np.int64)
-    base = session.anchor_masks(anchors) & ~subset
-    labels = session.local_query_matrix(base[:, None] | patterns[None, :], anchors)
-    return labels, patterns, signs
+def _flip_signs(subset: int, patterns: np.ndarray) -> np.ndarray:
+    """prod(2a_i - 1) of each flip pattern a: the parity of its zeros
+    inside the subset."""
+    return parity_sign(subset & ~patterns).astype(np.float64)
 
 
 def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarray:
@@ -252,8 +241,8 @@ def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarr
     """
     if session.domain != ZERO_ONE:
         raise ContractViolation("restriction_values_01 needs a {0,1} session")
-    labels, _, signs = _flip_queries(session, subset, anchors)
-    return labels @ signs
+    labels, patterns = session.restriction_query(anchors, subset)
+    return labels @ _flip_signs(subset, patterns)
 
 
 def _check_pm_basis(session, basis) -> None:
@@ -275,9 +264,9 @@ def restriction_values_pm(
     product basis weighs the same points by mu_S and uses chi^mu_S.
     """
     _check_pm_basis(session, basis)
-    labels, patterns, signs = _flip_queries(session, subset, anchors)
+    labels, patterns = session.restriction_query(anchors, subset)
     if basis is UNIFORM_PM:
-        return (labels @ signs) / patterns.size
+        return (labels @ _flip_signs(subset, patterns)) / patterns.size
     weights = np.ones(patterns.shape, dtype=np.float64)
     for i in bits_of(subset):
         p = (1.0 + basis.means[i]) / 2.0

@@ -11,9 +11,15 @@ response), 26 bytes per record for a scalar query and a batch alike (at
 most twice that with the spare room), which `localmq.audit` writes as
 JSONL in blocks sliced from them.
 
-The caller names the anchor example for every query, which makes the
-locality check O(n) per query; every algorithm here derives its queries
-from one specific natural example, so the anchor is always known.
+The caller names the anchor example for every query; every algorithm
+here derives its queries from one specific natural example, so the
+anchor is always known. An arbitrary query costs one popcount of its XOR
+with the anchor. The restriction flips every learner asks (the 2**|S|
+points that agree with an anchor off S) go through `restriction_query`,
+whose largest distance is |S| by construction, so its check is one
+comparison per batch and a counts-only session computes no distance.
+Every batch, flips included, is released by `local_query_matrix`, so
+one block of code keeps the counters and the audit records.
 
 Queries are point masks. A gateway that simulates its target (the
 reduction's simulator) overrides only `draw_batch`, which stores its
@@ -35,11 +41,11 @@ from __future__ import annotations
 
 import io
 import json
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, grow_array, popcount
+from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, bits_of, grow_array, popcount
 from .audit import AUDIT_OPS  # noqa: F401 (importable from here as well)
 from .audit import COLUMN_DTYPES, EX, MQ, VIOLATION, AuditSummary, write_jsonl
 from .errors import ContractViolation, LocalityError
@@ -48,6 +54,14 @@ from .distributions import Distribution
 
 AUDIT_FULL = "full"
 AUDIT_COUNTS = "counts"
+
+
+class _Flips(NamedTuple):
+    """A restriction batch: around each anchor, the points that agree
+    with it off `subset` and take `patterns` on it."""
+
+    subset: int
+    patterns: np.ndarray
 
 
 class OracleSession:
@@ -181,19 +195,18 @@ class OracleSession:
         """Vectorized queries: row i of `queries` is anchored at the drawn
         example anchors[i]. Same contract as local_query, checked for the
         whole batch before any label is released; a far batch is reported
-        by its first far entry in row-major order."""
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        if queries.size and (queries.min() < 0 or queries.max() >> self.n):
-            raise ContractViolation("query point outside the session's cube")
-        anchors = np.asarray(anchors, dtype=np.int64)
-        anchor_bits = self.anchor_masks(anchors)
-        dists = popcount(queries ^ anchor_bits[:, None])
-        worst = int(dists.max()) if dists.size else 0
+        by its first far entry in row-major order.
+
+        The one path that releases a batch: `restriction_query` passes its
+        flips here as a `_Flips`, whose check needs no distance."""
+        if isinstance(queries, _Flips):
+            queries, anchors, worst, dists = self._flip_batch(queries, anchors)
+        else:
+            queries, anchors, worst, dists = self._matrix_batch(queries, anchors)
         if worst > self.r:
-            i, j = np.argwhere(dists > self.r)[0]
-            dist, anchor = int(dists[i, j]), int(anchors[i])
+            far = dists()
+            i, j = np.argwhere(far > self.r)[0]
+            dist, anchor = int(far[i, j]), int(anchors[i])
             self.violations += 1
             self._log(VIOLATION, queries[i, j], anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
@@ -204,8 +217,53 @@ class OracleSession:
             self._distinct.add(queries)
         if self.audit_mode == AUDIT_FULL:
             anchors = np.repeat(anchors, queries.shape[1])
-            self._log(MQ, queries.ravel(), anchors, dists.ravel(), labels.ravel())
+            self._log(MQ, queries.ravel(), anchors, dists().ravel(), labels.ravel())
         return labels
+
+    def _matrix_batch(self, queries, anchors):
+        """(queries, anchors, largest distance, distances) of an explicit
+        query matrix: one popcount per entry."""
+        queries = np.asarray(queries, dtype=np.int64)
+        if queries.ndim == 1:
+            queries = queries[None, :]
+        if queries.size and (queries.min() < 0 or queries.max() >> self.n):
+            raise ContractViolation("query point outside the session's cube")
+        anchors = np.asarray(anchors, dtype=np.int64)
+        dists = popcount(queries ^ self.anchor_masks(anchors)[:, None])
+        worst = int(dists.max()) if dists.size else 0
+        return queries, anchors, worst, lambda: dists
+
+    def _flip_batch(self, flips: _Flips, anchors):
+        """The same for the flips of a subset S around each anchor. Every
+        flip is within |S| of its anchor and the one that inverts the
+        anchor on S is exactly |S| away, so the largest distance is |S|
+        and the distances are computed only when asked for."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        anchor_bits = self.anchor_masks(anchors)
+        queries = (anchor_bits & ~flips.subset)[:, None] | flips.patterns
+        worst = flips.subset.bit_count() if anchors.size else 0
+        inside = anchor_bits & flips.subset
+        return queries, anchors, worst, lambda: np.bitwise_count(inside[:, None] ^ flips.patterns)
+
+    def restriction_query(
+        self, anchors: np.ndarray, subset: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ask the 2**|S| flips of the bits of `subset` around each drawn
+        example anchors[i] in one batch. Returns (labels, patterns): entry
+        (i, a) labels (anchor & ~S) | patterns[a], where patterns[a] puts
+        bit j of a on the j-th lowest bit of S.
+
+        Answers, counts, refuses and logs as `local_query_matrix` does on
+        that matrix, through it, but checks the batch by |S| <= r alone."""
+        subset = int(subset)
+        if subset < 0 or subset >> self.n:
+            raise ContractViolation("query point outside the session's cube")
+        positions = bits_of(subset)
+        assign = np.arange(1 << len(positions), dtype=np.int64)
+        patterns = np.zeros(assign.size, dtype=np.int64)
+        for j, pos in enumerate(positions):
+            patterns |= ((assign >> j) & 1) << pos
+        return self.local_query_matrix(_Flips(subset, patterns), anchors), patterns
 
     # ------------------------------------------------------------- audit
 

@@ -406,6 +406,26 @@ class TestAuditCommand:
         assert code == 1 and captured.out == ""
         assert captured.err == f"corrupt audit log: line {lineno}: {problem}\n"
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("chunk", [0, 1])
+    def test_non_json_resp_exits_1(self, tmp_path, capsys, long_audit_log, token, chunk):
+        # Python's json reads these tokens as floats, but they are not JSON
+        lines = list(long_audit_log)
+        lineno = 1 + next(
+            i for i in range(chunk << 16, len(lines)) if json.loads(lines[i])["op"] == "mq"
+        )
+        edited = _edit_record(lines[lineno - 1], resp=0.0)
+        lines[lineno - 1] = edited.replace('"resp": 0.0', f'"resp": {token}')
+        assert token in lines[lineno - 1]
+        log = tmp_path / "constant.jsonl"
+        log.write_text("".join(lines))
+        code = main(["audit", "--infile", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"corrupt audit log: line {lineno}: bad JSON: {token} is not a JSON number\n"
+        )
+
     @staticmethod
     def small_log():
         """Three examples, one query anchored at example 0, then a fourth

@@ -30,7 +30,8 @@ from localmq import (
     tree_to_polynomial,
 )
 from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
-from localmq.fourier import UNIFORM_PM, ProductBasis
+from localmq import learners as learners_mod
+from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, char_values
 from localmq.generators import random_dnf, random_product_means, random_sparse_poly, random_tree
 from localmq.learners import project_l1
 from localmq.oracles import AUDIT_COUNTS
@@ -116,6 +117,43 @@ class TestConstrainedRegression:
         m = x.shape[0]
         val = float(np.mean((x @ w - y) ** 2))
         assert val <= val_star + 1e-6
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        """A list whose length grows by one per project_l1 call, one per step."""
+        steps = []
+
+        def counting(v, bound):
+            steps.append(bound)
+            return project_l1(v, bound)
+
+        monkeypatch.setattr(learners_mod, "project_l1", counting)
+        return steps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_monomials_converge_fast(self, seed, monkeypatch):
+        # nested monomials {0}, {0,1}, ..., {0..5} share their bits, so the
+        # Gram matrix is ill-conditioned; plain projected gradient needs
+        # about 500 steps here
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 1 << 10, size=2000)
+        sets = [(1 << (j + 1)) - 1 for j in range(6)]
+        x = np.column_stack([char_values(MONOMIAL_01, s, masks, 10) for s in sets])
+        assert np.linalg.cond(x.T @ x / x.shape[0]) >= 100
+        true_w = rng.choice([-1.0, 1.0], size=6) * rng.uniform(0.2, 1.0, size=6)
+        y = x @ true_w
+        bound = float(np.abs(true_w).sum())
+        steps = self.counted_steps(monkeypatch)
+        w = constrained_regression(x, y, bound)
+        assert len(steps) < 300
+        _, val_star = VerifierOracle().exact_l1_least_squares(x, y, bound)
+        assert float(np.mean((x @ w - y) ** 2)) <= val_star + 1e-6
+
+    def test_zero_labels_stop_after_one_step(self, monkeypatch):
+        x = np.random.default_rng(3).normal(size=(50, 4))
+        steps = self.counted_steps(monkeypatch)
+        w = constrained_regression(x, np.zeros(50), 1.0)
+        assert np.array_equal(w, np.zeros(4)) and len(steps) == 1
 
 
 HEAVY_SINGLETON = SparsePolynomial(8, {0b100: 5.0}, ZERO_ONE, 1, 5.0)

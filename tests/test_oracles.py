@@ -484,6 +484,139 @@ class TestScalarMatchesBatch:
         assert logs[0].getvalue() == logs[1].getvalue()
 
 
+def flip_patterns(n, subset):
+    """The 2**|S| flips of S, assignment a putting its bit j on the j-th
+    lowest bit of S."""
+    positions = [i for i in range(n) if subset >> i & 1]
+    return np.asarray(
+        [sum((a >> j & 1) << p for j, p in enumerate(positions)) for a in range(1 << len(positions))],
+        dtype=np.int64,
+    )
+
+
+def ask_restriction_twins(fast, slow, anchors, subset):
+    """Ask `fast` by restriction_query and `slow` by local_query_matrix on
+    the explicit matrix; both must answer or refuse alike. Returns the
+    flip patterns and labels, or None for a refusal."""
+    want_patterns = flip_patterns(slow.n, subset)
+    queries = (slow.anchor_masks(anchors) & ~subset)[:, None] | want_patterns[None, :]
+    try:
+        want = slow.local_query_matrix(queries, anchors)
+    except LocalityError as err:
+        with pytest.raises(LocalityError) as again:
+            fast.restriction_query(anchors, subset)
+        assert (again.value.distance, again.value.r, again.value.anchor) == (
+            err.distance, err.r, err.anchor
+        )
+        return None
+    labels, patterns = fast.restriction_query(anchors, subset)
+    assert np.array_equal(patterns, want_patterns)
+    assert labels.shape == want.shape and labels.tobytes() == want.tobytes()
+    return patterns, labels
+
+
+class TestRestrictionQueryMatchesMatrix:
+    """`restriction_query(anchors, S)` answers as `local_query_matrix` does
+    on the matrix (anchor & ~S) | patterns, refuses what it refuses, and
+    leaves the same counters, distinct count and full audit, on the 2**n
+    bitmap and on the set of masks above ENUM_MAX_BITS."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_same_labels_counters_audit_and_refusal(self, data):
+        n = data.draw(st.one_of(st.integers(1, 8), st.integers(21, 23)), label="n")
+        r = data.draw(st.integers(0, min(n, 5)), label="r")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        noisy = data.draw(st.booleans(), label="noisy")
+        audit = data.draw(st.sampled_from(["full", AUDIT_COUNTS]), label="audit")
+        tree = random_tree(n, min(4, 1 << n), np.random.default_rng(seed))
+
+        def session():
+            noise = NoiseWrapper(0.3, seed=seed) if noisy else None
+            return fresh_session(tree, n=n, r=r, seed=seed, noise=noise, audit_mode=audit)
+
+        fast, slow = session(), session()
+        subset_st = st.sets(st.integers(0, n - 1), max_size=min(n, r + 2)).map(
+            lambda bits: sum(1 << i for i in bits)
+        )
+        steps = data.draw(st.lists(st.sampled_from(["draw", "ask"]), max_size=8), label="steps")
+        for step in ["draw", *steps]:
+            if step == "draw":
+                count = data.draw(st.integers(1, 1 << min(n, 7)), label="count")
+                for s in (fast, slow):
+                    s.draw_batch(count)
+                continue
+            anchors = np.asarray(
+                data.draw(st.lists(st.integers(0, fast.ex_count - 1), max_size=4), label="anchors"),
+                dtype=np.int64,
+            )
+            ask_restriction_twins(fast, slow, anchors, data.draw(subset_st, label="subset"))
+        assert fast.audit_report() == slow.audit_report()
+        assert fast._labelled == slow._labelled
+        if audit == "full":
+            logs = [io.StringIO(), io.StringIO()]
+            fast.write_audit_jsonl(logs[0])
+            slow.write_audit_jsonl(logs[1])
+            assert logs[0].getvalue() == logs[1].getvalue()
+
+    def test_far_subset_is_refused_once_per_batch(self):
+        s = fresh_session(n=8, r=2)
+        idx, _, _ = s.draw_batch(5)
+        with pytest.raises(LocalityError) as err:
+            s.restriction_query(idx, 0b10101)
+        assert (err.value.distance, err.value.anchor) == (3, int(idx[0]))
+        rep = s.audit_report()
+        assert (rep.mq_count, rep.violations, rep.max_locality_used) == (0, 1, 0)
+        # with no anchor there is no query, so nothing is far
+        labels, patterns = s.restriction_query(np.zeros(0, dtype=np.int64), 0b10101)
+        assert labels.shape == (0, 8) and patterns.size == 8
+        assert s.audit_report() == rep
+
+    @pytest.mark.parametrize("subset", [-1, 1 << 8])
+    def test_subset_outside_the_cube_is_refused(self, subset):
+        s = fresh_session(n=8, r=8)
+        idx, _, _ = s.draw_batch(2)
+        with pytest.raises(ContractViolation, match="outside the session's cube"):
+            s.restriction_query(idx, subset)
+        assert s.audit_report().violations == 0
+
+    def test_batches_are_released_through_local_query_matrix(self, monkeypatch):
+        """A wrapper around `OracleSession.local_query_matrix` sees every
+        restriction batch, the refused one too, and counts what the
+        session counts."""
+        seen = []
+        inner = OracleSession.local_query_matrix
+
+        def wrapped(self, queries, anchors):
+            try:
+                labels = inner(self, queries, anchors)
+            except LocalityError:
+                seen.append("refused")
+                raise
+            seen.append(labels.size)
+            return labels
+
+        monkeypatch.setattr(OracleSession, "local_query_matrix", wrapped)
+        s = fresh_session(n=8, r=2)
+        idx, _, _ = s.draw_batch(5)
+        s.restriction_query(idx, 0b101)
+        with pytest.raises(LocalityError):
+            s.restriction_query(idx, 0b10101)
+        assert seen == [20, "refused"]
+        assert (s.audit_report().mq_count, s.audit_report().violations) == (20, 1)
+
+    def test_counts_only_session_computes_no_distance(self, monkeypatch):
+        s = fresh_session(n=8, r=3, audit_mode=AUDIT_COUNTS)
+        idx, _, _ = s.draw_batch(50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(np, "bitwise_count", refuse)
+        labels, _ = s.restriction_query(idx, 0b1011)
+        assert labels.shape == (50, 8) and s.audit_report().max_locality_used == 3
+
+
 class SealedTarget:
     """Evaluation-counting double: label reads must equal logged calls."""
 

@@ -30,6 +30,7 @@ from localmq.reduction import LinearCode, ReductionSimulator, ball_size, reducti
 from localmq._bits import ENUM_MAX_BITS, all_masks, popcount
 from localmq._prf import coin_pm
 from localmq.verify import agnostic_excess, pull_back
+from tests.test_oracles import ask_restriction_twins
 
 
 def base_session(target, seed=0, r=0):
@@ -435,6 +436,43 @@ class TestSimulatorScalarMatchesBatch:
                 ask(anchor, emb.code.encode(msg))
         assert scalar.audit_report() == batch.audit_report()
         assert scalar.base_session.audit_report() == batch.base_session.audit_report()
+
+
+class TestSimulatorRestrictionQuery:
+    """At k = 1 the simulator answers `restriction_query` as it answers
+    `local_query_matrix` on the explicit flip matrix, codewords included,
+    refuses |S| > 1 alike, and leaves the same counters and distinct count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_labels_refusals_and_counters(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        f = random_tree(n, 4, np.random.default_rng(seed))
+        emb = embed(f, 1, coin_seed=seed)
+        fast, slow = (
+            ReductionSimulator(emb, base_session(f, seed=seed), seed=seed) for _ in range(2)
+        )
+        count = data.draw(st.integers(1, 40), label="count")
+        for sim in (fast, slow):
+            sim.draw_batch(count)
+        subsets = st.sets(st.integers(0, emb.m - 1), max_size=2).map(
+            lambda bits: sum(1 << i for i in bits)
+        )
+        for _ in range(data.draw(st.integers(1, 6), label="asks")):
+            anchors = data.draw(st.lists(st.integers(0, count - 1), max_size=5), label="anchors")
+            subset = data.draw(subsets, label="subset")
+            ask_restriction_twins(fast, slow, np.asarray(anchors, dtype=np.int64), subset)
+        # each anchor within 1 of a codeword asks for it on the flip of that bit
+        anchors = np.arange(count)
+        for anchor, word in zip(anchors.tolist(), fast.anchor_masks(anchors).tolist()):
+            msg = emb.code.decode(word)
+            if msg is not None and word != emb.code.encode(msg):
+                flip = word ^ emb.code.encode(msg)
+                patterns, labels = ask_restriction_twins(fast, slow, np.asarray([anchor]), flip)
+                assert np.array_equal(labels[0], emb.label_batch((word & ~flip) | patterns))
+        assert fast.audit_report() == slow.audit_report()
+        assert fast.base_session.audit_report() == slow.base_session.audit_report()
 
 
 def parity(n, mask):
