@@ -20,16 +20,25 @@ ENUM_MAX_BITS = 20  # largest n whose 2**n points are enumerated into tables
 
 class DistinctMasks:
     """Exact count of the distinct points of the n-cube added so far: a
-    2**n bitmap when n <= ENUM_MAX_BITS, a set of masks above that."""
+    2**n bitmap when n <= ENUM_MAX_BITS, a set of masks above that.
+
+    A batch into a bitmap with every point marked writes nothing. Whether
+    it is full is read again after each 2**n points added, which costs
+    one bitmap read per point added."""
 
     def __init__(self, n: int):
         self._seen = np.zeros(1 << n, dtype=bool) if n <= ENUM_MAX_BITS else set()
+        self._full = False
+        self._unread = 0  # points added since the bitmap was last read for fullness
 
     def add(self, masks: np.ndarray) -> None:
         if isinstance(self._seen, set):
             self._seen.update(masks.ravel().tolist())
-        else:
+        elif not self._full:
             self._seen[masks] = True
+            self._unread += masks.size
+            if self._unread >= self._seen.size:
+                self._full, self._unread = bool(self._seen.all()), 0
 
     def add_one(self, mask: int) -> None:
         if isinstance(self._seen, set):

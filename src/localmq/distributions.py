@@ -26,6 +26,7 @@ PRODUCT = "product"
 TABLE = "table"
 
 _MIN_TABLE_PROB = 1e-300  # below this, smoothness ratios silently underflow
+_BLOCK = 1 << 16  # uniforms per block of a product draw (512 KB), unless one row is longer
 
 
 @dataclass(frozen=True)
@@ -143,21 +144,53 @@ class Distribution:
     # ---------------------------------------------------------------- sampling
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        return np.cumsum(self._masses)
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """A table's CDF and its guide table (Chen & Asau 1974): guide[b]
+        counts the CDF entries <= b / 2**n, so a draw u in bucket b, the
+        interval [b, b + 1) / 2**n, lands between guide[b] and guide[b + 1].
+        The edges b / 2**n are exact in floating point."""
+        cdf = np.cumsum(self._masses)
+        edges = np.arange(cdf.size + 1, dtype=np.float64) / cdf.size
+        return cdf, np.searchsorted(cdf, edges, side="right").astype(np.int32)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Masks drawn iid from the distribution."""
+        """Masks drawn iid from the distribution, as int64.
+
+        Uniform: one `rng.integers` call. Product: bit i of draw j is
+        `rng.random() < p_i`, where the uniforms come bit by bit, `size` at a
+        time; they are drawn as rows of one `rng.random((bits, size))` block
+        (the same numbers, as the generator fills row by row), with at most
+        2**16 uniforms (512 KB) to a block, or one row when a row is longer.
+        Table: searchsorted(cdf, u, "right") for `size` uniforms u, which is
+        2**n when u >= cdf[-1]; the guide table bounds each search to u's
+        bucket, and a binary search over the widest bucket drawn finishes
+        every draw's search in the same number of steps."""
         if self.kind == UNIFORM:
             return rng.integers(0, 1 << self.n, size=size, dtype=np.int64)
         if self.kind == PRODUCT:
-            out = np.zeros(size, dtype=np.int64)
-            for i, p in enumerate(self.p_high):
-                out |= (rng.random(size) < p).astype(np.int64) << i
-            return out
-        return np.searchsorted(self._cdf, rng.random(size), side="right").astype(
-            np.int64
-        )
+            return self._product_sample(rng, size)
+        cdf, guide = self._guide
+        u = rng.random(size)
+        bucket = (u * cdf.size).astype(np.intp)
+        found, hi = guide[bucket], guide[bucket + 1]
+        # found <= result <= hi; raise `found` by halving steps, never past hi
+        for step in reversed(range(int((hi - found).max(initial=0)).bit_length())):
+            probe = np.minimum(found + (1 << step), hi)
+            found = np.where(cdf[probe - 1] <= u, probe, found)
+        return found.astype(np.int64)
+
+    def _product_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        out = np.zeros(size, dtype=np.int64)
+        p_high = np.asarray(self.p_high)[:, None]
+        shifts = np.arange(self.n, dtype=np.int64)[:, None]
+        rows = max(1, _BLOCK // max(size, 1))
+        for lo in range(0, self.n, rows):
+            block = rng.random((min(rows, self.n - lo), size))
+            at = slice(lo, lo + rows)
+            # each row's bits, shifted into place, overwrite the block
+            bits = np.left_shift(block < p_high[at], shifts[at], out=block.view(np.int64))
+            out |= np.bitwise_or.reduce(bits, axis=0)
+        return out
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind, "n": self.n, "domain": self.domain}

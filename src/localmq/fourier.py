@@ -13,6 +13,7 @@ that flip only the bits in S, hence |S|-local.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -227,10 +228,15 @@ def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> Fourie
 # --------------------------------------------------------------- restrictions
 
 
-def _flip_signs(subset: int, patterns: np.ndarray) -> np.ndarray:
-    """prod(2a_i - 1) of each flip pattern a: the parity of its zeros
-    inside the subset."""
-    return parity_sign(subset & ~patterns).astype(np.float64)
+@functools.cache
+def _flip_signs(k: int) -> np.ndarray:
+    """prod(2a_i - 1) of each assignment a of k bits, in the order of
+    `restriction_query`'s patterns: (-1)**(k - popcount(a)), the parity of
+    its zeros. Read-only, built on first use."""
+    full = (1 << k) - 1
+    signs = parity_sign(full & ~np.arange(full + 1)).astype(np.float64)
+    signs.flags.writeable = False
+    return signs
 
 
 def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarray:
@@ -242,7 +248,7 @@ def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarr
     if session.domain != ZERO_ONE:
         raise ContractViolation("restriction_values_01 needs a {0,1} session")
     labels, patterns = session.restriction_query(anchors, subset)
-    return labels @ _flip_signs(subset, patterns)
+    return labels @ _flip_signs(popcount(subset))
 
 
 def _check_pm_basis(session, basis) -> None:
@@ -266,7 +272,7 @@ def restriction_values_pm(
     _check_pm_basis(session, basis)
     labels, patterns = session.restriction_query(anchors, subset)
     if basis is UNIFORM_PM:
-        return (labels @ _flip_signs(subset, patterns)) / patterns.size
+        return (labels @ _flip_signs(popcount(subset))) / patterns.size
     weights = np.ones(patterns.shape, dtype=np.float64)
     for i in bits_of(subset):
         p = (1.0 + basis.means[i]) / 2.0

@@ -13,6 +13,7 @@ bounded by an unspecified constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,13 @@ def rcn_collision_prob(k: int, i: int, eta: float) -> float:
         raise ContractViolation(f"offset i={i} outside [0, {k}]")
     if not 0.0 <= eta < 1.0:
         raise ContractViolation(f"eta={eta} outside [0, 1)")
+    return _collision_prob(int(k), int(i), float(eta))
+
+
+@functools.lru_cache(maxsize=4096)
+def _collision_prob(k: int, i: int, eta: float) -> float:
+    """`rcn_collision_prob` on checked arguments, computed once per
+    (k, i, eta): every noisy test at one |S| asks the same two values."""
     pmf1 = _binom_pmf(k + i, eta)[i : k + 1]  # Z1 = j + i for j = 0..k-i
     return float(math.fsum((pmf1 * _binom_pmf(k - i, eta)).tolist()))
 

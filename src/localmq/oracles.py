@@ -21,6 +21,14 @@ comparison per batch and a counts-only session computes no distance.
 Every batch, flips included, is released by `local_query_matrix`, so
 one block of code keeps the counters and the audit records.
 
+Anchors that agree off S ask the same row of flips. When a restriction
+batch holds at least as many queries as the cube has points
+(m * 2**|S| >= 2**n, n <= ENUM_MAX_BITS), the session builds, labels and
+distinct-marks each distinct row once, with the first anchor of that row
+passed to `_answer`, and copies the labels out to every anchor. The
+counters, the audit records and the labels returned are those of the
+whole m x 2**|S| batch.
+
 Queries are point masks. A gateway that simulates its target (the
 reduction's simulator) overrides only `draw_batch`, which stores its
 draws through `_keep`, and the two hooks that label checked queries:
@@ -29,8 +37,9 @@ which builds no array once the label table exists.
 
 Distinct-query counting is exact: a 2**n boolean bitmap when
 n <= ENUM_MAX_BITS (20), a set of masks above that. Labels come from the
-target (times the noise) point by point until the session has labelled
-2**n points in all, examples and queries together; on a cube that small
+target (times the noise) point by point until the session has answered
+2**n points in all (`_labelled`: examples and answered queries together,
+a repeated row counted each time it is answered); on a cube that small
 it then labels the whole cube once into a table and reads every later
 label from it. The table holds the same values the point-by-point path
 returns, so labels and random streams do not depend on when it is built,
@@ -39,9 +48,10 @@ and a session that labels fewer than 2**n points never builds it.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +72,48 @@ class _Flips(NamedTuple):
 
     subset: int
     patterns: np.ndarray
+
+
+class _Batch(NamedTuple):
+    """A batch ready to check and answer. Row i of the batch is asked
+    around anchors[i] and is queries[i], or queries[rows[i]] when rows is
+    not None; then `queries` holds each distinct row once and
+    row_anchors[u] is the first anchor of row u."""
+
+    queries: np.ndarray
+    row_anchors: np.ndarray
+    rows: np.ndarray | None
+    anchors: np.ndarray
+    worst: int
+    dists: Callable[[], np.ndarray]
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-row `values` (one row per distinct row) as one row per anchor."""
+        return values if self.rows is None else np.take(values, self.rows, axis=0)
+
+
+@functools.cache
+def _assignment_bits(k: int) -> np.ndarray:
+    """Row a holds bit j of a in column j, for the 2**k assignments of k
+    bits; read-only, built on first use."""
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def _distinct(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(the distinct entries of `values`, points of the n-cube, ascending;
+    the index of the first entry of each; the position of each entry's
+    value among them), read off a 2**n bitmap."""
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[values] = True
+    distinct = np.flatnonzero(seen)
+    slot = np.empty(1 << n, dtype=np.int32)
+    slot[distinct] = np.arange(distinct.size)
+    rows = slot[values]
+    first = np.full(distinct.size, values.size, dtype=np.intp)
+    np.minimum.at(first, rows, np.arange(values.size))
+    return distinct, first, rows
 
 
 class OracleSession:
@@ -129,7 +181,9 @@ class OracleSession:
     def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Labels of checked queries; row i of `queries` is anchored at the
         drawn example anchors[i]. Subclasses that simulate the target
-        answer here."""
+        answer here. A restriction row stands for every anchor that asks
+        the same points, so its labels must not depend on which of those
+        anchors it names."""
         return self._labels_for(queries.ravel()).reshape(queries.shape)
 
     def _answer_one(self, query: int, anchor: int) -> float:
@@ -200,29 +254,32 @@ class OracleSession:
         The one path that releases a batch: `restriction_query` passes its
         flips here as a `_Flips`, whose check needs no distance."""
         if isinstance(queries, _Flips):
-            queries, anchors, worst, dists = self._flip_batch(queries, anchors)
+            batch = self._flip_batch(queries, anchors)
         else:
-            queries, anchors, worst, dists = self._matrix_batch(queries, anchors)
-        if worst > self.r:
-            far = dists()
+            batch = self._matrix_batch(queries, anchors)
+        if batch.worst > self.r:
+            far = batch.dists()
             i, j = np.argwhere(far > self.r)[0]
-            dist, anchor = int(far[i, j]), int(anchors[i])
+            dist, anchor = int(far[i, j]), int(batch.anchors[i])
             self.violations += 1
-            self._log(VIOLATION, queries[i, j], anchor, dist, np.nan)
+            self._log(VIOLATION, batch.expand(batch.queries)[i, j], anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
-        labels = self._answer(queries, anchors)
-        self.mq_count += queries.size
-        self.max_locality_used = max(self.max_locality_used, worst)
+        if batch.rows is not None and self._table is None:
+            # `_labelled` counts answered queries, the repeated rows too
+            self._labelled += (batch.rows.size - batch.queries.shape[0]) * batch.queries.shape[1]
+        labels = batch.expand(self._answer(batch.queries, batch.row_anchors))
+        self.mq_count += labels.size
+        self.max_locality_used = max(self.max_locality_used, batch.worst)
         if self._distinct is not None:
-            self._distinct.add(queries)
+            self._distinct.add(batch.queries)
         if self.audit_mode == AUDIT_FULL:
-            anchors = np.repeat(anchors, queries.shape[1])
-            self._log(MQ, queries.ravel(), anchors, dists().ravel(), labels.ravel())
+            anchors = np.repeat(batch.anchors, labels.shape[1])
+            queries = batch.expand(batch.queries)
+            self._log(MQ, queries.ravel(), anchors, batch.dists().ravel(), labels.ravel())
         return labels
 
-    def _matrix_batch(self, queries, anchors):
-        """(queries, anchors, largest distance, distances) of an explicit
-        query matrix: one popcount per entry."""
+    def _matrix_batch(self, queries, anchors) -> _Batch:
+        """An explicit query matrix: one popcount per entry."""
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim == 1:
             queries = queries[None, :]
@@ -231,19 +288,31 @@ class OracleSession:
         anchors = np.asarray(anchors, dtype=np.int64)
         dists = popcount(queries ^ self.anchor_masks(anchors)[:, None])
         worst = int(dists.max()) if dists.size else 0
-        return queries, anchors, worst, lambda: dists
+        return _Batch(queries, anchors, None, anchors, worst, lambda: dists)
 
-    def _flip_batch(self, flips: _Flips, anchors):
-        """The same for the flips of a subset S around each anchor. Every
-        flip is within |S| of its anchor and the one that inverts the
-        anchor on S is exactly |S| away, so the largest distance is |S|
-        and the distances are computed only when asked for."""
+    def _flip_batch(self, flips: _Flips, anchors) -> _Batch:
+        """The flips of a subset S around each anchor. Every flip is within
+        |S| of its anchor and the one that inverts the anchor on S is
+        exactly |S| away, so the largest distance is |S| and the distances
+        are computed only when asked for.
+
+        Anchors that agree off S ask the same row. When the batch holds at
+        least as many queries as the cube has points (m * 2**|S| >= 2**n,
+        n <= ENUM_MAX_BITS), each distinct row is built once; a 2**n bitmap
+        finds them in time no larger than the batch."""
         anchors = np.asarray(anchors, dtype=np.int64)
         anchor_bits = self.anchor_masks(anchors)
-        queries = (anchor_bits & ~flips.subset)[:, None] | flips.patterns
+        bases, row_anchors, rows = anchor_bits & ~flips.subset, anchors, None
+        if self._enumerable and anchors.size * flips.patterns.size >= 1 << self.n:
+            bases, first, rows = _distinct(bases, self.n)
+            row_anchors = anchors[first]
+        queries = bases[:, None] | flips.patterns
         worst = flips.subset.bit_count() if anchors.size else 0
         inside = anchor_bits & flips.subset
-        return queries, anchors, worst, lambda: np.bitwise_count(inside[:, None] ^ flips.patterns)
+        return _Batch(
+            queries, row_anchors, rows, anchors, worst,
+            lambda: np.bitwise_count(inside[:, None] ^ flips.patterns),
+        )
 
     def restriction_query(
         self, anchors: np.ndarray, subset: int
@@ -259,10 +328,8 @@ class OracleSession:
         if subset < 0 or subset >> self.n:
             raise ContractViolation("query point outside the session's cube")
         positions = bits_of(subset)
-        assign = np.arange(1 << len(positions), dtype=np.int64)
-        patterns = np.zeros(assign.size, dtype=np.int64)
-        for j, pos in enumerate(positions):
-            patterns |= ((assign >> j) & 1) << pos
+        weights = np.array([1 << pos for pos in positions], dtype=np.int64)
+        patterns = _assignment_bits(len(positions)) @ weights
         return self.local_query_matrix(_Flips(subset, patterns), anchors), patterns
 
     # ------------------------------------------------------------- audit

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from localmq import ContractViolation, Distribution, ZeroMassError, conditional_marginal, verify_smoothness
 from localmq.distributions import (
+    _BLOCK,
     exact_event_prob_masked,
     marginal,
     random_smooth_table,
@@ -123,6 +124,113 @@ class TestSampling:
             if abs(counts[m] - p * n_draws) > 3 * sigma:
                 bad += 1
         assert bad <= 2  # 3-sigma misses are rare but not impossible over 64 cells
+
+
+def per_bit_product_sample(dist, rng, size):
+    """The product sampler one bit at a time: `size` uniforms per bit."""
+    out = np.zeros(size, dtype=np.int64)
+    for i, p in enumerate(dist.p_high):
+        out |= (rng.random(size) < p).astype(np.int64) << i
+    return out
+
+
+@st.composite
+def skewed_tables(draw):
+    """One point holds at least 1 - 1e-9 of the mass; the others hold
+    zeros and tiny masses down to 1e-300."""
+    n = draw(st.integers(1, 10), label="n")
+    tiny = st.sampled_from([0.0, 1e-300, 1e-250, 1e-100, 1e-30, 1e-15, 1e-12])
+    probs = np.asarray(draw(st.lists(tiny, min_size=1 << n, max_size=1 << n), label="tiny"))
+    heavy = draw(st.integers(0, (1 << n) - 1), label="heavy")
+    probs[heavy] = 0.0
+    probs[heavy] = 1.0 - math.fsum(probs.tolist())
+    return Distribution.table(probs, ZERO_ONE)
+
+
+@st.composite
+def smooth_tables(draw):
+    n = draw(st.integers(1, 12), label="n")
+    alpha = draw(st.floats(1.0, 4.0), label="alpha")
+    seed = draw(st.integers(0, 1 << 16), label="seed")
+    return random_smooth_table(n, alpha, np.random.default_rng(seed))
+
+
+class TestSampleBatchMatchesReference:
+    """`sample_batch` returns what the plain definitions return, bit for
+    bit, and leaves the generator in the same state: searchsorted on the
+    cumulative masses for a table, one `rng.random(size)` per bit for a
+    product."""
+
+    @staticmethod
+    def same_draws(dist, reference, seed, size):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = dist.sample_batch(rng, size), reference(ref_rng)
+        assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dist=st.one_of(smooth_tables(), skewed_tables()),
+        size=st.one_of(st.integers(0, 64), st.integers(0, 1500).map(lambda k: 2 * k + 1)),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_table_equals_searchsorted(self, dist, size, seed):
+        cdf = np.cumsum(dist.probs_array())
+        self.same_draws(
+            dist, lambda rng: np.searchsorted(cdf, rng.random(size), side="right"), seed, size
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 1 << 32),
+        data=st.data(),
+    )
+    def test_product_equals_per_bit_loop(self, n, seed, data):
+        means = data.draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n), label="means")
+        dist = Distribution.product(means, PLUS_MINUS)
+        # odd sizes, and sizes whose n * size crosses the block bound
+        block = _BLOCK // n
+        size = data.draw(
+            st.one_of(
+                st.integers(0, 200).map(lambda k: 2 * k + 1),
+                st.integers(max(block - 2, 0), block + 2),
+                st.integers(block + 1, 2 * block + 3),
+            ),
+            label="size",
+        )
+        self.same_draws(dist, lambda rng: per_bit_product_sample(dist, rng, size), seed, size)
+
+    @pytest.mark.parametrize("kind", ["smooth", "skewed", "short"])
+    def test_table_at_the_edges_of_its_search(self, kind):
+        """Uniforms at every CDF entry, next to it, at every bucket edge,
+        and at and above cdf[-1] (2**n there) give searchsorted's index."""
+        rng = np.random.default_rng(3)
+        n = 9
+        if kind == "smooth":
+            probs = random_smooth_table(n, 3.0, rng).probs_array().copy()
+            probs[5] += 5e-13  # the masses sum to just above 1
+        else:
+            probs = np.where(rng.random(1 << n) < 0.5, 1e-300, 0.0)
+            probs[5] = 1.0 - math.fsum(probs.tolist())
+        if kind == "short":
+            probs[5] -= 5e-13  # the masses sum to just below 1
+        dist = Distribution.table(probs, ZERO_ONE)
+        cdf = np.cumsum(dist.probs_array())
+        edges = np.arange(1 << n) / (1 << n)
+        near = [np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)]
+        u = np.concatenate([cdf, *near, edges, [1.0 - 2.0**-53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+
+        class Fixed:
+            def random(self, size):
+                assert size == u.size
+                return u
+
+        got = dist.sample_batch(Fixed(), u.size)
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        if kind == "short":
+            assert cdf[-1] < 1.0 and got[-1] == 1 << n
 
 
 class TestExactEventProb:

@@ -23,6 +23,7 @@ from localmq import (
 )
 from localmq.fourier import UNIFORM_PM, nonzero_test
 from localmq.generators import random_tree
+from localmq import noise as noise_module
 from localmq.noise import eta_grid_search, eta_grid
 from localmq.oracles import AUDIT_COUNTS
 from localmq.verify import VerifierOracle, walk_gap_floor
@@ -84,6 +85,16 @@ class TestCollisionProb:
                 want = self.exact(k, i, eta)
                 got = rcn_collision_prob(k, i, eta)
                 assert abs(got - want) <= 2e-14 * want, (k, i, eta, got, want)
+
+    def test_memoised_values_are_the_computed_ones(self):
+        """Every call, the first and the repeats, with numpy or Python
+        arguments, returns the convolution computed afresh, bit for bit."""
+        compute = noise_module._collision_prob.__wrapped__
+        for k, i, eta in [(1, 0, 0.1), (4, 1, 0.2), (32, 1, 0.1), (64, 7, 0.45)]:
+            want = compute(k, i, eta)
+            for args in [(k, i, eta), (np.int64(k), np.int64(i), np.float64(eta)), (k, i, eta)]:
+                got = rcn_collision_prob(*args)
+                assert type(got) is float and got.hex() == want.hex()
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):

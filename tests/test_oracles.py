@@ -27,7 +27,7 @@ from localmq.generators import random_sparse_poly, random_tree
 from localmq.cli import main
 from localmq.audit import _decimal_digits
 from localmq.oracles import AUDIT_COUNTS
-from localmq._bits import all_masks, mask_to_bitstring
+from localmq._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, mask_to_bitstring
 
 
 def constant_tree(n, label=1):
@@ -183,6 +183,18 @@ class TestAudit:
                 s.local_query_matrix(np.asarray(flat).reshape(rows, cols), idx[:rows])
                 seen.update(flat)
         assert s.audit_report().distinct_mq_points == len(seen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_distinct_masks_count_a_cube_as_it_fills(self, n, data):
+        # batches of up to 3 * 2**n points fill small cubes, after which
+        # a full bitmap takes no more writes and still counts 2**n
+        distinct, seen = DistinctMasks(n), set()
+        for _ in range(data.draw(st.integers(1, 12))):
+            flat = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3 << n))
+            distinct.add(np.asarray(flat, dtype=np.int64))
+            seen.update(flat)
+            assert len(distinct) == len(seen)
 
     def test_noisy_sessions_flag_their_records(self):
         tree = random_tree(6, 4, np.random.default_rng(4))
@@ -496,10 +508,14 @@ def flip_patterns(n, subset):
 
 def ask_restriction_twins(fast, slow, anchors, subset):
     """Ask `fast` by restriction_query and `slow` by local_query_matrix on
-    the explicit matrix; both must answer or refuse alike. Returns the
-    flip patterns and labels, or None for a refusal."""
+    the explicit matrix; both must answer or refuse alike. When the batch
+    holds at least 2**n queries (n <= ENUM_MAX_BITS), `fast` must label
+    each distinct row, anchors that agree off S, once, naming its first
+    anchor. Returns the flip patterns, the labels and the number of rows
+    `fast` labelled, or None for a refusal."""
     want_patterns = flip_patterns(slow.n, subset)
-    queries = (slow.anchor_masks(anchors) & ~subset)[:, None] | want_patterns[None, :]
+    bases = slow.anchor_masks(anchors) & ~subset
+    queries = bases[:, None] | want_patterns[None, :]
     try:
         want = slow.local_query_matrix(queries, anchors)
     except LocalityError as err:
@@ -509,17 +525,40 @@ def ask_restriction_twins(fast, slow, anchors, subset):
             err.distance, err.r, err.anchor
         )
         return None
-    labels, patterns = fast.restriction_query(anchors, subset)
+    asked = []
+    answer = fast._answer
+
+    def spy(row_queries, row_anchors):
+        asked.append((row_queries, row_anchors))
+        return answer(row_queries, row_anchors)
+
+    fast._answer = spy
+    try:
+        labels, patterns = fast.restriction_query(anchors, subset)
+    finally:
+        del fast._answer
+    ((row_queries, row_anchors),) = asked
+    if slow.n <= ENUM_MAX_BITS and anchors.size * want_patterns.size >= 1 << slow.n:
+        first = {}
+        for base, anchor in zip(bases.tolist(), anchors.tolist()):
+            first.setdefault(base, anchor)
+        # column 0 of a row is its base, the flip that sets no bit of S
+        assert row_anchors.size == len(first)
+        assert dict(zip(row_queries[:, 0].tolist(), row_anchors.tolist())) == first
+    else:
+        assert np.array_equal(row_anchors, anchors)
     assert np.array_equal(patterns, want_patterns)
     assert labels.shape == want.shape and labels.tobytes() == want.tobytes()
-    return patterns, labels
+    return patterns, labels, row_anchors.size
 
 
 class TestRestrictionQueryMatchesMatrix:
     """`restriction_query(anchors, S)` answers as `local_query_matrix` does
     on the matrix (anchor & ~S) | patterns, refuses what it refuses, and
-    leaves the same counters, distinct count and full audit, on the 2**n
-    bitmap and on the set of masks above ENUM_MAX_BITS."""
+    leaves the same counters, distinct count, `_labelled` and full audit,
+    on the 2**n bitmap and on the set of masks above ENUM_MAX_BITS; with
+    up to 64 anchors, repeats among them, batches of 2**n queries or more
+    take the distinct-row path."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -546,10 +585,8 @@ class TestRestrictionQueryMatchesMatrix:
                 for s in (fast, slow):
                     s.draw_batch(count)
                 continue
-            anchors = np.asarray(
-                data.draw(st.lists(st.integers(0, fast.ex_count - 1), max_size=4), label="anchors"),
-                dtype=np.int64,
-            )
+            anchor_st = st.lists(st.integers(0, fast.ex_count - 1), max_size=64)
+            anchors = np.asarray(data.draw(anchor_st, label="anchors"), dtype=np.int64)
             ask_restriction_twins(fast, slow, anchors, data.draw(subset_st, label="subset"))
         assert fast.audit_report() == slow.audit_report()
         assert fast._labelled == slow._labelled
@@ -558,6 +595,26 @@ class TestRestrictionQueryMatchesMatrix:
             fast.write_audit_jsonl(logs[0])
             slow.write_audit_jsonl(logs[1])
             assert logs[0].getvalue() == logs[1].getvalue()
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_repeated_rows_are_labelled_once(self, noisy):
+        """64 anchors on 16 examples of the 6-cube share at most 2**(6-3)
+        rows off a 3-bit S; each is labelled once, and everything the
+        session reports or logs is as on the explicit matrix."""
+        tree = random_tree(6, 4, np.random.default_rng(9))
+        noise = NoiseWrapper(0.2, seed=4) if noisy else None
+        fast, slow = (fresh_session(tree, n=6, r=3, seed=4, noise=noise) for _ in range(2))
+        for s in (fast, slow):
+            s.draw_batch(16)
+        anchors = np.random.default_rng(1).integers(0, 16, size=64)
+        _, _, rows = ask_restriction_twins(fast, slow, anchors, 0b010110)
+        assert rows <= 8 < anchors.size
+        assert fast.audit_report() == slow.audit_report()
+        assert fast._labelled == slow._labelled
+        logs = [io.StringIO(), io.StringIO()]
+        fast.write_audit_jsonl(logs[0])
+        slow.write_audit_jsonl(logs[1])
+        assert logs[0].getvalue() == logs[1].getvalue()
 
     def test_far_subset_is_refused_once_per_batch(self):
         s = fresh_session(n=8, r=2)

@@ -441,7 +441,10 @@ class TestSimulatorScalarMatchesBatch:
 class TestSimulatorRestrictionQuery:
     """At k = 1 the simulator answers `restriction_query` as it answers
     `local_query_matrix` on the explicit flip matrix, codewords included,
-    refuses |S| > 1 alike, and leaves the same counters and distinct count."""
+    refuses |S| > 1 alike, and leaves the same counters, distinct count and
+    `_labelled`; with up to 64 anchors, repeats among them, a batch of at
+    least 2**m queries labels each distinct row once, with its first
+    anchor."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -460,7 +463,7 @@ class TestSimulatorRestrictionQuery:
             lambda bits: sum(1 << i for i in bits)
         )
         for _ in range(data.draw(st.integers(1, 6), label="asks")):
-            anchors = data.draw(st.lists(st.integers(0, count - 1), max_size=5), label="anchors")
+            anchors = data.draw(st.lists(st.integers(0, count - 1), max_size=64), label="anchors")
             subset = data.draw(subsets, label="subset")
             ask_restriction_twins(fast, slow, np.asarray(anchors, dtype=np.int64), subset)
         # each anchor within 1 of a codeword asks for it on the flip of that bit
@@ -469,9 +472,30 @@ class TestSimulatorRestrictionQuery:
             msg = emb.code.decode(word)
             if msg is not None and word != emb.code.encode(msg):
                 flip = word ^ emb.code.encode(msg)
-                patterns, labels = ask_restriction_twins(fast, slow, np.asarray([anchor]), flip)
+                patterns, labels, _ = ask_restriction_twins(fast, slow, np.asarray([anchor]), flip)
                 assert np.array_equal(labels[0], emb.label_batch((word & ~flip) | patterns))
         assert fast.audit_report() == slow.audit_report()
+        assert fast._labelled == slow._labelled
+        assert fast.base_session.audit_report() == slow.base_session.audit_report()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_rows_are_labelled_once(self, seed):
+        """On the 6-bit code of a 2-bit base, 64 anchors on 40 examples share
+        at most 2**5 rows off one bit; each is labelled once, codewords
+        included, and the counters are as on the explicit matrix."""
+        f = random_tree(2, 4, np.random.default_rng(seed))
+        emb = embed(f, 1, coin_seed=seed)
+        fast, slow = (
+            ReductionSimulator(emb, base_session(f, seed=seed), seed=seed) for _ in range(2)
+        )
+        for sim in (fast, slow):
+            sim.draw_batch(40)
+        anchors = np.random.default_rng(seed).integers(0, 40, size=64)
+        for bit in range(emb.m):
+            _, _, rows = ask_restriction_twins(fast, slow, anchors, 1 << bit)
+            assert rows <= 32 < anchors.size
+        assert fast.audit_report() == slow.audit_report()
+        assert fast._labelled == slow._labelled
         assert fast.base_session.audit_report() == slow.base_session.audit_report()
 
 
