@@ -8,6 +8,7 @@ iteration order for deterministic runs.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -110,6 +111,22 @@ def all_masks(n: int) -> np.ndarray:
     if n > ENUM_MAX_BITS:
         raise EnumerationLimitError(f"exact enumeration needs n <= {ENUM_MAX_BITS}, got {n}")
     return np.arange(1 << n, dtype=np.int64)
+
+
+@functools.cache
+def _assignment_bits(k: int) -> np.ndarray:
+    """Row a holds bit j of a in column j, for the 2**k assignments of k
+    bits; read-only, built on first use."""
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def flip_patterns(subset: int) -> np.ndarray:
+    """The 2**|S| assignments a of the bits of `subset`, in ascending a:
+    pattern a puts bit j of a on the j-th lowest bit of S."""
+    weights = np.array([1 << pos for pos in bits_of(subset)], dtype=np.int64)
+    return _assignment_bits(weights.size) @ weights
 
 
 def mask_to_bitstring(mask: int, n: int) -> str:

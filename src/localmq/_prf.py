@@ -7,15 +7,17 @@ Two constructions:
   used for persistent label noise and for the fair coins of the embedded
   function. Persistence is free: the value at a point never changes
   within a key.
-* ``crypto_bit``: a keyed blake2b truncated to one bit, used where the
-  construction is meant to stand in for a proper pseudorandom function
-  family (the separation targets).
+* ``keystream_table``: the first bytes of SHAKE-256 over a fixed domain
+  label and a byte key, one bit per point of a small domain, packed eight
+  to a byte. It stands in for a proper pseudorandom function family (the
+  separation targets): one hash per key makes the whole truth table, and
+  a point's bit is one array read. The table of a 2**k-point domain
+  holds 2**k / 8 bytes (at least one).
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,15 +57,12 @@ def bernoulli(key: int, masks, p: float) -> np.ndarray:
     return keyed_u64(key, masks) < _U(thresh)
 
 
-@lru_cache(maxsize=256)
-def _keyed_blake2b(key: bytes):
-    """A blake2b state that has absorbed the key block; copies of it hash
-    points without keying again."""
-    return hashlib.blake2b(key=key[:64], digest_size=8)
+_KEYSTREAM_LABEL = b"localmq.prf.keystream\x00"
 
 
-def crypto_bit(key: bytes, mask: int) -> int:
-    """One output bit of a keyed cryptographic hash."""
-    h = _keyed_blake2b(key).copy()
-    h.update(mask.to_bytes(8, "little"))
-    return h.digest()[0] & 1
+def keystream_table(key: bytes, points: int) -> np.ndarray:
+    """The PRF bits of points 0..points-1 under `key`, packed little-endian
+    (bit m is bit m % 8 of byte m // 8): the first ceil(points / 8) bytes of
+    SHAKE-256 over the domain label and the key. Read-only."""
+    digest = hashlib.shake_256(_KEYSTREAM_LABEL + key).digest(-(-points // 8))
+    return np.frombuffer(digest, dtype=np.uint8)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import all_masks, bits_of, mask_of, parity_sign, popcount
+from ._bits import all_masks, bits_of, flip_patterns, mask_of, parity_sign, popcount
 from .errors import ContractViolation
 from .targets import PLUS_MINUS, ZERO_ONE
 
@@ -239,6 +239,22 @@ def _flip_signs(k: int) -> np.ndarray:
     return signs
 
 
+@functools.lru_cache(maxsize=1024)
+def _product_flip_weights(basis: ProductBasis, subset: int, n: int) -> np.ndarray:
+    """mu_S(a) * chi^mu_S(a) at each flip pattern a of `subset`, in the
+    order of `restriction_query`'s patterns: the product basis weights of
+    the 2**|S| labels in `restriction_values_pm`. Read-only, built on first
+    use; the last 1024 (basis, S, n) are kept."""
+    patterns = flip_patterns(subset)
+    weights = np.ones(patterns.shape, dtype=np.float64)
+    for i in bits_of(subset):
+        p = (1.0 + basis.means[i]) / 2.0
+        weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
+    weights = weights * char_values(basis, subset, patterns, n)
+    weights.flags.writeable = False
+    return weights
+
+
 def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarray:
     """f_S at the rest-coordinates of each anchor example, {0,1} domain.
 
@@ -273,11 +289,7 @@ def restriction_values_pm(
     labels, patterns = session.restriction_query(anchors, subset)
     if basis is UNIFORM_PM:
         return (labels @ _flip_signs(popcount(subset))) / patterns.size
-    weights = np.ones(patterns.shape, dtype=np.float64)
-    for i in bits_of(subset):
-        p = (1.0 + basis.means[i]) / 2.0
-        weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
-    return labels @ (weights * char_values(basis, subset, patterns, session.n))
+    return labels @ _product_flip_weights(basis, subset, session.n)
 
 
 # ---------------------------------------------------------------------- tests

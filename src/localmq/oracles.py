@@ -48,14 +48,13 @@ and a session that labels fewer than 2**n points never builds it.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, bits_of, grow_array, popcount
+from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, flip_patterns, grow_array, popcount
 from .audit import AUDIT_OPS  # noqa: F401 (importable from here as well)
 from .audit import COLUMN_DTYPES, EX, MQ, VIOLATION, AuditSummary, write_jsonl
 from .errors import ContractViolation, LocalityError
@@ -90,15 +89,6 @@ class _Batch(NamedTuple):
     def expand(self, values: np.ndarray) -> np.ndarray:
         """Per-row `values` (one row per distinct row) as one row per anchor."""
         return values if self.rows is None else np.take(values, self.rows, axis=0)
-
-
-@functools.cache
-def _assignment_bits(k: int) -> np.ndarray:
-    """Row a holds bit j of a in column j, for the 2**k assignments of k
-    bits; read-only, built on first use."""
-    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
-    bits.flags.writeable = False
-    return bits
 
 
 def _distinct(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,9 +317,7 @@ class OracleSession:
         subset = int(subset)
         if subset < 0 or subset >> self.n:
             raise ContractViolation("query point outside the session's cube")
-        positions = bits_of(subset)
-        weights = np.array([1 << pos for pos in positions], dtype=np.int64)
-        patterns = _assignment_bits(len(positions)) @ weights
+        patterns = flip_patterns(subset)
         return self.local_query_matrix(_Flips(subset, patterns), anchors), patterns
 
     # ------------------------------------------------------------- audit

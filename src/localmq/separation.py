@@ -13,8 +13,9 @@ labels in +-1):
   membership queries read the secret directly, any o(n)-local budget
   cannot reach it.
 
-The PRF is a keyed cryptographic hash truncated to one bit, isolated
-behind one interface.
+The PRF is a keyed SHAKE-256 keystream read one bit per point (see
+`localmq._prf.keystream_table`): each target hashes its key once, on
+first use, into a packed table of 2**secret_n bits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._prf import crypto_bit
+from ._prf import keystream_table
 from .errors import ContractViolation
 from .targets import PLUS_MINUS
 
@@ -78,11 +79,15 @@ class PrfTarget:
         payload = (self.key_seed & (2**64 - 1)).to_bytes(8, "little")
         return payload + self.secret.to_bytes(4, "little")
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The PRF bits of the 2**secret_n points of its domain, packed
+        eight to a byte (2**secret_n / 8 bytes); built on first use."""
+        return keystream_table(self._key, 1 << self.secret_n)
+
     def _prf(self, masks: np.ndarray) -> np.ndarray:
-        """The PRF bit of each mask, hashed once per distinct mask."""
-        points, inverse = np.unique(masks, return_inverse=True)
-        bits = [crypto_bit(self._key, p) for p in points.tolist()]
-        return np.asarray(bits, dtype=np.int64)[inverse.ravel()]
+        """The PRF bit of each mask in [0, 2**secret_n)."""
+        return (self._table[masks >> 3] >> (masks & 7)) & 1
 
     def _bits(self, masks) -> np.ndarray:
         """The target's {0,1} bit at each point mask."""
@@ -104,6 +109,8 @@ class PrfTarget:
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
+        if masks.size and (masks.min() < 0 or masks.max() >> self.n):
+            raise ContractViolation(f"point mask outside [0, 2**{self.n})")
         return (2.0 * self._bits(masks) - 1.0).reshape(masks.shape)
 
 

@@ -27,6 +27,7 @@ from localmq import (
 from localmq.distributions import random_smooth_table, verify_smoothness
 from localmq.fourier import (
     MONOMIAL_01,
+    _product_flip_weights,
     char_values,
     default_test_samples,
     estimate_restriction,
@@ -198,6 +199,30 @@ class TestRestrictionPm:
             got = restriction_values_pm(s, subset, idx, basis)[0]
             want = symbolic.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_cached_product_weights_keep_the_bytes(self):
+        # the c05 instance of seed 1: the cached weights, built or read
+        # again, give the bytes of the per-call weighting they replace
+        rng = np.random.default_rng([5, 1])
+        tree = random_tree(14, 16, rng, max_depth=5)
+        means = random_product_means(14, rng)
+        basis = ProductBasis(tuple(means))
+        s = poly_session(tree, Distribution.product(means, PLUS_MINUS), r=7, seed=1)
+        anchors, _, _ = s.draw_batch(50)
+        for size in range(1, 8):
+            subset = random_subset(14, size, rng, min_size=size)
+            labels, patterns = s.restriction_query(anchors, subset)
+            weights = np.ones(patterns.shape, dtype=np.float64)
+            for i in bits_of(subset):
+                p = (1.0 + basis.means[i]) / 2.0
+                weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
+            want = weights * char_values(basis, subset, patterns, 14)
+            for _ in range(2):  # the same bytes built or read from the cache
+                cached = _product_flip_weights(basis, subset, 14)
+                assert cached.tobytes() == want.tobytes() and not cached.flags.writeable
+                got = restriction_values_pm(s, subset, anchors, basis)
+                assert got.tobytes() == (labels @ want).tobytes()
+            assert _product_flip_weights(basis, subset, 14) is cached
 
     def test_restriction_coefficient_identity(self):
         # the coefficient of chi_{T \ S} in the restriction equals the

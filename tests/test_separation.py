@@ -17,7 +17,6 @@ from localmq import (
     learn_g_onelocal,
     pac_baseline,
 )
-from localmq._prf import crypto_bit
 from localmq.cli import EXIT_CONTRACT, main as cli_main
 from localmq.oracles import AUDIT_COUNTS, AUDIT_FULL
 from localmq.separation import VARIANT_G, VARIANT_GPRIME, partition_block, prf_quality
@@ -210,11 +209,34 @@ class TestPrfGate:
         report = prf_quality(target, samples=100_000)
         assert report["monobit_pass"] and report["serial_pass"]
 
-    def test_crypto_bit_is_one_keyed_blake2b_call(self):
-        key = PrfTarget(10, 0b101, VARIANT_G, key_seed=17)._key
-        for mask in [*range(0, 1 << 12, 61), (1 << 40) + 3]:
-            digest = hashlib.blake2b(mask.to_bytes(8, "little"), key=key, digest_size=8).digest()
-            assert crypto_bit(key, mask) == digest[0] & 1
+    def test_prf_bit_is_the_keyed_shake256_keystream(self):
+        target = PrfTarget(10, 0b101, VARIANT_G, key_seed=17)
+        key = bytes.fromhex("110000000000000005000000")  # key_seed, then secret, little-endian
+        stream = hashlib.shake_256(PRF_LABEL + key).digest(8)
+        assert stream.hex() == "d830ccfbd00abb7a"  # the known answer
+        masks = [*range(0, 1 << 10, 7), (1 << 10) - 1]
+        want = [prf_reference_bit(target, m) for m in masks]
+        assert want[:9] == [stream[m >> 3] >> (m & 7) & 1 for m in masks[:9]]
+        assert target._prf(np.asarray(masks)).tolist() == want
+
+    def test_table_is_packed_and_built_on_first_use(self):
+        for variant in (VARIANT_G, VARIANT_GPRIME):
+            target = PrfTarget(24, 0b1011, variant, key_seed=18)
+            assert "_table" not in vars(target)
+            target.value_at((1 << target.n) - 1)
+            table = vars(target)["_table"]
+            assert table.nbytes == 1 << 21 and not table.flags.writeable
+            assert target._table is table
+
+    @pytest.mark.parametrize("variant", [VARIANT_G, VARIANT_GPRIME])
+    def test_gate_fails_rarely_over_many_keys(self, variant):
+        # at the 4 sigma / 4.5 sigma gates a true PRF fails about 7e-5 of keys
+        offset = 0 if variant == VARIANT_G else 2000
+        failures = 0
+        for seed in range(offset, offset + 2000):
+            report = prf_quality(PrfTarget(12, 0, variant, key_seed=seed))
+            failures += not (report["monobit_pass"] and report["serial_pass"])
+        assert failures <= 3
 
     def test_distinct_keys_give_distinct_functions(self):
         a = PrfTarget(10, 0, VARIANT_GPRIME, key_seed=1)
@@ -223,15 +245,25 @@ class TestPrfGate:
         assert not np.array_equal(a.value_batch(masks), b.value_batch(masks))
 
 
+PRF_LABEL = b"localmq.prf.keystream\x00"
+
+
+def prf_reference_bit(target, x):
+    """The PRF bit of point x by its definition: bit x % 8 of byte x // 8
+    of SHAKE-256 over the label and the key, in Python integers."""
+    stream = hashlib.shake_256(PRF_LABEL + target._key).digest(x // 8 + 1)
+    return stream[x // 8] >> (x % 8) & 1
+
+
 def reference_bit(target, bits):
     """A target bit by its definition, one point at a time."""
     ns = target.secret_n
     if target.variant == VARIANT_GPRIME:
         if bits and bits & (bits - 1) == 0:  # e^i carries s_i
             return target.secret >> (bits.bit_length() - 1) & 1
-        return crypto_bit(target._key, bits)
+        return prf_reference_bit(target, bits)
     suffix = bits >> 1
-    out = crypto_bit(target._key, suffix)
+    out = prf_reference_bit(target, suffix)
     if bits & 1:
         rank = int("".join(str(suffix >> i & 1) for i in range(ns)), 2)
         out ^= target.secret >> (rank * ns >> ns) & 1
@@ -258,10 +290,22 @@ class TestBatchEvaluation:
         # suffixes of 'g'), not the paired target bits of 'g'
         target = PrfTarget(8, 0, variant, key_seed=12)
         limit = 1 << target.secret_n
-        bits = np.asarray([crypto_bit(target._key, x) for x in range(limit)], dtype=np.float64)
+        bits = np.asarray([prf_reference_bit(target, x) for x in range(limit)], dtype=np.float64)
         x = bits - bits.mean()
         report = prf_quality(target, samples=10 * limit)
         assert report["samples"] == limit and report["bit_mean"] == float(bits.mean())
         assert report["serial_correlation"] == float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
         assert report["monobit_pass"] and report["serial_pass"]
         assert prf_quality(target, samples=100)["samples"] == 100
+
+    @pytest.mark.parametrize("variant", [VARIANT_G, VARIANT_GPRIME])
+    def test_points_outside_the_cube_are_refused(self, variant):
+        target = PrfTarget(8, 0b1101, variant, key_seed=19)
+        top = (1 << target.n) - 1
+        assert target.value_batch(np.asarray([0, top])).shape == (2,)
+        for bad in (-1, top + 1, -(1 << 40), 1 << 40):
+            with pytest.raises(ContractViolation):
+                target.value_at(bad)
+            with pytest.raises(ContractViolation):
+                target.value_batch(np.asarray([[0, 1], [bad, top]]))
+        assert target.value_batch(np.empty(0, dtype=np.int64)).shape == (0,)
