@@ -13,10 +13,27 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import ContractViolation, EnumerationLimitError
 
-MAX_BITS = 48  # masks stay well inside int64
-ENUM_MAX_BITS = 20  # largest n whose 2**n points are enumerated into tables
+# Every size limit, stated once; `check_limit` refuses a value above one.
+MAX_BITS = 48  # width of any point mask: targets, distributions, code length m
+ENUM_MAX_BITS = 20  # any table of 2**n entries (2**(m - n) for a syndrome table)
+PRF_MAX_BITS = 24  # secret_n of a PRF keystream table (2**24 / 8 bytes = 2 MB)
+TRANSFORM_MAX_BITS = 14  # VerifierOracle.direct_transform: 2**n sums of 2**n terms
+QP_MAX_FEATURES = 10  # VerifierOracle.exact_l1_least_squares: 3**k sign patterns
+
+
+def check_limit(what: str, name: str, value: int, limit: int) -> None:
+    """Refuse `value` above `limit`: the package's one size-limit check."""
+    if value > limit:
+        raise EnumerationLimitError(f"{what} needs {name} <= {limit}, got {value}")
+
+
+def check_width(n: int, name: str = "n") -> None:
+    """A cube dimension must be positive and fit in a point mask."""
+    if n < 1:
+        raise ContractViolation(f"{name}={n} is not a positive dimension")
+    check_limit("point mask", name, n, MAX_BITS)
 
 
 class DistinctMasks:
@@ -108,8 +125,7 @@ def submasks(mask: int) -> Iterator[int]:
 def all_masks(n: int) -> np.ndarray:
     """Every point of the n-cube in ascending mask order; the one way the
     package enumerates a cube, so n <= ENUM_MAX_BITS bounds them all."""
-    if n > ENUM_MAX_BITS:
-        raise EnumerationLimitError(f"exact enumeration needs n <= {ENUM_MAX_BITS}, got {n}")
+    check_limit("exact enumeration", "n", n, ENUM_MAX_BITS)
     return np.arange(1 << n, dtype=np.int64)
 
 

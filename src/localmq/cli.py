@@ -3,9 +3,9 @@
 Subcommands: gen-target, gen-dist, learn, verify, reduce,
 demo-separation, audit. Every run is a pure function of its arguments:
 given the same --seed the emitted JSON is byte-identical (timing is only
-included under --timing). Usage errors exit 2, contract violations 3,
-budget overruns 4, failing verification suites and corrupt or
-inconsistent audit logs 1.
+included under --timing). Usage errors exit 2, contract violations (and
+codes that cannot be built) 3, budget overruns 4, failing verification
+suites and corrupt or inconsistent audit logs 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import audit, generators
 from .distributions import Distribution, random_smooth_table, verify_smoothness
-from .errors import AuditLogError, BudgetExceededError, ContractViolation
+from .errors import AuditLogError, BudgetExceededError, CodeConstructionError, ContractViolation
 from .learners import (
     LearnerConfig,
     learn_dnf,
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Embed a random tree over n bits with a distance-(2k+1) code of "
         "length m, simulate examples of the embedded function, and check the "
         "correlation identity exactly. The check enumerates all 2^m words, so "
-        "codes with m > 20 exit 3 (any n <= 30 builds a code).",
+        "codes with m > 20 exit 3; every k up to 3 builds a code for n <= 30.",
     )
     r.add_argument("--n", type=int, default=6, help="message bits")
     r.add_argument("--k", type=int, default=1, help="query radius, 0 to 3")
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except ContractViolation as exc:
+    except (ContractViolation, CodeConstructionError) as exc:
         sys.stderr.write(f"contract violation: {exc}\n")
         return EXIT_CONTRACT
     except AuditLogError as exc:

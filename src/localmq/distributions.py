@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, bits_of
-from .errors import ContractViolation, EnumerationLimitError, ZeroMassError
-from .targets import PLUS_MINUS, ZERO_ONE, _check_domain
+from ._bits import ENUM_MAX_BITS, all_masks, bits_of, check_limit
+from .errors import ContractViolation, ZeroMassError
+from .targets import PLUS_MINUS, ZERO_ONE, _check_cube
 
 UNIFORM = "uniform"
 PRODUCT = "product"
@@ -29,29 +29,27 @@ _MIN_TABLE_PROB = 1e-300  # below this, smoothness ratios silently underflow
 _BLOCK = 1 << 16  # uniforms per block of a product draw (512 KB), unless one row is longer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Uniform, product, or explicit-table distribution.
 
     Product parameters are stored as per-bit probabilities of bit 1,
     regardless of domain tag; `means` converts back to the domain's
     natural parameterization (p_i over {0,1}, mu_i over +-1). A table
-    keeps its masses once as a read-only float64 array (`probs_array`),
-    and `probs` is the same masses as a tuple of floats.
+    keeps its masses once, as `probs`: a private read-only float64 copy
+    of what it was given. Distributions compare by identity.
     """
 
     kind: str
     n: int
     domain: str = PLUS_MINUS
     p_high: tuple[float, ...] | None = None   # product: Pr[bit_i = 1]
-    probs: tuple[float, ...] | None = None    # table: mass per mask
+    probs: np.ndarray | None = None           # table: mass per mask
 
     def __post_init__(self):
-        _check_domain(self.domain)
+        _check_cube(self.n, self.domain)
         if self.kind not in (UNIFORM, PRODUCT, TABLE):
             raise ContractViolation(f"unknown distribution kind {self.kind!r}")
-        if self.n < 1:
-            raise ContractViolation("dimension must be positive")
         if self.kind == PRODUCT:
             if self.p_high is None or len(self.p_high) != self.n:
                 raise ContractViolation("product distribution needs n bit parameters")
@@ -59,10 +57,7 @@ class Distribution:
                 raise ContractViolation("product bit probabilities must lie in (0,1)")
             object.__setattr__(self, "p_high", tuple(float(p) for p in self.p_high))
         if self.kind == TABLE:
-            if self.n > ENUM_MAX_BITS:
-                raise EnumerationLimitError(
-                    f"table distribution needs n <= {ENUM_MAX_BITS}, got {self.n}"
-                )
+            check_limit("table distribution", "n", self.n, ENUM_MAX_BITS)
             if self.probs is None or len(self.probs) != (1 << self.n):
                 raise ContractViolation("table distribution needs 2**n probabilities")
             pr = np.array(self.probs, dtype=np.float64)  # a private copy
@@ -72,13 +67,11 @@ class Distribution:
                 raise ContractViolation(
                     f"table probabilities below {_MIN_TABLE_PROB} are rejected"
                 )
-            masses = pr.tolist()
-            total = math.fsum(masses)
+            total = math.fsum(pr.tolist())
             if abs(total - 1.0) > 1e-12:
                 raise ContractViolation(f"table probabilities sum to {total}, not 1")
             pr.flags.writeable = False
-            object.__setattr__(self, "_masses", pr)
-            object.__setattr__(self, "probs", tuple(masses))
+            object.__setattr__(self, "probs", pr)
 
     # ---------------------------------------------------------------- factories
 
@@ -126,13 +119,13 @@ class Distribution:
             for i, p in enumerate(self.p_high):
                 acc *= p if bits >> i & 1 else 1.0 - p
             return acc
-        return self.probs[bits]
+        return float(self.probs[bits])
 
     def probs_array(self) -> np.ndarray:
         """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS.
-        A table returns its own read-only array."""
+        A table returns its own read-only `probs`."""
         if self.kind == TABLE:
-            return self._masses
+            return self.probs
         masks = all_masks(self.n)
         if self.kind == UNIFORM:
             return np.full(masks.shape, 0.5**self.n)
@@ -149,7 +142,7 @@ class Distribution:
         counts the CDF entries <= b / 2**n, so a draw u in bucket b, the
         interval [b, b + 1) / 2**n, lands between guide[b] and guide[b + 1].
         The edges b / 2**n are exact in floating point."""
-        cdf = np.cumsum(self._masses)
+        cdf = np.cumsum(self.probs)
         edges = np.arange(cdf.size + 1, dtype=np.float64) / cdf.size
         return cdf, np.searchsorted(cdf, edges, side="right").astype(np.int32)
 
@@ -197,7 +190,7 @@ class Distribution:
         if self.kind == PRODUCT:
             obj["means"] = list(self.means)
         if self.kind == TABLE:
-            obj["probs"] = list(self.probs)
+            obj["probs"] = self.probs.tolist()
         return obj
 
     @classmethod

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 ContractViolation covers every precondition breach (dimension or domain
-mismatch, enumeration limits, zero-mass conditioning). LocalityError is
+mismatch, size limits, zero-mass conditioning). LocalityError is
 the defining error of the query model and carries the offending
 distance. BudgetExceededError signals that a learner's grown set passed
 its cap, which on a conforming run means the smoothness assumption was
@@ -29,7 +29,7 @@ class LocalityError(ContractViolation):
 
 
 class EnumerationLimitError(ContractViolation):
-    """Exact enumeration requested above the supported dimension."""
+    """A size above a supported limit (the limits table in `localmq._bits`)."""
 
 
 class ZeroMassError(ContractViolation):

@@ -16,7 +16,7 @@ Distances to the code come from syndrome decoding (MacWilliams & Sloane,
 and its nearest codeword cost one table read however many codewords
 there are. The breadth-first walk that fills the table also gives the
 code's minimum distance, so a code is built and checked without listing
-its 2^n codewords; the table's 2^(m-n) entries are the only limit.
+its 2^n codewords; the table's 2^(m-n) entries and m <= MAX_BITS are the limits.
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, grow_array, popcount
+from ._bits import ENUM_MAX_BITS, all_masks, check_limit, check_width, grow_array, popcount
 from ._prf import coin_pm
 from .distributions import Distribution
-from .errors import (
-    CodeConstructionError,
-    ContractViolation,
-    EnumerationLimitError,
-    SimulationError,
-)
+from .errors import CodeConstructionError, ContractViolation, SimulationError
 from .oracles import AUDIT_COUNTS, OracleSession
 from .targets import PLUS_MINUS
 
@@ -70,9 +65,9 @@ class LinearCode:
     0..n-1 of each codeword, parity the rest. Decoding reads a table of
     coset leaders indexed by the syndrome, the m - n parity bits of
     z ^ encode(message bits of z), which is 0 exactly on codewords; the
-    table has 2^(m-n) entries, so m - n <= ENUM_MAX_BITS. The walk that
-    fills the table also gives the minimum distance, so no codeword is
-    ever enumerated."""
+    table has 2^(m-n) entries, so m - n <= ENUM_MAX_BITS; m <= MAX_BITS.
+    The walk that fills the table also gives the minimum distance, so no
+    codeword is ever enumerated."""
 
     n: int
     m: int
@@ -82,10 +77,8 @@ class LinearCode:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ContractViolation("one generator row per message bit required")
-        if self.m - self.n > ENUM_MAX_BITS:
-            raise EnumerationLimitError(
-                f"syndrome tables support m - n <= {ENUM_MAX_BITS}, got {self.m - self.n}"
-            )
+        check_width(self.m, "m")
+        check_limit("syndrome table", "m - n", self.m - self.n, ENUM_MAX_BITS)
 
     @property
     def distance(self) -> int:
@@ -203,12 +196,12 @@ def _bch_rows(n: int, k: int) -> tuple[int, list[int]]:
 
 
 def build_code(n: int, k: int) -> LinearCode:
-    """Binary linear code with distance >= 2k+1 and length
-    m <= n + k*ceil(log2 n) + 8 (both hold for every n <= 30): the
-    identity code (k=0), shortened Hamming (k=1) or shortened BCH (k=2,3).
-    The distance is read from the syndrome walk; a code that misses 2k+1
-    raises CodeConstructionError.
-    """
+    """Binary linear code with distance >= 2k+1 and length m <= n +
+    k*ceil(log2 n) + 8: the identity code (k=0), shortened Hamming (k=1) or
+    shortened BCH (k=2,3); every k fits for n <= 30. A code longer than
+    MAX_BITS raises EnumerationLimitError. CodeConstructionError means no
+    BCH generator covers n, or the code misses 2k+1 (the distance is read
+    from the syndrome walk)."""
     if n < 1 or k < 0:
         raise ContractViolation("need n >= 1, k >= 0")
     if k > 3:

@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._bits import PRF_MAX_BITS, check_limit, check_width
 from ._prf import keystream_table
 from .errors import ContractViolation
 from .targets import PLUS_MINUS
@@ -65,8 +66,8 @@ class PrfTarget:
     def __post_init__(self):
         if self.variant not in (VARIANT_G, VARIANT_GPRIME):
             raise ContractViolation(f"unknown variant {self.variant!r}")
-        if not 1 <= self.secret_n <= 24:
-            raise ContractViolation("secret length outside [1, 24]")
+        check_width(self.secret_n, "secret_n")
+        check_limit("PRF keystream table", "secret_n", self.secret_n, PRF_MAX_BITS)
         if not 0 <= self.secret < (1 << self.secret_n):
             raise ContractViolation("secret out of range")
 
@@ -151,6 +152,16 @@ def learn_g_onelocal(session, budget: int) -> dict:
     }
 
 
+def _rule_mistakes(masks: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Mistakes of const+1, const-1, x0, !x0, x1, ...: x_i is right where bit i
+    is set under a +1 label or clear under a -1 one; const+1 reads bit 0 of
+    mask << 1 | 1, which is always set."""
+    bits = ((masks[:, None] << 1 | 1) >> np.arange(n + 1)) & 1
+    ups, downs = (labels == 1) @ bits, (labels == -1) @ bits  # set bits under each label
+    right = np.stack([ups + downs[0] - downs, downs + ups[0] - ups], axis=1)
+    return masks.size - right.ravel()
+
+
 def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int = 0) -> dict:
     """Best-of-simple-hypotheses baseline trained on examples alone.
 
@@ -173,21 +184,15 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
         masks = np.concatenate([masks, probes])
         labels = np.concatenate([labels, answers])
 
-    # the candidate table: each rule maps masks to +-1 predictions
-    rules = [("const+1", lambda m: np.ones(m.shape)), ("const-1", lambda m: -np.ones(m.shape))]
-    for i in range(session.n):
-        rules.append((f"x{i}", lambda m, i=i: 2.0 * ((m >> i) & 1) - 1.0))
-        rules.append((f"!x{i}", lambda m, i=i: -(2.0 * ((m >> i) & 1) - 1.0)))
     # the first candidate of least training error wins
-    best_err, best_name, best_rule = min(
-        ((float(np.mean(rule(masks) != labels)), name, rule) for name, rule in rules),
-        key=lambda candidate: candidate[0],
-    )
+    mistakes = _rule_mistakes(masks, labels, session.n)
+    best = int(np.argmin(mistakes))
     _, te_masks, te_labels = session.draw_batch(test)
+    names = ["const+1", "const-1"] + [f"{neg}x{i}" for i in range(session.n) for neg in ("", "!")]
     return {
-        "winner": best_name,
-        "train_error": best_err,
-        "holdout_error": float(np.mean(best_rule(te_masks) != te_labels)),
+        "winner": names[best],
+        "train_error": float(mistakes[best] / masks.size),
+        "holdout_error": float(_rule_mistakes(te_masks, te_labels, session.n)[best] / test),
         "train_size": masks.size,
         "test_size": test,
     }

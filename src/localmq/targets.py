@@ -16,17 +16,18 @@ from typing import Mapping
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, bits_of, mask_of, popcount
-from .errors import ContractViolation, EnumerationLimitError
+from ._bits import bits_of, check_width, mask_of, popcount
+from .errors import ContractViolation
 
 ZERO_ONE = "zero_one"
 PLUS_MINUS = "plus_minus"
 _DOMAINS = (ZERO_ONE, PLUS_MINUS)
 
 
-def _check_domain(domain: str) -> None:
+def _check_cube(n: int, domain: str) -> None:
     if domain not in _DOMAINS:
         raise ContractViolation(f"unknown domain tag {domain!r}")
+    check_width(n)
 
 
 def _as_terms(terms: Mapping[int, float]) -> dict[int, float]:
@@ -54,9 +55,7 @@ class SparsePolynomial:
     coeff_bound: float | None = None
 
     def __post_init__(self):
-        _check_domain(self.domain)
-        if not 1 <= self.n <= 30:
-            raise ContractViolation(f"n={self.n} outside [1, 30]")
+        _check_cube(self.n, self.domain)
         object.__setattr__(self, "terms", _as_terms(self.terms))
         for mask in self.terms:
             if not 0 <= mask < (1 << self.n):
@@ -173,9 +172,7 @@ class DecisionTree:
     domain: str = PLUS_MINUS
 
     def __post_init__(self):
-        _check_domain(self.domain)
-        if not 1 <= self.n <= 30:
-            raise ContractViolation(f"n={self.n} outside [1, 30]")
+        _check_cube(self.n, self.domain)
         self._validate(self.root, 0)
 
     def _validate(self, node: Node, seen: int) -> None:
@@ -285,9 +282,7 @@ class DnfFormula:
     domain: str = PLUS_MINUS
 
     def __post_init__(self):
-        _check_domain(self.domain)
-        if not 1 <= self.n <= 30:
-            raise ContractViolation(f"n={self.n} outside [1, 30]")
+        _check_cube(self.n, self.domain)
         norm = []
         for term in self.terms:
             seen = 0
@@ -367,12 +362,10 @@ def tree_to_polynomial(g: DecisionTree, basis) -> "FourierSpectrum":
     Every leaf path contributes label * prod(per-variable indicator); each
     indicator is affine in the basis character of that variable, so the
     product expands over subsets of the path. Coefficient count is at most
-    leaf_count * 2**depth and every subset has size <= depth.
+    leaf_count * 2**depth, whatever n is, and every subset has size <= depth.
     """
     from .fourier import FourierSpectrum, MONOMIAL_01, UNIFORM_PM, ProductBasis
 
-    if g.n > ENUM_MAX_BITS:
-        raise EnumerationLimitError(f"n={g.n} too large for exact path expansion")
     coeffs: dict[int, float] = {}
     if isinstance(basis, ProductBasis):
         if len(basis.means) != g.n:

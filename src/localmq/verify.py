@@ -21,7 +21,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import all_masks, bits_of, popcount, submasks
+from ._bits import (
+    QP_MAX_FEATURES, TRANSFORM_MAX_BITS, all_masks, bits_of, check_limit, popcount, submasks,
+)
 from .distributions import (
     Distribution,
     conditional_marginal,
@@ -30,7 +32,7 @@ from .distributions import (
     random_smooth_table,
     verify_smoothness,
 )
-from .errors import ContractViolation, EnumerationLimitError
+from .errors import ContractViolation
 from .fourier import (
     MONOMIAL_01,
     UNIFORM_PM,
@@ -58,8 +60,7 @@ class VerifierOracle:
     def direct_transform(self, target, basis) -> FourierSpectrum:
         """Per-subset inner products straight from the definition."""
         n = target.n
-        if n > 14:
-            raise EnumerationLimitError("direct transform kept to n <= 14")
+        check_limit("direct transform", "n", n, TRANSFORM_MAX_BITS)
         masks = all_masks(n)
         values = np.asarray(target.value_batch(masks), dtype=np.float64)
         coeffs = {}
@@ -125,12 +126,11 @@ class VerifierOracle:
         self, features: np.ndarray, labels: np.ndarray, bound: float
     ) -> tuple[np.ndarray, float]:
         """Exact minimizer of mean squared loss over the L1 ball, by
-        enumerating supports and boundary sign patterns (<= 10 features)."""
+        enumerating supports and boundary sign patterns (<= QP_MAX_FEATURES features)."""
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         m, k = X.shape
-        if k > 10:
-            raise EnumerationLimitError("exact QP enumeration kept to <= 10 features")
+        check_limit("exact QP enumeration", "features", k, QP_MAX_FEATURES)
         G = X.T @ X / m
         c = X.T @ y / m
         offset = float(y @ y / m)

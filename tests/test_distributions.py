@@ -409,16 +409,20 @@ class TestTableArrays:
     @settings(max_examples=40, deadline=None)
     @given(dist=small_tables())
     def test_list_tuple_and_array_build_equal_tables(self, dist):
-        source = np.array(dist.probs)
+        want = dist.probs.copy()
+        source = dist.probs.copy()
         built = [
             Distribution.table(form, ZERO_ONE)
-            for form in (list(dist.probs), tuple(dist.probs), source)
+            for form in (dist.probs.tolist(), tuple(dist.probs.tolist()), source)
         ]
         source[:] = 0.0  # the table keeps its own copy
         for table in built:
-            assert table.probs == dist.probs
-            assert all(type(p) is float for p in table.probs)
-            assert np.array_equal(table.probs_array(), np.asarray(dist.probs))
+            assert table.probs.dtype == np.float64 and not table.probs.flags.writeable
+            assert np.array_equal(table.probs, want)
+            assert table.probs_array() is table.probs
+            assert table.to_json()["probs"] == dist.to_json()["probs"]
+            assert table == table and table != dist  # identity: == never compares arrays
+        assert source.flags.writeable  # the caller's array is not frozen
 
     @settings(max_examples=20, deadline=None)
     @given(dist=small_tables())

@@ -216,6 +216,14 @@ class TestExitCodes:
         assert captured.err.startswith("contract violation: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["uniform", "product"])
+    def test_distribution_wider_than_a_point_mask_is_3(self, kind, capsys):
+        # 64 bits would overflow an int64 mask; the refusal comes before any draw
+        code = main(["gen-dist", "--kind", kind, "--n", "64"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "contract violation: point mask needs n <= 48, got 64\n"
+
     @pytest.mark.parametrize("n", [21, 24])
     def test_cube_past_the_table_limit_is_3(self, n, capsys):
         code = main(["verify", "--suite", "tree-truncation", "--n", str(n), "--trials", "1"])
@@ -279,6 +287,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "contract violation: exact enumeration needs n <= 20, got 27\n"
+
+    @pytest.mark.parametrize("n, k", [(46, 3), (37, 2)])
+    def test_reduce_without_a_code_in_a_point_mask_is_3(self, n, k, capsys):
+        # no BCH generator of distance 7 covers n = 46; n = 37, k = 2 needs
+        # m = 49 bits
+        code = main(["reduce", "--n", str(n), "--k", str(k), "--draws", "100"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("contract violation: ")
+        assert captured.err.count("\n") == 1
 
     def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
         # r = 0 makes the learner's first query a violation (exit 3)

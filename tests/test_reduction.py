@@ -2,6 +2,7 @@
 correlation identity, and a learner run through the simulator."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from localmq import (
+    CodeConstructionError,
     ContractViolation,
     Distribution,
     EnumerationLimitError,
@@ -27,7 +29,7 @@ from localmq import (
 from localmq.oracles import AUDIT_COUNTS
 from localmq.generators import random_tree
 from localmq.reduction import LinearCode, ReductionSimulator, ball_size, reduction_report
-from localmq._bits import ENUM_MAX_BITS, all_masks, popcount
+from localmq._bits import ENUM_MAX_BITS, MAX_BITS, all_masks, popcount
 from localmq._prf import coin_pm
 from localmq.verify import agnostic_excess, pull_back
 from tests.test_oracles import ask_restriction_twins
@@ -100,6 +102,23 @@ class TestBuildCode:
             code = build_code(n, k)
             assert code.distance >= 2 * k + 1
             assert code.m <= n + k * math.ceil(math.log2(n)) + 8
+
+    @pytest.mark.parametrize("n", range(31, MAX_BITS + 1))
+    def test_message_lengths_to_48_build_or_refuse(self, n):
+        # past n = 30 a code either fits in a point mask or is refused: too
+        # long for one, or no BCH generator covers n
+        for k in range(4):
+            try:
+                code = build_code(n, k)
+            except EnumerationLimitError as exc:
+                got = re.fullmatch(rf"point mask needs m <= {MAX_BITS}, got (\d+)", str(exc))
+                assert int(got[1]) > MAX_BITS
+                continue
+            except CodeConstructionError:
+                assert k >= 2
+                continue
+            assert code.distance >= 2 * k + 1
+            assert code.m <= min(MAX_BITS, n + k * math.ceil(math.log2(n)) + 8)
 
 
 def codewords(code):
