@@ -27,6 +27,8 @@ from .fourier import (
     exact_transform,
     l2_test,
     nonzero_test,
+    restriction_values,
+    tree_to_polynomial,
 )
 from .learners import (
     LearnOutcome,
@@ -60,7 +62,6 @@ from .targets import (
     ZERO_ONE,
     target_from_json,
     target_to_json,
-    tree_to_polynomial,
 )
 from .verify import VerifierOracle, run_lemma_suite
 

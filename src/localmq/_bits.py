@@ -87,11 +87,6 @@ def popcount(masks):
     return np.bitwise_count(np.asarray(masks, dtype=np.int64)).astype(np.int64)
 
 
-def parity_sign(masks):
-    """(-1)**popcount as an int array (+1 for even parity)."""
-    return 1 - 2 * (popcount(masks) & 1)
-
-
 def bits_of(mask: int) -> list[int]:
     """Sorted list of set bit positions."""
     out = []

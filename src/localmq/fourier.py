@@ -1,6 +1,12 @@
-"""Fourier machinery: exact transforms in the uniform and product bases,
-restriction values computed through local queries, and the L2 / non-zero
-admission tests used by every learner.
+"""Fourier machinery: exact transforms in the uniform, product and {0,1}
+monomial bases, restriction values computed through local queries, and
+the L2 / non-zero admission tests used by every learner.
+
+A basis is given variable by variable: the character of variable i takes
+lo_i at bit 0 and hi_i at bit 1, and the rows of a 2x2 inverse read the
+constant and the character coefficient of a function of x_i off its two
+values (f(bit 0), f(bit 1)). The transform, the characters, the
+restriction weights and the tree expansion all read these numbers.
 
 For a subset S, the restriction f_S collects the coefficients of all
 supersets of S on the remaining variables:
@@ -20,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import all_masks, bits_of, flip_patterns, mask_of, parity_sign, popcount
+from ._bits import all_masks, bits_of, flip_patterns, mask_of, popcount
 from .errors import ContractViolation
 from .targets import PLUS_MINUS, ZERO_ONE
 
@@ -30,26 +36,69 @@ DEFAULT_ZERO_TOL = 1e-10
 # --------------------------------------------------------------------- bases
 
 
-class _UniformBasis:
-    tag = "uniform_pm"
+def _pm_variable(mu: float) -> tuple[float, float, tuple]:
+    """(lo, hi, inverse) of the +-1 character (x - mu) / sqrt(1 - mu**2)
+    of a variable with mean mu: inverse = ((q, p), (q lo, p hi)) with
+    p = (1 + mu) / 2 the mass of bit 1 and q = 1 - p. The one place the
+    numbers of a +-1 basis are worked out."""
+    sigma = math.sqrt(1.0 - mu * mu)
+    p = (1.0 + mu) / 2.0
+    q = 1.0 - p
+    lo, hi = (-1.0 - mu) / sigma, (1.0 - mu) / sigma
+    return lo, hi, ((q, p), (q * lo, p * hi))
+
+
+def _by_ones(one: float, zero: float, k: int, ones: np.ndarray) -> np.ndarray:
+    """one**j * zero**(k - j) at each count j in `ones`: a product of k
+    per-variable factors that depend on the bit alone."""
+    table = np.array([one**j * zero ** (k - j) for j in range(k + 1)])
+    return table[ones]
+
+
+class _Basis:
+    """A Fourier basis on the cube. `_inverse(i)` is the 2x2 inverse of
+    variable i; `_chars` evaluates the character of a set, `_flip_key`
+    and `_flip_weights` give the weights of its restriction. A basis fits
+    a session of its `domain` and, unless `width` is None, only that n."""
+
+    domain = PLUS_MINUS
+    width = None
+
+
+class _SameBasis(_Basis):
+    """A basis that is the same on every variable: the character of S at
+    x is hi**j * lo**(|S| - j) with j = |S & x|."""
+
+    def __init__(self, name: str, tag: str, domain: str, lo: float, hi: float, inverse):
+        self.name, self.tag, self.domain = name, tag, domain
+        self.lo, self.hi, self.inverse = lo, hi, inverse
 
     def __repr__(self):
-        return "UNIFORM_PM"
+        return self.name
+
+    def _inverse(self, i: int):
+        return self.inverse
+
+    def _chars(self, subset: int, masks: np.ndarray) -> np.ndarray:
+        if self.lo == 0.0:  # the indicator of S inside x
+            return ((masks & subset) == subset).astype(np.float64)
+        return _by_ones(self.hi, self.lo, popcount(subset), np.bitwise_count(masks & subset))
+
+    def _flip_key(self, subset: int) -> int:
+        return (1 << popcount(subset)) - 1  # the weights depend on |S| alone
+
+    def _flip_weights(self, subset: int, patterns: np.ndarray) -> np.ndarray:
+        zero, one = self.inverse[1]
+        return _by_ones(one, zero, popcount(subset), np.bitwise_count(patterns))
 
 
-class _MonomialBasis:
-    tag = "monomial_01"
-
-    def __repr__(self):
-        return "MONOMIAL_01"
-
-
-UNIFORM_PM = _UniformBasis()
-MONOMIAL_01 = _MonomialBasis()
+UNIFORM_PM = _SameBasis("UNIFORM_PM", "uniform_pm", PLUS_MINUS, *_pm_variable(0.0))
+MONOMIAL_01 = _SameBasis("MONOMIAL_01", "monomial_01", ZERO_ONE, 0.0, 1.0, ((1.0, 0.0), (-1.0, 1.0)))
+_NATURAL = {ZERO_ONE: MONOMIAL_01, PLUS_MINUS: UNIFORM_PM}
 
 
 @dataclass(frozen=True)
-class ProductBasis:
+class ProductBasis(_Basis):
     """Orthonormal basis for a +-1 product distribution with E[x_i]=mu_i."""
 
     means: tuple[float, ...]
@@ -59,10 +108,41 @@ class ProductBasis:
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         if any(not -1.0 < m < 1.0 for m in self.means):
             raise ContractViolation("product basis means must lie in (-1, 1)")
+        object.__setattr__(self, "_variables", tuple(_pm_variable(m) for m in self.means))
 
-    def sigmas(self) -> np.ndarray:
-        m = np.asarray(self.means)
-        return np.sqrt(1.0 - m * m)
+    @property
+    def width(self) -> int:
+        return len(self.means)
+
+    def _inverse(self, i: int):
+        return self._variables[i][2]
+
+    def _chars(self, subset: int, masks: np.ndarray) -> np.ndarray:
+        out = np.ones(masks.shape, dtype=np.float64)
+        for i in bits_of(subset):
+            lo, hi, _ = self._variables[i]
+            out *= np.where((masks >> i) & 1, hi, lo)
+        return out
+
+    def _flip_key(self, subset: int) -> int:
+        return subset
+
+    def _flip_weights(self, subset: int, patterns: np.ndarray) -> np.ndarray:
+        # measure times character, in this order: the weights keep their bytes
+        measure = np.ones(patterns.shape, dtype=np.float64)
+        for i in bits_of(subset):
+            q, p = self._variables[i][2][0]
+            measure *= np.where((patterns >> i) & 1, p, q)
+        return measure * self._chars(subset, patterns)
+
+
+def _check_basis(basis, n: int, domain: str | None = None) -> None:
+    """Refuse a basis that does not fit n variables or, when given, a
+    session's domain."""
+    fits = isinstance(basis, _Basis) and basis.width in (None, n)
+    if not fits or domain not in (None, basis.domain):
+        where = f"{n} bits" if domain is None else f"a {domain} session on {n} bits"
+        raise ContractViolation(f"unsupported basis {basis!r} for {where}")
 
 
 def basis_to_json(basis) -> dict:
@@ -84,18 +164,7 @@ def basis_from_json(obj: dict):
 
 def char_values(basis, subset: int, masks: np.ndarray, n: int) -> np.ndarray:
     """Basis character of `subset` evaluated at the given point masks."""
-    masks = np.asarray(masks, dtype=np.int64)
-    if basis is MONOMIAL_01:
-        return ((masks & subset) == subset).astype(np.float64)
-    if basis is UNIFORM_PM:
-        full = (1 << n) - 1
-        return parity_sign(subset & ~masks & full).astype(np.float64)
-    out = np.ones(masks.shape, dtype=np.float64)
-    sig = basis.sigmas()
-    for i in bits_of(subset):
-        x = 2.0 * ((masks >> i) & 1) - 1.0
-        out *= (x - basis.means[i]) / sig[i]
-    return out
+    return basis._chars(int(subset), np.asarray(masks, dtype=np.int64))
 
 
 # --------------------------------------------------------------------- spectra
@@ -103,7 +172,8 @@ def char_values(basis, subset: int, masks: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """Sparse map subset -> coefficient in a declared basis."""
+    """Sparse map subset -> coefficient in a declared basis. A set outside
+    [0, 2**n) and a basis that does not fit n are refused."""
 
     n: int
     basis: object
@@ -113,6 +183,9 @@ class FourierSpectrum:
         object.__setattr__(
             self, "coeffs", {int(m): float(c) for m, c in self.coeffs.items() if c != 0.0}
         )
+        _check_basis(self.basis, self.n)
+        if self.coeffs and (min(self.coeffs) < 0 or max(self.coeffs) >> self.n):
+            raise ContractViolation(f"a coefficient's set lies outside [{self.n}]")
 
     def l0(self) -> int:
         return len(self.coeffs)
@@ -167,129 +240,93 @@ class FourierSpectrum:
 # ---------------------------------------------------------------- transforms
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place style fast Walsh-Hadamard transform, length 2**n."""
-    v = values.astype(np.float64).copy()
-    size = v.size
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(size)
-        h *= 2
-    return v
-
-
 def exact_transform(target, basis, zero_tol: float = DEFAULT_ZERO_TOL) -> FourierSpectrum:
     """Exact coefficient map of a target in the requested basis.
 
-    Uniform basis runs a fast Walsh-Hadamard pass over the full truth
-    table; the product basis applies one weighted butterfly per
-    coordinate; the {0,1} monomial basis is a Moebius transform.
-    Coefficients with |c| <= zero_tol are dropped.
+    One butterfly over the full truth table: step i reads each pair of
+    values (bit 0, bit 1) of variable i, which sits on the lowest bit,
+    into its (constant, character) coefficients through the basis's
+    inverse and moves them to the top bit, so after n steps every
+    variable is back in place. Coefficients with |c| <= zero_tol are
+    dropped.
     """
     n = target.n
-    values = np.asarray(target.value_batch(all_masks(n)), dtype=np.float64)
-    if basis is UNIFORM_PM:
-        out = _fwht(values)
-        # table is indexed with bit=1 as +1, so fix the per-subset sign
-        out = out * parity_sign(all_masks(n)) / (1 << n)
-    elif basis is MONOMIAL_01:
-        out = values.copy()
-        for i in range(n):
-            out = out.reshape(-1, 2, 1 << i)
-            out[:, 1, :] -= out[:, 0, :]
-            out = out.reshape(values.size)
-    elif isinstance(basis, ProductBasis):
-        if len(basis.means) != n:
-            raise ContractViolation("basis means length != target dimension")
-        out = values.copy()
-        sig = basis.sigmas()
-        for i in range(n):
-            p = (1.0 + basis.means[i]) / 2.0
-            q = 1.0 - p
-            lo = (-1.0 - basis.means[i]) / sig[i]
-            hi = (1.0 - basis.means[i]) / sig[i]
-            out = out.reshape(-1, 2, 1 << i)
-            f0 = out[:, 0, :].copy()
-            f1 = out[:, 1, :].copy()
-            out[:, 0, :] = q * f0 + p * f1
-            out[:, 1, :] = q * lo * f0 + p * hi * f1
-            out = out.reshape(values.size)
-    else:
-        raise ContractViolation(f"unknown basis {basis!r}")
+    _check_basis(basis, n)
+    out = np.asarray(target.value_batch(all_masks(n)), dtype=np.float64)
+    for i in range(n):
+        inverse = np.asarray(basis._inverse(i))
+        pairs = out.reshape(-1, 2)
+        out = (inverse[:, :1] * pairs[:, 0] + inverse[:, 1:] * pairs[:, 1]).reshape(-1)
     kept = np.flatnonzero(np.abs(out) > zero_tol)
     return FourierSpectrum(n, basis, dict(zip(kept.tolist(), out[kept].tolist())))
+
+
+def tree_to_polynomial(g, basis) -> FourierSpectrum:
+    """Exact coefficient expansion of a decision tree via its leaf paths.
+
+    Every leaf path contributes label * prod(per-variable indicator); the
+    indicator of x_i taking bit v is a + b * char_i(x), with (a, b) column
+    v of the basis's inverse, so the product expands over subsets of the
+    path. Coefficient count is at most leaf_count * 2**depth, whatever n
+    is, and every subset has size <= depth.
+    """
+    _check_basis(basis, g.n)
+    coeffs: dict[int, float] = {}
+    for vmask, pattern, label in g.paths:
+        expansion = {0: float(label)}
+        for i in bits_of(vmask):
+            rows, v = basis._inverse(i), pattern >> i & 1
+            a, b = rows[0][v], rows[1][v]
+            nxt: dict[int, float] = {}
+            for m, c in expansion.items():
+                if a != 0.0:
+                    nxt[m] = nxt.get(m, 0.0) + c * a
+                if b != 0.0:
+                    mm = m | (1 << i)
+                    nxt[mm] = nxt.get(mm, 0.0) + c * b
+            expansion = nxt
+        for m, c in expansion.items():
+            coeffs[m] = coeffs.get(m, 0.0) + c
+    coeffs = {m: c for m, c in coeffs.items() if abs(c) > 1e-12}
+    return FourierSpectrum(g.n, basis, coeffs)
 
 
 # --------------------------------------------------------------- restrictions
 
 
-@functools.cache
-def _flip_signs(k: int) -> np.ndarray:
-    """prod(2a_i - 1) of each assignment a of k bits, in the order of
-    `restriction_query`'s patterns: (-1)**(k - popcount(a)), the parity of
-    its zeros. Read-only, built on first use."""
-    full = (1 << k) - 1
-    signs = parity_sign(full & ~np.arange(full + 1)).astype(np.float64)
-    signs.flags.writeable = False
-    return signs
-
-
 @functools.lru_cache(maxsize=1024)
-def _product_flip_weights(basis: ProductBasis, subset: int, n: int) -> np.ndarray:
-    """mu_S(a) * chi^mu_S(a) at each flip pattern a of `subset`, in the
-    order of `restriction_query`'s patterns: the product basis weights of
-    the 2**|S| labels in `restriction_values_pm`. Read-only, built on first
-    use; the last 1024 (basis, S, n) are kept."""
-    patterns = flip_patterns(subset)
-    weights = np.ones(patterns.shape, dtype=np.float64)
-    for i in bits_of(subset):
-        p = (1.0 + basis.means[i]) / 2.0
-        weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
-    weights = weights * char_values(basis, subset, patterns, n)
+def _flip_weights(basis, subset: int) -> np.ndarray:
+    """prod over i in S of the inverse's character row at a_i, for each
+    flip pattern a of `subset` in the order of `restriction_query`'s
+    patterns: labels @ weights is f_S at the anchor. Read-only, built on
+    first use; the last 1024 (basis, S) are kept, and `restriction_values`
+    asks a basis that is the same on every variable once per |S|."""
+    weights = basis._flip_weights(subset, flip_patterns(subset))
     weights.flags.writeable = False
     return weights
 
 
-def restriction_values_01(session, subset: int, anchors: np.ndarray) -> np.ndarray:
-    """f_S at the rest-coordinates of each anchor example, {0,1} domain.
+def _session_basis(session, basis):
+    """`basis`, or the session's natural basis for None (monomials over
+    {0,1}, parities over +-1); refused unless it fits the session."""
+    basis = _NATURAL[session.domain] if basis is None else basis
+    _check_basis(basis, session.n, session.domain)
+    return basis
 
-    Uses exactly 2**|S| local queries per anchor:
+
+def restriction_values(session, subset: int, anchors: np.ndarray, basis=None) -> np.ndarray:
+    """f_S in `basis` (None: the session's natural basis) at the
+    rest-coordinates of each anchor example.
+
+    Uses exactly 2**|S| local queries per anchor, the flips of S, and
+    weighs them by the basis's inverse; over {0,1} monomials that is
         f_S(x_rest) = sum over assignments a of prod(2a_i - 1) * f(a, x_rest).
+    A basis that does not fit the session is refused before any query.
     """
-    if session.domain != ZERO_ONE:
-        raise ContractViolation("restriction_values_01 needs a {0,1} session")
-    labels, patterns = session.restriction_query(anchors, subset)
-    return labels @ _flip_signs(popcount(subset))
-
-
-def _check_pm_basis(session, basis) -> None:
-    """Refuse a session or basis that restriction_values_pm cannot weigh."""
-    if session.domain != PLUS_MINUS:
-        raise ContractViolation("restriction_values_pm needs a +-1 session")
-    if basis is not UNIFORM_PM and not (
-        isinstance(basis, ProductBasis) and len(basis.means) == session.n
-    ):
-        raise ContractViolation(f"unsupported basis {basis!r} for restrictions on {session.n} bits")
-
-
-def restriction_values_pm(
-    session, subset: int, anchors: np.ndarray, basis=UNIFORM_PM
-) -> np.ndarray:
-    """f_S at the rest-coordinates of each anchor example, +-1 domain.
-
-    Uniform basis averages chi_S(x) f(x) over the 2**|S| flips; the
-    product basis weighs the same points by mu_S and uses chi^mu_S.
-    """
-    _check_pm_basis(session, basis)
-    labels, patterns = session.restriction_query(anchors, subset)
-    if basis is UNIFORM_PM:
-        return (labels @ _flip_signs(popcount(subset))) / patterns.size
-    return labels @ _product_flip_weights(basis, subset, session.n)
+    basis = _session_basis(session, basis)
+    subset = int(subset)
+    labels, _ = session.restriction_query(anchors, subset)
+    return labels @ _flip_weights(basis, basis._flip_key(subset))
 
 
 # ---------------------------------------------------------------------- tests
@@ -301,16 +338,14 @@ class TestResult(NamedTuple):
     samples: int
 
 
-def estimate_restriction(session, subset: int, m: int, basis=UNIFORM_PM) -> np.ndarray:
+def estimate_restriction(session, subset: int, m: int, basis=None) -> np.ndarray:
     """Draw m fresh natural examples and return f_S at each of them, as
-    float64 values; each costs exactly 2**|S| local queries. A basis the
-    +-1 restriction cannot weigh is refused before any example is drawn."""
-    if session.domain == ZERO_ONE:
-        anchors, _, _ = session.draw_batch(m)
-        return restriction_values_01(session, subset, anchors)
-    _check_pm_basis(session, basis)
+    float64 values from `restriction_values`; each costs exactly 2**|S|
+    local queries. A basis that does not fit the session is refused
+    before any example is drawn."""
+    basis = _session_basis(session, basis)
     anchors, _, _ = session.draw_batch(m)
-    return restriction_values_pm(session, subset, anchors, basis)
+    return restriction_values(session, subset, anchors, basis)
 
 
 def default_test_samples(theta_gap: float, delta_test: float) -> int:
@@ -322,7 +357,7 @@ def default_test_samples(theta_gap: float, delta_test: float) -> int:
     return int(math.ceil(math.log(2.0 / delta_test) / (2.0 * half_gap**2)))
 
 
-def l2_test(session, subset: int, theta: float, m: int, basis=UNIFORM_PM) -> TestResult:
+def l2_test(session, subset: int, theta: float, m: int, basis=None) -> TestResult:
     """Estimate E[f_S(x)^2] from m fresh natural examples and compare
     against theta**2. Each example costs 2**|S| local queries."""
     values = estimate_restriction(session, subset, m, basis)
@@ -331,7 +366,7 @@ def l2_test(session, subset: int, theta: float, m: int, basis=UNIFORM_PM) -> Tes
 
 
 def nonzero_test(
-    session, subset: int, theta: float, zero_tol: float, m: int, basis=UNIFORM_PM
+    session, subset: int, theta: float, zero_tol: float, m: int, basis=None
 ) -> TestResult:
     """Estimate Pr[|f_S| > zero_tol] over the rest-marginal from m fresh
     natural examples (the subset coordinates are simply ignored) and

@@ -391,7 +391,7 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
         config,
         params,
         MONOMIAL_01,
-        lambda S: nonzero_test(session, S, theta, zero_tol, m),
+        lambda S: nonzero_test(session, S, theta, zero_tol, m, MONOMIAL_01),
         l1_bound=t * B,
         fit_zero_tol=1e-8 * max(1.0, t * B),
     )
@@ -437,7 +437,7 @@ def learn_logdepth_tree(
             eta_assumed if eta_assumed is not None else session.noise.eta
         )
     else:
-        admit = lambda S: nonzero_test(session, S, theta, zero_tol, m)
+        admit = lambda S: nonzero_test(session, S, theta, zero_tol, m, UNIFORM_PM)
     return _learn(
         session, config, params, UNIFORM_PM, admit, l1_bound=float(t), metadata=meta
     )
@@ -470,7 +470,7 @@ def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOu
         "cap": cap,
     }
     return _learn(
-        session, config, params, UNIFORM_PM, lambda S: l2_test(session, S, theta, m)
+        session, config, params, UNIFORM_PM, lambda S: l2_test(session, S, theta, m, UNIFORM_PM)
     )
 
 
@@ -548,7 +548,7 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
         config,
         params,
         UNIFORM_PM,
-        lambda S: l2_test(session, S, theta, m),
+        lambda S: l2_test(session, S, theta, m, UNIFORM_PM),
         metadata={"hypothesis_rule": "sign-of-approximation substitute"},
     )
 

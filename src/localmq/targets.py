@@ -356,53 +356,6 @@ class DnfFormula:
 TargetFunction = SparsePolynomial | DecisionTree | DnfFormula
 
 
-def tree_to_polynomial(g: DecisionTree, basis) -> "FourierSpectrum":
-    """Exact coefficient expansion of a decision tree via its leaf paths.
-
-    Every leaf path contributes label * prod(per-variable indicator); each
-    indicator is affine in the basis character of that variable, so the
-    product expands over subsets of the path. Coefficient count is at most
-    leaf_count * 2**depth, whatever n is, and every subset has size <= depth.
-    """
-    from .fourier import FourierSpectrum, MONOMIAL_01, UNIFORM_PM, ProductBasis
-
-    coeffs: dict[int, float] = {}
-    if isinstance(basis, ProductBasis):
-        if len(basis.means) != g.n:
-            raise ContractViolation("basis means length != tree dimension")
-        mus = basis.means
-        sigmas = [float(np.sqrt(1.0 - m * m)) for m in mus]
-    for vmask, pattern, label in g.paths:
-        path_vars = bits_of(vmask)
-        # indicator(x_i on its required side) written as a + b * char_i(x)
-        factors = []
-        for i in path_vars:
-            side = 1 if pattern >> i & 1 else -1
-            if basis is UNIFORM_PM:
-                factors.append((i, 0.5, 0.5 * side))
-            elif basis is MONOMIAL_01:
-                # x_i for side 1; 1 - x_i for side 0
-                factors.append((i, 0.0 if side == 1 else 1.0, float(side)))
-            else:
-                factors.append(
-                    (i, 0.5 * (1.0 + side * mus[i]), 0.5 * side * sigmas[i])
-                )
-        expansion = {0: float(label)}
-        for i, a, b in factors:
-            nxt: dict[int, float] = {}
-            for m, c in expansion.items():
-                if a != 0.0:
-                    nxt[m] = nxt.get(m, 0.0) + c * a
-                if b != 0.0:
-                    mm = m | (1 << i)
-                    nxt[mm] = nxt.get(mm, 0.0) + c * b
-            expansion = nxt
-        for m, c in expansion.items():
-            coeffs[m] = coeffs.get(m, 0.0) + c
-    coeffs = {m: c for m, c in coeffs.items() if abs(c) > 1e-12}
-    return FourierSpectrum(g.n, basis, coeffs)
-
-
 def target_to_json(target: TargetFunction) -> dict:
     return target.to_json()
 

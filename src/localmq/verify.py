@@ -40,6 +40,7 @@ from .fourier import (
     ProductBasis,
     char_values,
     exact_transform,
+    tree_to_polynomial,
 )
 from .generators import (
     random_product_means,
@@ -48,7 +49,7 @@ from .generators import (
     random_tree,
 )
 from .noise import rcn_collision_prob
-from .targets import PLUS_MINUS, ZERO_ONE, tree_to_polynomial
+from .targets import PLUS_MINUS, ZERO_ONE
 
 
 class VerifierOracle:
@@ -475,12 +476,13 @@ def _rcn_gap(case):
 
 
 def _tree_expansion(rng, n):
-    """Path expansion of trees agrees pointwise with tree evaluation and
-    with the direct transform, in all three bases."""
+    """Path expansion of trees agrees pointwise with tree evaluation, and
+    keeps within leaf_count * 2**depth coefficients, in all three bases.
+    Agreement with `direct_transform` is not checked here."""
     tree = random_tree(n, int(rng.integers(2, 9)), rng, max_depth=5)
     masks = all_masks(n)
     tv = np.asarray(tree.value_batch(masks))
-    for basis in (UNIFORM_PM, ProductBasis(tuple(random_product_means(n, rng)))):
+    for basis in (UNIFORM_PM, ProductBasis(tuple(random_product_means(n, rng))), MONOMIAL_01):
         spec = tree_to_polynomial(tree, basis)
         gap = float(np.max(np.abs(np.asarray(spec.value_batch(masks)) - tv)))
         yield 1e-9 - gap, {"basis": getattr(basis, "tag", "?"), "gap": gap}

@@ -27,12 +27,11 @@ from localmq import (
 from localmq.distributions import random_smooth_table, verify_smoothness
 from localmq.fourier import (
     MONOMIAL_01,
-    _product_flip_weights,
+    _flip_weights,
     char_values,
     default_test_samples,
     estimate_restriction,
-    restriction_values_01,
-    restriction_values_pm,
+    restriction_values,
 )
 from localmq.generators import random_product_means, random_sparse_poly, random_subset, random_tree
 from localmq.oracles import AUDIT_COUNTS
@@ -68,12 +67,15 @@ class TestExactTransform:
         for basis in (
             UNIFORM_PM,
             ProductBasis(tuple(random_product_means(7, rng))),
+            MONOMIAL_01,
         ):
-            fast = exact_transform(tree, basis)
-            slow = ver.direct_transform(tree, basis)
-            keys = set(fast.coeffs) | set(slow.coeffs)
-            for s in keys:
-                assert fast.coeff(s) == pytest.approx(slow.coeff(s), abs=1e-10)
+            poly = random_sparse_poly(7, 5, rng, max_degree=4, domain=ZERO_ONE)
+            for target in (tree, poly):
+                fast = exact_transform(target, basis)
+                slow = ver.direct_transform(target, basis)
+                keys = set(fast.coeffs) | set(slow.coeffs)
+                for s in keys:
+                    assert fast.coeff(s) == pytest.approx(slow.coeff(s), abs=1e-10)
 
     def test_monomial_basis_inverts_evaluation(self):
         rng = np.random.default_rng(9)
@@ -120,6 +122,30 @@ class TestExactTransform:
             obj = spec.to_json()
             assert all(set(e) == {"set", "c"} for e in obj["coeffs"])
 
+    def test_spectrum_refuses_what_it_cannot_evaluate(self):
+        # a set outside [0, 2**n) and a basis that does not fit n, built
+        # directly and read back from JSON
+        for coeffs in ({0b10000: 2.0}, {0b1000: 1.0}, {-1: 1.0}):
+            with pytest.raises(ContractViolation, match="outside"):
+                FourierSpectrum(3, UNIFORM_PM, coeffs)
+        with pytest.raises(ContractViolation, match="unsupported basis"):
+            FourierSpectrum(4, ProductBasis((0.1, 0.2)), {0b1000: 1.0})
+        with pytest.raises(ContractViolation, match="unsupported basis"):
+            FourierSpectrum(4, "uniform_pm", {0: 1.0})
+        wide = {"n": 3, "basis": {"tag": "uniform_pm"}, "coeffs": [{"set": [4], "c": 2.0}]}
+        with pytest.raises(ContractViolation, match="outside"):
+            FourierSpectrum.from_json(wide)
+        short = {
+            "n": 4,
+            "basis": {"tag": "product_mu", "means": [0.1, 0.2]},
+            "coeffs": [{"set": [3], "c": 1.0}, {"set": [0], "c": 0.5}],
+        }
+        with pytest.raises(ContractViolation, match="unsupported basis"):
+            FourierSpectrum.from_json(short)
+        # what fits is kept: the top set, every basis of the right width
+        for basis in (UNIFORM_PM, MONOMIAL_01, ProductBasis((0.1, 0.2, 0.3))):
+            assert FourierSpectrum(3, basis, {0b111: 1.0}).coeffs == {0b111: 1.0}
+
 
 def poly_session(poly, dist, r, seed=0):
     return OracleSession(poly, dist, r=r, seed=seed, audit_mode=AUDIT_COUNTS)
@@ -131,7 +157,7 @@ class TestRestriction01:
         f = random_sparse_poly(8, 5, rng, max_degree=4)
         s = poly_session(f, Distribution.uniform(8, ZERO_ONE), r=0)
         _, _, labels = s.draw_batch(1)
-        assert restriction_values_01(s, 0, np.asarray([0]))[0] == labels[0]
+        assert restriction_values(s, 0, np.asarray([0]))[0] == labels[0]
         assert s.mq_count == 1
 
     def test_product_term_restriction(self):
@@ -139,7 +165,7 @@ class TestRestriction01:
         s = poly_session(f, Distribution.uniform(6, ZERO_ONE), r=1)
         for k in range(10):
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_values_01(s, 0b1, idx)[0]
+            got = restriction_values(s, 0b1, idx)[0]
             want = float((int(masks[0]) >> 1) & 1)  # f_{x0} = x1
             assert got == pytest.approx(want)
 
@@ -153,7 +179,7 @@ class TestRestriction01:
             subset = random_subset(12, 4, rng, min_size=1)
             symbolic = f.restrict(subset)  # independent algebraic route
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_values_01(s, subset, idx)[0]
+            got = restriction_values(s, subset, idx)[0]
             assert got == pytest.approx(symbolic.value_at(int(masks[0])), abs=1e-9)
 
     def test_query_budget_is_2_to_s(self):
@@ -162,7 +188,7 @@ class TestRestriction01:
         s = poly_session(f, Distribution.uniform(10, ZERO_ONE), r=3)
         idx, _, _ = s.draw_batch(1)
         before = s.mq_count
-        restriction_values_01(s, 0b10101, idx)  # needs r >= 3
+        restriction_values(s, 0b10101, idx)  # needs r >= 3
         assert s.mq_count - before == 8
         assert s.max_locality_used <= 3
 
@@ -173,7 +199,7 @@ class TestRestrictionPm:
         s = poly_session(f, Distribution.uniform(6, PLUS_MINUS), r=1)
         for _ in range(10):
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_values_pm(s, 0b1, idx)[0]
+            got = restriction_values(s, 0b1, idx)[0]
             want = 2.0 * ((int(masks[0]) >> 1) & 1) - 1.0  # x1
             assert got == pytest.approx(want)
 
@@ -182,7 +208,7 @@ class TestRestrictionPm:
         tree = random_tree(8, 6, rng)
         s = poly_session(tree, Distribution.uniform(8, PLUS_MINUS), r=0)
         _, _, labels = s.draw_batch(1)
-        assert restriction_values_pm(s, 0, np.asarray([0]))[0] == labels[0]
+        assert restriction_values(s, 0, np.asarray([0]))[0] == labels[0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_product_basis_matches_symbolic(self, seed):
@@ -196,7 +222,7 @@ class TestRestrictionPm:
         for _ in range(30):
             subset = random_subset(14, 4, rng, min_size=1)
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_values_pm(s, subset, idx, basis)[0]
+            got = restriction_values(s, subset, idx, basis)[0]
             want = symbolic.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -218,11 +244,11 @@ class TestRestrictionPm:
                 weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
             want = weights * char_values(basis, subset, patterns, 14)
             for _ in range(2):  # the same bytes built or read from the cache
-                cached = _product_flip_weights(basis, subset, 14)
+                cached = _flip_weights(basis, subset)
                 assert cached.tobytes() == want.tobytes() and not cached.flags.writeable
-                got = restriction_values_pm(s, subset, anchors, basis)
+                got = restriction_values(s, subset, anchors, basis)
                 assert got.tobytes() == (labels @ want).tobytes()
-            assert _product_flip_weights(basis, subset, 14) is cached
+            assert _flip_weights(basis, subset) is cached
 
     def test_restriction_coefficient_identity(self):
         # the coefficient of chi_{T \ S} in the restriction equals the
@@ -255,17 +281,36 @@ class TestRestrictionPm:
         s = OracleSession(f, Distribution.uniform(6, PLUS_MINUS), r=2)
         idx, _, _ = s.draw_batch(5)
         with pytest.raises(ContractViolation, match="unsupported basis"):
-            restriction_values_pm(s, 0b11, idx, MONOMIAL_01)
+            restriction_values(s, 0b11, idx, MONOMIAL_01)
         with pytest.raises(ContractViolation, match="unsupported basis"):
             l2_test(s, 0b11, theta=0.5, m=5, basis=MONOMIAL_01)
         # a product basis for another dimension is refused the same way
         for means in [(0.1,) * 5, (0.1,) * 7]:
             with pytest.raises(ContractViolation, match="unsupported basis"):
-                restriction_values_pm(s, 0b11, idx, ProductBasis(means))
+                restriction_values(s, 0b11, idx, ProductBasis(means))
         assert s.mq_count == 0
         # the refused l2_test draws nothing: only the five examples above
         assert s.ex_count == 5
         assert [rec["op"] for rec in s.records] == ["ex"] * 5
+        # over {0,1} only the monomial basis fits: a +-1 basis is refused
+        # the same way, by the sampler and both tests too
+        g = SparsePolynomial(6, {0b11: 1.0}, ZERO_ONE)
+        z = OracleSession(g, Distribution.uniform(6, ZERO_ONE), r=2)
+        idx, _, _ = z.draw_batch(5)
+        for basis in (UNIFORM_PM, ProductBasis((0.3,) * 2), ProductBasis((0.3,) * 6)):
+            with pytest.raises(ContractViolation, match="unsupported basis"):
+                restriction_values(z, 0b11, idx, basis)
+            with pytest.raises(ContractViolation, match="unsupported basis"):
+                estimate_restriction(z, 0b11, 5, basis)
+            with pytest.raises(ContractViolation, match="unsupported basis"):
+                l2_test(z, 0b11, theta=0.5, m=5, basis=basis)
+            with pytest.raises(ContractViolation, match="unsupported basis"):
+                nonzero_test(z, 0b11, theta=0.5, zero_tol=1e-10, m=5, basis=basis)
+        assert z.mq_count == 0 and z.ex_count == 5
+        assert [rec["op"] for rec in z.records] == ["ex"] * 5
+        # the monomial basis, named or by default, gives the same values
+        named = restriction_values(z, 0b11, idx, MONOMIAL_01)
+        assert named.tobytes() == restriction_values(z, 0b11, idx).tobytes()
 
     def test_uniform_matches_spectrum_sum(self):
         rng = np.random.default_rng(8)
@@ -275,7 +320,7 @@ class TestRestrictionPm:
         for _ in range(20):
             subset = random_subset(10, 3, rng, min_size=1)
             idx, masks, _ = s.draw_batch(1)
-            got = restriction_values_pm(s, subset, idx)[0]
+            got = restriction_values(s, subset, idx)[0]
             want = spec.restrict(subset).value_at(int(masks[0]))
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -324,10 +369,7 @@ class TestRestrictionProperty:
         k = int(popcount(subset))
         s = poly_session(SpectrumTarget(spec, dist.domain), dist, r=k, seed=n)
         idx, masks, _ = s.draw_batch(data.draw(st.integers(1, 6), label="anchors"))
-        if basis is MONOMIAL_01:
-            got = restriction_values_01(s, subset, idx)
-        else:
-            got = restriction_values_pm(s, subset, idx, basis)
+        got = restriction_values(s, subset, idx, basis)
         want = spec.restrict(subset).value_batch(masks)
         # |f| <= scale everywhere: no one-variable character exceeds peak
         mus = getattr(basis, "means", ())
@@ -359,18 +401,16 @@ class TestRestrictionOfTargets:
         else:
             domain = ZERO_ONE if kind == "poly01" else PLUS_MINUS
             target = random_sparse_poly(n, int(rng.integers(1, 7)), rng, domain=domain)
-            basis, dist = UNIFORM_PM, Distribution.uniform(n, domain)
-            symbolic = target
+            basis = MONOMIAL_01 if kind == "poly01" else UNIFORM_PM
+            dist, symbolic = Distribution.uniform(n, domain), target
         subset = random_subset(n, r, rng)
         k = int(popcount(subset))
         s = OracleSession(target, dist, r=r, seed=n)
         m = data.draw(st.integers(1, 6), label="anchors")
         if data.draw(st.booleans(), label="sampler"):
             got = estimate_restriction(s, subset, m, basis)
-        elif dist.domain == ZERO_ONE:
-            got = restriction_values_01(s, subset, s.draw_batch(m)[0])
         else:
-            got = restriction_values_pm(s, subset, s.draw_batch(m)[0], basis)
+            got = restriction_values(s, subset, s.draw_batch(m)[0], basis)
         anchors = s.anchor_masks(np.arange(m))
         assert got.dtype == np.float64
         want = symbolic.restrict(subset).value_batch(anchors)

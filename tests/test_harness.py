@@ -675,15 +675,15 @@ class TestVerifierIndependence:
         session = OracleSession(f, dist, r=4, seed=1, audit_mode=AUDIT_COUNTS)
         idx, masks, _ = session.draw_batch(1)
         subset = 0b101
-        honest = fourier_mod.restriction_values_01(session, subset, idx)[0]
+        honest = fourier_mod.restriction_values(session, subset, idx)[0]
         symbolic = f.restrict(subset).value_at(int(masks[0]))
         assert honest == pytest.approx(symbolic, abs=1e-9)
 
-        original = fourier_mod.restriction_values_01
+        original = fourier_mod.restriction_values
 
-        def corrupted(sess, sub, anchors):
-            return 1.05 * original(sess, sub, anchors) + 0.01
+        def corrupted(sess, sub, anchors, basis=None):
+            return 1.05 * original(sess, sub, anchors, basis) + 0.01
 
-        monkeypatch.setattr(fourier_mod, "restriction_values_01", corrupted)
-        bad = fourier_mod.restriction_values_01(session, subset, np.asarray([int(idx[0])]))[0]
+        monkeypatch.setattr(fourier_mod, "restriction_values", corrupted)
+        bad = fourier_mod.restriction_values(session, subset, np.asarray([int(idx[0])]))[0]
         assert abs(bad - symbolic) > 1e-3  # the oracle flags the mutation

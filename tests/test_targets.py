@@ -19,7 +19,7 @@ from localmq import (
     tree_to_polynomial,
 )
 from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
-from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis
+from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, exact_transform
 from localmq._bits import all_masks, popcount
 from localmq.generators import random_sparse_poly, random_tree
 
@@ -208,13 +208,14 @@ class TestTreeToPolynomial:
             ProductBasis(tuple(rng.uniform(-0.5, 0.5, size=9))),
         ):
             spec = tree_to_polynomial(tree, basis)
-            if basis is MONOMIAL_01:
-                vals = spec.value_batch(masks)
-            else:
-                vals = spec.value_batch(masks)
+            vals = spec.value_batch(masks)
             assert np.max(np.abs(vals - tv)) < 1e-9
             assert spec.l0() <= tree.leaf_count * 2**tree.depth
             assert spec.degree() <= tree.depth
+            # the same coefficients as the butterfly over the truth table
+            full = exact_transform(tree, basis, zero_tol=0.0)
+            for s in set(spec.coeffs) | set(full.coeffs):
+                assert abs(spec.coeff(s) - full.coeff(s)) <= 1e-12
 
     def test_no_repeated_variable_on_path(self):
         with pytest.raises(ContractViolation):
