@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -357,20 +358,29 @@ def default_test_samples(theta_gap: float, delta_test: float) -> int:
     return int(math.ceil(math.log(2.0 / delta_test) / (2.0 * half_gap**2)))
 
 
+def _nonzeros(zero_tol: float):
+    """The non-zero statistic: whether |f_S| exceeds zero_tol."""
+    return lambda values: np.abs(values) > zero_tol
+
+
+def _admission(session, subset, m, basis, statistic, threshold, passes) -> TestResult:
+    """The one admission rule: average `statistic` of f_S over m fresh
+    natural examples and pass when passes(mean, threshold). Each example
+    costs 2**|S| local queries."""
+    est = float(np.mean(statistic(estimate_restriction(session, subset, m, basis))))
+    return TestResult(passes(est, threshold), est, m)
+
+
 def l2_test(session, subset: int, theta: float, m: int, basis=None) -> TestResult:
-    """Estimate E[f_S(x)^2] from m fresh natural examples and compare
-    against theta**2. Each example costs 2**|S| local queries."""
-    values = estimate_restriction(session, subset, m, basis)
-    est = float(np.mean(values * values))
-    return TestResult(est > theta * theta, est, m)
+    """Estimate E[f_S(x)^2] from m fresh natural examples; passes when
+    the estimate exceeds theta**2."""
+    return _admission(session, subset, m, basis, np.square, theta * theta, operator.gt)
 
 
 def nonzero_test(
     session, subset: int, theta: float, zero_tol: float, m: int, basis=None
 ) -> TestResult:
     """Estimate Pr[|f_S| > zero_tol] over the rest-marginal from m fresh
-    natural examples (the subset coordinates are simply ignored) and
-    compare against theta."""
-    values = estimate_restriction(session, subset, m, basis)
-    est = float(np.mean(np.abs(values) > zero_tol))
-    return TestResult(est >= theta, est, m)
+    natural examples (the subset coordinates are simply ignored); passes
+    when the estimate is at least theta."""
+    return _admission(session, subset, m, basis, _nonzeros(zero_tol), theta, operator.ge)

@@ -1,14 +1,20 @@
 """The learning algorithms.
 
-All five learners run one shared path: grow, fit, holdout. Growth starts
+All five learners run one shared path: resolve, grow, fit, holdout.
+Each `learn_*` states its domain checks, its parameter formulas and its
+admission test, once each. One resolver (`_Resolver`) fills every
+parameter and sample size: the `LearnerConfig` field when set, else the
+learner's formula, recorded into the outcome's `params` as it is
+resolved; it is the one place a defaulted size above
+MAX_DEFAULT_SAMPLES is refused, and the sizes that depend on epsilon and
+delta alone are resolved before any example is drawn. Growth starts
 from the empty set and extends candidate subsets one variable at a time,
 admitting those whose restriction passes the learner's test (non-zero
 test under smooth distributions, L2 test under uniform/product), up to
 degree d and a budget cap on the grown family; exceeding the cap signals
 that the smoothness assumption was violated. The fit (L1-constrained
 regression, or one shared coefficient-estimation batch) is scored on a
-fresh holdout. Each `learn_*` supplies its domain checks, parameter
-formulas and admission test.
+fresh holdout.
 
 Candidates are walked in ascending (|S|, bitmask) order and each subset
 is tested at most once, so runs are deterministic given the seed. Every
@@ -42,6 +48,7 @@ from .oracles import AuditSummary, OracleSession
 from .targets import PLUS_MINUS, ZERO_ONE
 
 MAX_DEFAULT_SAMPLES = 10**7
+_SIZES = ("m", "est_samples", "reg_samples", "holdout_samples")
 _REGRESSION_TOL = 1e-8
 _REGRESSION_MAX_ITER = 10**5
 
@@ -54,7 +61,10 @@ class LearnerConfig:
     default formulas; the values actually used are echoed in the
     outcome. `m` is the per-test sample size; the Hoeffding default can
     be astronomically large for small thresholds, in which case it must
-    be set explicitly (a guard refuses defaults above 10**7).
+    be set explicitly (a guard refuses any defaulted sample size above
+    10**7). A value no learner can use is refused here, before any
+    example is drawn: a count or sample size below 1, theta or B at or
+    below 0, d or d_prime below 0, alpha below 1.
     """
 
     epsilon: float = 0.1
@@ -79,8 +89,16 @@ class LearnerConfig:
             raise ContractViolation(f"epsilon={self.epsilon} outside (0,1)")
         if not 0.0 < self.delta < 1.0:
             raise ContractViolation(f"delta={self.delta} outside (0,1)")
-        if self.alpha is not None and self.alpha < 1.0:
-            raise ContractViolation(f"alpha={self.alpha} must be >= 1")
+        for names, rule, holds in (
+            (("t", "s", "depth", "cap", *_SIZES), ">= 1", lambda v: v >= 1),
+            (("theta", "B"), "> 0", lambda v: v > 0),
+            (("d", "d_prime"), ">= 0", lambda v: v >= 0),
+            (("alpha",), ">= 1", lambda v: v >= 1.0),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not holds(value):
+                    raise ContractViolation(f"{name}={value} must be {rule}")
 
 
 @dataclass
@@ -145,16 +163,34 @@ def default_params_sparse(
 # ------------------------------------------------------------------ internals
 
 
-def _resolve_m(config: LearnerConfig, theta_gap: float) -> int:
-    if config.m is not None:
-        return int(config.m)
-    m = default_test_samples(theta_gap, config.delta / 2.0)
-    if m > MAX_DEFAULT_SAMPLES:
-        raise ContractViolation(
-            f"default Hoeffding sample size {m} exceeds {MAX_DEFAULT_SAMPLES}; "
-            "set config.m explicitly for desk-scale runs"
-        )
-    return m
+class _Resolver:
+    """A learner's parameters, resolved one at a time in the order the
+    learner asks for them. Each is the `LearnerConfig` field when set,
+    else the learner's formula, which is called only then; a field asked
+    for with no formula is required. The value is recorded into `params`
+    unless `record` is false. A defaulted sample size above
+    MAX_DEFAULT_SAMPLES is refused here, and nowhere else."""
+
+    def __init__(self, config: LearnerConfig, algorithm: str, **given):
+        self.config = config
+        self.params = {"algorithm": algorithm, **given}
+
+    def __call__(self, name: str, formula=None, record: bool = True):
+        value = getattr(self.config, name)
+        if value is None:
+            if formula is None:
+                raise ContractViolation(f"config needs {name}")
+            value = formula()
+            if name in _SIZES and value > MAX_DEFAULT_SAMPLES:
+                raise ContractViolation(
+                    f"default {name} {value} exceeds {MAX_DEFAULT_SAMPLES}; "
+                    f"set config.{name} explicitly for desk-scale runs"
+                )
+        if name in _SIZES:
+            value = int(value)
+        if record:
+            self.params[name] = value
+        return value
 
 
 def _grow(n: int, d: int, cap: int, admit):
@@ -269,19 +305,11 @@ def _estimate_coeffs(session, sets: list[int], m2: int, basis) -> FourierSpectru
     return FourierSpectrum(session.n, basis, out)
 
 
-def _default_samples(config: LearnerConfig) -> int:
-    """Hoeffding-style default size of the regression and holdout batches."""
-    return 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
-
-
-def _holdout_errors(session, outcome_hyp, sign_threshold, config) -> dict:
-    n_hold = config.holdout_samples
-    if n_hold is None:
-        n_hold = _default_samples(config)
+def _holdout_errors(session, hypothesis, sign_threshold, n_hold: int) -> dict:
     _, masks, labels = session.draw_batch(n_hold)
-    vals = outcome_hyp.value_batch(masks)
+    vals = hypothesis.value_batch(masks)
     errors = {
-        "holdout_samples": int(n_hold),
+        "holdout_samples": n_hold,
         "squared_loss": float(np.mean((labels - vals) ** 2)),
     }
     if sign_threshold:
@@ -305,8 +333,7 @@ def _regress_hypothesis(
 
 def _learn(
     session,
-    config: LearnerConfig,
-    params: dict,
+    p: _Resolver,
     basis,
     admit,
     l1_bound: float | None = None,
@@ -316,29 +343,35 @@ def _learn(
     """The shared learner path: grow the family from the empty set with
     `admit`, fit over it, and score the fit on a fresh holdout.
 
-    `params` carries the per-algorithm values (at least d, theta, m and
-    cap). With `l1_bound` the fit is the L1-constrained regression,
-    dropping coefficients at most `fit_zero_tol`; without it every
-    grown coefficient is estimated from one shared batch. Outputs are
-    sign-thresholded exactly when the session's domain is +-1.
+    `p` has resolved at least d, theta, m and cap. With `l1_bound` the
+    fit is the L1-constrained regression, dropping coefficients at most
+    `fit_zero_tol`; without it every grown coefficient is estimated from
+    one shared batch. The holdout and regression sizes depend on epsilon
+    and delta alone and are resolved before growth; the estimation size
+    depends on the grown family. Outputs are sign-thresholded exactly
+    when the session's domain is +-1.
     """
     start = time.perf_counter()
+    config, params = p.config, p.params
+    batch = lambda: 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
+    n_hold = p("holdout_samples", batch, record=False)
+    if l1_bound is not None:
+        reg_samples = p("reg_samples", batch)
     admitted, log = _grow(session.n, params["d"], params["cap"], admit)
     if l1_bound is None:
-        samples = _coeff_samples(config, params["theta"], len(admitted))
+        # Hoeffding over [-1, 1] values: every coefficient to additive theta/4
+        k = max(len(admitted), 2)
+        samples = p("est_samples", lambda: math.ceil(
+            2.0 * math.log(4.0 * k / config.delta) / (params["theta"] / 4.0) ** 2
+        ))
         hypothesis = _estimate_coeffs(session, admitted, samples, basis)
-        params["est_samples"] = samples
     else:
-        samples = config.reg_samples
-        if samples is None:
-            samples = _default_samples(config)
         hypothesis = _regress_hypothesis(
-            session, admitted, basis, l1_bound, samples, fit_zero_tol
+            session, admitted, basis, l1_bound, reg_samples, fit_zero_tol
         )
-        params["reg_samples"] = samples
     params.update(epsilon=config.epsilon, delta=config.delta, seed=config.seed)
     sign_threshold = session.domain == PLUS_MINUS
-    errors = _holdout_errors(session, hypothesis, sign_threshold, config)
+    errors = _holdout_errors(session, hypothesis, sign_threshold, n_hold)
     return LearnOutcome(
         hypothesis=hypothesis,
         sign_threshold=sign_threshold,
@@ -365,31 +398,18 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
     """
     if session.domain != ZERO_ONE:
         raise ContractViolation("sparse polynomial learner works over {0,1}")
-    if config.t is None or config.B is None or config.alpha is None:
-        raise ContractViolation("config needs t, B, and alpha")
-    t, B, alpha = config.t, config.B, config.alpha
+    p = _Resolver(config, "sparse-poly")
+    t, B, alpha = p("t"), p("B"), p("alpha")
     d0, theta0, dp0 = default_params_sparse(t, B, config.epsilon, alpha)
-    d = config.d if config.d is not None else d0
-    theta = config.theta if config.theta is not None else theta0
-    d_prime = config.d_prime if config.d_prime is not None else dp0
-    cap = config.cap if config.cap is not None else t * (1 << min(d + d_prime, 62))
-    m = _resolve_m(config, theta)
+    d = p("d", lambda: d0)
+    theta = p("theta", lambda: theta0)
+    d_prime = p("d_prime", lambda: dp0)
+    p("cap", lambda: t * (1 << min(d + d_prime, 62)))
+    m = p("m", lambda: default_test_samples(theta, config.delta / 2.0))
     zero_tol = 1e-10 * max(1.0, t * B)
-    params = {
-        "algorithm": "sparse-poly",
-        "t": t,
-        "B": B,
-        "alpha": alpha,
-        "d": d,
-        "theta": theta,
-        "d_prime": d_prime,
-        "m": m,
-        "cap": cap,
-    }
     return _learn(
         session,
-        config,
-        params,
+        p,
         MONOMIAL_01,
         lambda S: nonzero_test(session, S, theta, zero_tol, m, MONOMIAL_01),
         l1_bound=t * B,
@@ -409,24 +429,14 @@ def learn_logdepth_tree(
     """
     if session.domain != PLUS_MINUS:
         raise ContractViolation("log-depth tree learner works over +-1")
-    if config.depth is None or config.alpha is None:
-        raise ContractViolation("config needs depth and alpha")
-    d = config.d if config.d is not None else config.depth
-    alpha = config.alpha
-    t = config.t if config.t is not None else 1 << min(d, 30)
-    theta = config.theta if config.theta is not None else (1.0 + alpha) ** (-d - 1)
-    cap = config.cap if config.cap is not None else t * (1 << min(d, 62))
-    m = _resolve_m(config, theta)
+    p = _Resolver(config, "logdepth-tree")
+    depth, alpha = p("depth", record=False), p("alpha")
+    d = p("d", lambda: depth)
+    t = p("t", lambda: 1 << min(d, 30))
+    theta = p("theta", lambda: (1.0 + alpha) ** (-d - 1))
+    p("cap", lambda: t * (1 << min(d, 62)))
+    m = p("m", lambda: default_test_samples(theta, config.delta / 2.0))
     zero_tol = 1e-10 * max(1.0, float(t))
-    params = {
-        "algorithm": "logdepth-tree",
-        "t": t,
-        "alpha": alpha,
-        "d": d,
-        "theta": theta,
-        "m": m,
-        "cap": cap,
-    }
     meta = {}
     if session.noise is not None or eta_assumed is not None:
         admit = lambda S: noisy_nonzero_test(
@@ -438,9 +448,7 @@ def learn_logdepth_tree(
         )
     else:
         admit = lambda S: nonzero_test(session, S, theta, zero_tol, m, UNIFORM_PM)
-    return _learn(
-        session, config, params, UNIFORM_PM, admit, l1_bound=float(t), metadata=meta
-    )
+    return _learn(session, p, UNIFORM_PM, admit, l1_bound=float(t), metadata=meta)
 
 
 def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -452,25 +460,14 @@ def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOu
     approximation is returned.
     """
     _require_uniform(session)
-    if config.t is None:
-        raise ContractViolation("config needs the leaf budget t")
-    t = config.t
-    d = config.d if config.d is not None else math.ceil(
-        math.log2(2.0 * t * t / config.epsilon)
-    )
-    theta = config.theta if config.theta is not None else config.epsilon / (2.0 * t)
-    cap = config.cap if config.cap is not None else math.ceil(t**4 / theta**6)
-    m = _resolve_m(config, theta * theta)
-    params = {
-        "algorithm": "tree-uniform",
-        "t": t,
-        "d": d,
-        "theta": theta,
-        "m": m,
-        "cap": cap,
-    }
+    p = _Resolver(config, "tree-uniform")
+    t = p("t")
+    p("d", lambda: math.ceil(math.log2(2.0 * t * t / config.epsilon)))
+    theta = p("theta", lambda: config.epsilon / (2.0 * t))
+    p("cap", lambda: math.ceil(t**4 / theta**6))
+    m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))
     return _learn(
-        session, config, params, UNIFORM_PM, lambda S: l2_test(session, S, theta, m, UNIFORM_PM)
+        session, p, UNIFORM_PM, lambda S: l2_test(session, S, theta, m, UNIFORM_PM)
     )
 
 
@@ -484,41 +481,26 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     """
     if session.domain != PLUS_MINUS or session.dist.kind != PRODUCT:
         raise ContractViolation("product tree learner needs a +-1 product distribution")
-    if config.t is None:
-        raise ContractViolation("config needs the leaf budget t")
-    t = config.t
     means = session.dist.means
     c = (1.0 - max(abs(mu) for mu in means)) / 2.0
     if c <= 0.0:
         raise ContractViolation("product means must be bounded away from +-1")
+    p = _Resolver(config, "tree-product", c=c)
+    t = p("t")
     rate = math.log2(1.0 / (1.0 - c))
     d_real = math.log2(8.0 * t / config.epsilon) / rate
-    d = config.d if config.d is not None else math.ceil(d_real)
-    theta = (
-        config.theta
-        if config.theta is not None
-        else math.sqrt(config.epsilon / (2.0 * t * 2.0**d_real))
-    )
-    if config.cap is not None:
-        cap = config.cap
-    else:
+    p("d", lambda: math.ceil(d_real))
+    theta = p("theta", lambda: math.sqrt(config.epsilon / (2.0 * t * 2.0**d_real)))
+
+    def cap():
         d2 = math.log2(8.0 * t / theta**2) / rate
         w_min = (theta**2 / 2.0) / (t * 2.0**d2)
-        cap = math.ceil(2.0**d2 / w_min) if d2 < 40 else 10**18
-    m = _resolve_m(config, theta * theta)
+        return math.ceil(2.0**d2 / w_min) if d2 < 40 else 10**18
+
+    p("cap", cap)
+    m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))
     basis = ProductBasis(means)
-    params = {
-        "algorithm": "tree-product",
-        "t": t,
-        "c": c,
-        "d": d,
-        "theta": theta,
-        "m": m,
-        "cap": cap,
-    }
-    return _learn(
-        session, config, params, basis, lambda S: l2_test(session, S, theta, m, basis)
-    )
+    return _learn(session, p, basis, lambda S: l2_test(session, S, theta, m, basis))
 
 
 def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -530,23 +512,17 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
     flagged in the outcome metadata.
     """
     _require_uniform(session)
-    if config.s is None:
-        raise ContractViolation("config needs the DNF size s")
-    s = config.s
+    p = _Resolver(config, "dnf")
+    s = p("s")
     ratio = s / config.epsilon
-    d = config.d if config.d is not None else math.ceil(math.log2(ratio))
-    theta = config.theta if config.theta is not None else config.epsilon / (4.0 * s)
-    if config.cap is not None:
-        cap = config.cap
-    else:
-        expo = math.ceil(math.log2(max(2.0, math.log2(max(2.0, ratio))))) + 3
-        cap = math.ceil(ratio**expo)
-    m = _resolve_m(config, theta * theta)
-    params = {"algorithm": "dnf", "s": s, "d": d, "theta": theta, "m": m, "cap": cap}
+    p("d", lambda: math.ceil(math.log2(ratio)))
+    theta = p("theta", lambda: config.epsilon / (4.0 * s))
+    expo = lambda: math.ceil(math.log2(max(2.0, math.log2(max(2.0, ratio))))) + 3
+    p("cap", lambda: math.ceil(ratio ** expo()))
+    m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))
     return _learn(
         session,
-        config,
-        params,
+        p,
         UNIFORM_PM,
         lambda S: l2_test(session, S, theta, m, UNIFORM_PM),
         metadata={"hypothesis_rule": "sign-of-approximation substitute"},
@@ -556,20 +532,3 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
 def _require_uniform(session) -> None:
     if session.domain != PLUS_MINUS or session.dist.kind != UNIFORM:
         raise ContractViolation("learner needs the uniform +-1 distribution")
-
-
-def _coeff_samples(config: LearnerConfig, theta: float, family: int) -> int:
-    """Shared-batch size estimating every admitted coefficient to
-    additive theta/4 via Hoeffding over [-1, 1] values."""
-    if config.est_samples is not None:
-        return int(config.est_samples)
-    k = max(family, 2)
-    m2 = math.ceil(
-        2.0 * math.log(4.0 * k / config.delta) / (theta / 4.0) ** 2
-    )
-    if m2 > MAX_DEFAULT_SAMPLES:
-        raise ContractViolation(
-            f"default coefficient sample size {m2} exceeds {MAX_DEFAULT_SAMPLES}; "
-            "set config.est_samples explicitly"
-        )
-    return m2

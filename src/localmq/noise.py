@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from ._bits import popcount
 from ._prf import bernoulli
 from .errors import BudgetExceededError, ContractViolation
-from .fourier import TestResult, estimate_restriction
+from .fourier import TestResult, _admission, _nonzeros, estimate_restriction
 from .targets import PLUS_MINUS
 
 
@@ -100,20 +101,15 @@ def noisy_nonzero_test(
     (1 - p0) + (p0 - p1) * theta / 2. Assumes no query point repeats, so
     the persistent noise behaves as fresh noise.
     """
-    if session.domain != PLUS_MINUS:
-        raise ContractViolation("noisy tests need a +-1 session")
     eta = _resolve_eta(session, eta)
     k = int(popcount(subset))
     if k == 0:
         # f_S = f itself is +-1 valued, never zero
         return TestResult(True, 1.0, 0)
-    vals = estimate_restriction(session, subset, m)
-    q_hat = float(np.mean(np.abs(vals) > zero_tol))
     half = 1 << (k - 1)
-    p0 = rcn_collision_prob(half, 0, eta)
-    p1 = rcn_collision_prob(half, 1, eta) if half >= 1 else 0.0
+    p0, p1 = rcn_collision_prob(half, 0, eta), rcn_collision_prob(half, 1, eta)
     threshold = (1.0 - p0) + (p0 - p1) * theta / 2.0
-    return TestResult(q_hat >= threshold, q_hat, m)
+    return _admission(session, subset, m, None, _nonzeros(zero_tol), threshold, operator.ge)
 
 
 def noisy_l2_estimate(
@@ -126,23 +122,25 @@ def noisy_l2_estimate(
     (each flip contributes label variance 1-(1-2 eta)^2 = 4 eta (1-eta));
     the raw second moment is debiased and rescaled accordingly.
     """
-    if session.domain != PLUS_MINUS:
-        raise ContractViolation("noisy tests need a +-1 session")
     eta = _resolve_eta(session, eta)
-    if eta >= 0.5:
-        raise ContractViolation("eta = 1/2 leaves nothing to correct")
     k = int(popcount(subset))
-    vals = estimate_restriction(session, subset, m)
-    raw = float(np.mean(vals * vals))
+    raw = float(np.mean(np.square(estimate_restriction(session, subset, m))))
     bias = 2.0 ** (-k) * 4.0 * eta * (1.0 - eta)
     corrected = (raw - bias) / (1.0 - 2.0 * eta) ** 2
     return corrected, raw
 
 
 def _resolve_eta(session, eta: float | None) -> float:
-    if eta is not None:
-        return float(eta)
-    return 0.0 if session.noise is None else session.noise.eta
+    """The assumed noise rate of a noisy test: `eta`, or the session's
+    own rate for None. Refused, before any draw, off a +-1 session or
+    outside [0, 1/2), where the corrections mean nothing."""
+    if session.domain != PLUS_MINUS:
+        raise ContractViolation("noisy tests need a +-1 session")
+    if eta is None:
+        eta = 0.0 if session.noise is None else session.noise.eta
+    if not 0.0 <= eta < 0.5:
+        raise ContractViolation(f"eta={eta} outside [0, 1/2)")
+    return float(eta)
 
 
 def eta_grid(epsilon: float) -> list[float]:

@@ -216,6 +216,35 @@ class TestExitCodes:
         assert captured.err.startswith("contract violation: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algo", "tree-uniform", "--t", "0"],
+            ["--algo", "tree-product", "--t", "0"],
+            ["--algo", "dnf", "--s", "0"],
+            ["--algo", "logdepth-tree", "--depth", "2", "--alpha", "1.0", "--t", "0"],
+            ["--algo", "logdepth-tree", "--depth", "0", "--alpha", "1.0"],
+            ["--algo", "tree-uniform", "--t", "4", "--cap", "0"],
+            ["--algo", "tree-uniform", "--t", "4", "--test-samples", "0"],
+            ["--algo", "tree-uniform", "--t", "4", "--est-samples", "-5"],
+            ["--algo", "tree-uniform", "--t", "4", "--holdout-samples", "0"],
+            ["--algo", "tree-uniform", "--t", "4", "--theta", "0"],
+            ["--algo", "tree-uniform", "--t", "4", "--d", "-1"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "0", "--alpha", "1.5"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "1.5", "--d-prime", "-1"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "1.5", "--reg-samples", "0"],
+        ],
+        ids=lambda flags: " ".join(flags[1:]),
+    )
+    def test_unusable_learner_parameter_is_3(self, flags, tmp_path, capsys):
+        # refused when the config is built, before a session exists
+        log = tmp_path / "run.jsonl"
+        code = main(["learn", "--n", "8", "--eps", "0.2", *flags, "--audit-out", str(log)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("contract violation: ") and captured.err.count("\n") == 1
+        assert not log.exists()
+
     @pytest.mark.parametrize("kind", ["uniform", "product"])
     def test_distribution_wider_than_a_point_mask_is_3(self, kind, capsys):
         # 64 bits would overflow an int64 mask; the refusal comes before any draw

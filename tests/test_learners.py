@@ -9,6 +9,7 @@ import pytest
 
 from localmq import (
     BudgetExceededError,
+    ContractViolation,
     Distribution,
     DecisionTree,
     Internal,
@@ -433,3 +434,115 @@ class TestOutcomeContracts:
         assert {"hypothesis", "grown_sets", "params", "error_estimates", "audit"} <= set(obj)
         assert obj["audit"]["violations"] == 0
         assert "wall_time" not in obj
+
+
+def one_term_dnf():
+    return DnfFormula(6, (((0, True), (1, True)),), PLUS_MINUS)
+
+
+# learner, instance, and every override it reads (theta chosen so that the
+# few heavy sets pass and the growth stays well under the cap)
+OVERRIDES = {
+    "sparse-poly": (
+        learn_sparse_poly,
+        lambda: (HEAVY_SINGLETON, Distribution.uniform(8, ZERO_ONE)),
+        dict(t=1, B=5.0, alpha=1.0, d=2, theta=0.3, d_prime=3, cap=97, m=211, reg_samples=509),
+    ),
+    "logdepth-tree": (
+        learn_logdepth_tree,
+        lambda: (parity_tree(), Distribution.uniform(6, PLUS_MINUS)),
+        dict(depth=2, alpha=1.0, t=5, d=2, theta=0.3, cap=97, m=211, reg_samples=509),
+    ),
+    "tree-uniform": (
+        learn_tree_uniform,
+        lambda: (parity_tree(), Distribution.uniform(6, PLUS_MINUS)),
+        dict(t=4, d=3, theta=0.123, cap=97, m=211, est_samples=503),
+    ),
+    "tree-product": (
+        learn_tree_product,
+        lambda: (parity_tree(), Distribution.product([0.1] * 6, PLUS_MINUS)),
+        dict(t=4, d=3, theta=0.123, cap=97, m=211, est_samples=503),
+    ),
+    "dnf": (
+        learn_dnf,
+        lambda: (one_term_dnf(), Distribution.uniform(6, PLUS_MINUS)),
+        dict(s=1, d=3, theta=0.123, cap=97, m=211, est_samples=503),
+    ),
+}
+
+
+class TestParameterResolution:
+    @pytest.mark.parametrize("algo", sorted(OVERRIDES))
+    def test_every_override_is_echoed_verbatim(self, algo):
+        learn, instance, overrides = OVERRIDES[algo]
+        target, dist = instance()
+        s = session_for(target, dist, r=target.n, seed=3)
+        out = learn(s, LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides))
+        assert out.params["algorithm"] == algo
+        for name, value in overrides.items():
+            if name != "depth":
+                assert out.params[name] == value, name
+        assert out.error_estimates["holdout_samples"] == 307
+        # each batch is drawn at its resolved size
+        tests = sum(211 for S, _, _ in out.test_log)
+        fit = overrides.get("est_samples", overrides.get("reg_samples"))
+        assert s.ex_count == tests + fit + 307
+
+    def test_defaulted_test_size_is_refused_before_any_draw(self):
+        # the c06 shape with m left to its Hoeffding default: about 5.7e9
+        f = random_dnf(14, 4, np.random.default_rng([6, 1]), width=3)
+        s = session_for(f, Distribution.uniform(14, PLUS_MINUS), r=5)
+        with pytest.raises(ContractViolation, match=f"exceeds {learners_mod.MAX_DEFAULT_SAMPLES}"):
+            learn_dnf(s, LearnerConfig(epsilon=0.1, delta=0.05, s=4, est_samples=30_000))
+        assert s.ex_count == 0
+
+    def test_defaulted_estimation_size_is_refused(self):
+        # 2 ln(4k / delta) / (theta / 4)^2 is about 1.8e7 at theta = 0.003
+        s = session_for(parity_tree(), Distribution.uniform(6, PLUS_MINUS), r=6)
+        config = LearnerConfig(epsilon=0.2, delta=0.1, t=4, d=2, theta=0.003, m=50)
+        with pytest.raises(ContractViolation, match=f"exceeds {learners_mod.MAX_DEFAULT_SAMPLES}"):
+            learn_tree_uniform(s, config)
+
+    # epsilon just past the bound: 10 * ceil(ln(2 / delta) / eps^2) is
+    # 10,006,740 at delta = 0.05
+    EPS_PAST = 0.00192
+
+    @pytest.mark.parametrize(
+        "learn, target, dist, config",
+        [
+            pytest.param(
+                learn_tree_uniform, parity_tree(), Distribution.uniform(6, PLUS_MINUS),
+                dict(t=4, m=50, est_samples=100), id="holdout",
+            ),
+            pytest.param(
+                learn_sparse_poly, HEAVY_SINGLETON, Distribution.uniform(8, ZERO_ONE),
+                dict(t=1, B=5.0, alpha=1.0, d=0, m=50, holdout_samples=100), id="regression",
+            ),
+        ],
+    )
+    def test_defaulted_batch_size_is_refused_before_growth(self, learn, target, dist, config):
+        default = 10 * math.ceil(math.log(2.0 / 0.05) / self.EPS_PAST**2)
+        assert 0 < default - learners_mod.MAX_DEFAULT_SAMPLES < 10**4
+        s = session_for(target, dist, r=target.n)
+        with pytest.raises(ContractViolation, match=f"exceeds {learners_mod.MAX_DEFAULT_SAMPLES}"):
+            learn(s, LearnerConfig(epsilon=self.EPS_PAST, delta=0.05, **config))
+        assert s.ex_count == 0
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *[(name, 0) for name in ("t", "s", "depth", "cap", "m", "est_samples",
+                                      "reg_samples", "holdout_samples")],
+            ("t", -2), ("theta", 0.0), ("theta", -0.1), ("theta", float("nan")),
+            ("B", 0.0), ("d", -1), ("d_prime", -1), ("alpha", 0.5),
+        ],
+    )
+    def test_unusable_value_is_refused(self, field, value):
+        with pytest.raises(ContractViolation, match=f"^{field}="):
+            LearnerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["d", "d_prime"])
+    def test_degree_zero_is_allowed(self, field):
+        assert getattr(LearnerConfig(**{field: 0}), field) == 0

@@ -179,6 +179,29 @@ def noisy_session(target, eta, seed=0, r=None):
     )
 
 
+class TestAssumedEtaRange:
+    """An assumed rate outside [0, 1/2) is refused by both noisy tests
+    before any example is drawn."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s: noisy_nonzero_test(s, 0b11, 0.5, 500, 1e-10, eta=0.6), id="nonzero-0.6"),
+            pytest.param(lambda s: noisy_nonzero_test(s, 0b11, 0.5, 500, 1e-10, eta=-0.1), id="nonzero--0.1"),
+            pytest.param(lambda s: noisy_nonzero_test(s, 0b11, 0.5, 500, 1e-10, eta=0.5), id="nonzero-0.5"),
+            pytest.param(lambda s: noisy_nonzero_test(s, 0, 0.5, 500, 1e-10, eta=0.6), id="nonzero-empty-set"),
+            pytest.param(lambda s: noisy_l2_estimate(s, 0b11, 500, eta=-0.2), id="l2--0.2"),
+            pytest.param(lambda s: noisy_l2_estimate(s, 0b11, 500, eta=0.5), id="l2-0.5"),
+        ],
+    )
+    def test_refused_before_any_draw(self, call):
+        tree = random_tree(8, 4, np.random.default_rng(3), max_depth=2)
+        s = noisy_session(tree, 0.1, seed=2)
+        with pytest.raises(ContractViolation, match=r"outside \[0, 1/2\)"):
+            call(s)
+        assert s.ex_count == 0 and s.mq_count == 0
+
+
 class TestNoisyNonzeroTest:
     def test_eta_zero_matches_plain_estimates(self):
         f = SparsePolynomial(8, {0b11: 1.0}, PLUS_MINUS)
