@@ -29,7 +29,10 @@ AUDIT_OPS = ("ex", "mq", "mq_violation")
 EX, MQ, VIOLATION = range(len(AUDIT_OPS))
 # dtypes of the record columns: op, mask, anchor (-1 for none), dist, resp (NaN if refused)
 COLUMN_DTYPES = (np.uint8, np.int64, np.int64, np.uint8, np.float64)
-_CHUNK = 1 << 16  # records formatted per block written, and lines read per chunk checked
+# records formatted per block written, and lines read per chunk checked:
+# the writer's and the checker's working memory is a few of these blocks,
+# however long the log is
+_CHUNK = 1 << 14
 
 # The record layout: every key, in the order the JSON reader checks them,
 # and whether its value is quoted. A line holds `"key": value` for each

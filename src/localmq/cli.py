@@ -3,9 +3,10 @@
 Subcommands: gen-target, gen-dist, learn, verify, reduce,
 demo-separation, audit. Every run is a pure function of its arguments:
 given the same --seed the emitted JSON is byte-identical (timing is only
-included under --timing). Usage errors exit 2, contract violations (and
-codes that cannot be built) 3, budget overruns 4, failing verification
-suites and corrupt or inconsistent audit logs 1.
+included under --timing). Usage errors exit 2, contract violations (a
+negative --seed among them, and codes that cannot be built) 3, budget
+overruns 4, failing verification suites and corrupt or inconsistent
+audit logs 1.
 """
 
 from __future__ import annotations
@@ -432,6 +433,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy seed sequences take no negative entry; refused alike everywhere
+            raise ContractViolation(f"--seed {args.seed} must be >= 0")
         return args.fn(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

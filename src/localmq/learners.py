@@ -20,6 +20,11 @@ Candidates are walked in ascending (|S|, bitmask) order and each subset
 is tested at most once, so runs are deterministic given the seed. Every
 admission test consumes fresh natural examples, keeping the Hoeffding
 independence assumptions honest; the audit log shows the example budget.
+Once a test is decided the driver releases its examples as anchors
+(`OracleSession.release_anchors`), so a run's anchor store holds one
+test's examples however many tests it runs; a query that names a
+released anchor is refused with ContractViolation (CLI exit 3). The
+public tests (`l2_test`, `nonzero_test`) release nothing.
 """
 
 from __future__ import annotations
@@ -193,9 +198,12 @@ class _Resolver:
         return value
 
 
-def _grow(n: int, d: int, cap: int, admit):
+def _grow(session, d: int, cap: int, admit):
     """Level-by-level growth from the empty set. `admit(S)` returns a
-    TestResult; sets reachable from several parents are tested once."""
+    TestResult; sets reachable from several parents are tested once. Once
+    a test is decided, every example drawn so far is released as an
+    anchor, so the session's anchor store holds one test's examples."""
+    n = session.n
     admitted = [0]
     frontier = [0]
     tested: set[int] = set()
@@ -209,6 +217,7 @@ def _grow(n: int, d: int, cap: int, admit):
         for cand in candidates:
             tested.add(cand)
             res = admit(cand)
+            session.release_anchors()
             log.append((cand, bool(res.passed), float(res.estimate)))
             if res.passed:
                 fresh.append(cand)
@@ -357,7 +366,7 @@ def _learn(
     n_hold = p("holdout_samples", batch, record=False)
     if l1_bound is not None:
         reg_samples = p("reg_samples", batch)
-    admitted, log = _grow(session.n, params["d"], params["cap"], admit)
+    admitted, log = _grow(session, params["d"], params["cap"], admit)
     if l1_bound is None:
         # Hoeffding over [-1, 1] values: every coefficient to additive theta/4
         k = max(len(admitted), 2)

@@ -29,9 +29,17 @@ passed to `_answer`, and copies the labels out to every anchor. The
 counters, the audit records and the labels returned are those of the
 whole m x 2**|S| batch.
 
+The anchor store keeps the live examples, those drawn since the last
+`release_anchors` call, so a caller that releases each batch once it is
+done with it holds one batch however long the run is. Draw indices stay
+global, so counters, audit records, labels and random streams do not
+depend on releases; a query that names a released example is refused
+with ContractViolation before any label is released.
+
 Queries are point masks. A gateway that simulates its target (the
 reduction's simulator) overrides only `draw_batch`, which stores its
-draws through `_keep`, and the two hooks that label checked queries:
+draws, with any per-example columns of its own (`_EXAMPLE_DTYPES`),
+through `_keep`, and the two hooks that label checked queries:
 `_answer` for a batch and `_answer_one` for the scalar `local_query`,
 which builds no array once the label table exists.
 
@@ -110,10 +118,13 @@ class OracleSession:
     """Stateful gateway enforcing the r-locality contract.
 
     Natural examples are stored in growing arrays and named by their
-    draw index, which every query passes as its anchor. Labels are
+    draw index, which every query passes as its anchor; the arrays hold
+    the examples from the first live draw index on. Labels are
     deterministic functions of the query point within one session
     (persistent noise), so repeated queries agree.
     """
+
+    _EXAMPLE_DTYPES = (np.int64,)  # the store's per-example columns: the mask
 
     def __init__(
         self,
@@ -142,7 +153,9 @@ class OracleSession:
         self.audit_mode = audit_mode
         self._columns = [np.zeros(0, dtype=dtype) for dtype in COLUMN_DTYPES]
         self._records = 0
-        self._masks = np.zeros(256, dtype=np.int64)
+        # row i of the store is the example drawn at index _first_live + i
+        self._examples = [np.zeros(256, dtype=dtype) for dtype in self._EXAMPLE_DTYPES]
+        self._first_live = 0
         self.ex_count = 0
         self.mq_count = 0
         self.max_locality_used = 0
@@ -186,15 +199,30 @@ class OracleSession:
 
     # ------------------------------------------------------------- examples
 
-    def _keep(self, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Store drawn examples as anchors and log them; returns their
-        draw indices."""
+    def _keep(self, masks: np.ndarray, labels: np.ndarray, *columns) -> np.ndarray:
+        """Store drawn examples as anchors, with a subclass's per-example
+        `columns` after the masks, and log them; returns their draw
+        indices."""
         lo = self.ex_count
         self.ex_count += masks.size
-        self._masks = grow_array(self._masks, self.ex_count)
-        self._masks[lo : self.ex_count] = masks
+        live = self.ex_count - self._first_live
+        self._examples = [grow_array(col, live) for col in self._examples]
+        for col, values in zip(self._examples, (masks, *columns)):
+            col[live - masks.size : live] = values
         self._log(EX, masks, -1, 0, labels)
         return np.arange(lo, self.ex_count)
+
+    def release_anchors(self) -> None:
+        """Release every example drawn so far as an anchor. A later query
+        that names one is refused with ContractViolation, and the store
+        reuses its room for later draws."""
+        self._first_live = self.ex_count
+
+    def _refuse_anchor(self, anchor: int):
+        raise ContractViolation(
+            f"anchor index {anchor} is not a live example "
+            f"(live: [{self._first_live}, {self.ex_count}))"
+        )
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw `count` natural examples; returns (indices, masks, labels)."""
@@ -205,10 +233,12 @@ class OracleSession:
         return self._keep(masks, labels), masks, labels
 
     def anchor_masks(self, indices: np.ndarray) -> np.ndarray:
+        """Masks of the live examples `indices`; refuses any other index."""
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.ex_count):
-            raise ContractViolation("anchor index out of range")
-        return self._masks[indices]
+        lo, hi = self._first_live, self.ex_count
+        if indices.size and (indices.min() < lo or indices.max() >= hi):
+            self._refuse_anchor(int(indices[(indices < lo) | (indices >= hi)][0]))
+        return self._examples[0][indices - lo]
 
     # ------------------------------------------------------------- queries
 
@@ -218,9 +248,9 @@ class OracleSession:
         query = int(query)
         if query < 0 or query >> self.n:
             raise ContractViolation("query point outside the session's cube")
-        if not 0 <= anchor < self.ex_count:
-            raise ContractViolation(f"anchor index {anchor} out of range")
-        dist = (query ^ int(self._masks[anchor])).bit_count()
+        if not self._first_live <= anchor < self.ex_count:
+            self._refuse_anchor(anchor)
+        dist = (query ^ int(self._examples[0][anchor - self._first_live])).bit_count()
         if dist > self.r:
             self.violations += 1
             self._log(VIOLATION, query, anchor, dist, np.nan)

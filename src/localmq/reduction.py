@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, check_limit, check_width, grow_array, popcount
+from ._bits import ENUM_MAX_BITS, all_masks, check_limit, check_width, popcount
 from ._prf import coin_pm
 from .distributions import Distribution
 from .errors import CodeConstructionError, ContractViolation, SimulationError
@@ -295,7 +295,12 @@ class ReductionSimulator(OracleSession):
     codeword); otherwise rejection-sample the complement of Z through
     decode failures. Queries are answered from each example's codeword
     and base label and the coin, never from a base membership oracle.
+    The codeword and base label sit in the session's anchor store beside
+    the example's mask, so `release_anchors` releases them with it.
     """
+
+    # per example: its mask, its ball's codeword (-1 off Z) and the base label
+    _EXAMPLE_DTYPES = (np.int64, np.int64, np.float64)
 
     def __init__(self, embedded: EmbeddedFunction, base_session: OracleSession, seed: int = 0):
         if base_session.n != embedded.n or base_session.domain != PLUS_MINUS:
@@ -306,9 +311,6 @@ class ReductionSimulator(OracleSession):
         self._rng = np.random.default_rng([seed & 0x7FFFFFFF, 0xE4B])
         self.embedded = embedded
         self.base_session = base_session
-        # per example: its ball's codeword (-1 off Z) and the base label
-        self._words = np.zeros(256, dtype=np.int64)
-        self._base_labels = np.zeros(256, dtype=np.float64)
         self.try_histogram: dict[int, int] = {}
         # the radius-k ball around 0, ascending
         ball = [sum(1 << j for j in c) for d in range(k + 1) for c in combinations(range(m), d)]
@@ -345,24 +347,23 @@ class ReductionSimulator(OracleSession):
                 have += kept.size
             masks[~heads] = np.concatenate(got)
         labels = np.where(masks == words, base_labels, self._labels_for(masks))
-        indices = self._keep(masks, labels)
-        self._words = grow_array(self._words, self.ex_count)
-        self._words[indices] = words
-        self._base_labels = grow_array(self._base_labels, self.ex_count)
-        self._base_labels[indices] = base_labels
-        return indices, masks, labels
+        return self._keep(masks, labels, words, base_labels), masks, labels
 
     def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """The base label where a query is its anchor's codeword, the coin
         everywhere else: codewords are 2k+1 apart, so a k-local query can
         only be a codeword if it is its anchor's."""
-        on_code = queries == self._words[anchors][:, None]
+        _, words, base_labels = self._examples
+        rows = anchors - self._first_live
+        on_code = queries == words[rows][:, None]
         coin = super()._answer(queries, anchors)
-        return np.where(on_code, self._base_labels[anchors][:, None], coin)
+        return np.where(on_code, base_labels[rows][:, None], coin)
 
     def _answer_one(self, query: int, anchor: int) -> float:
-        if query == self._words[anchor]:
-            return float(self._base_labels[anchor])
+        _, words, base_labels = self._examples
+        row = anchor - self._first_live
+        if query == words[row]:
+            return float(base_labels[row])
         return super()._answer_one(query, anchor)
 
 

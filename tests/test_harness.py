@@ -1,11 +1,13 @@
 """CLI surface, the audit reader's fast and JSON paths, suite runner, and
 verifier independence (mutation check)."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import ExitStack
 from unittest import mock
 
@@ -352,6 +354,29 @@ class TestExitCodes:
         code, out = run_cli(capsys, ["audit", "--infile", str(log)])
         assert code == 1 and json.loads(out)["distance_mismatches"] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2"],
+            ["gen-target", "--kind", "dnf", "--n", "8"],
+            ["gen-dist", "--kind", "product", "--n", "8"],
+            ["verify", "--suite", "parseval", "--trials", "1"],
+            ["reduce", "--draws", "100"],
+            ["demo-separation", "--trials", "1"],
+            ["audit", "--infile", "LOG"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_3(self, argv, tmp_path, capsys):
+        log = tmp_path / "a.jsonl"
+        log.write_text("")  # an empty log is valid, so only the seed is refused
+        out = tmp_path / "out.json"
+        argv = [str(log) if arg == "LOG" else arg for arg in argv]
+        code = main([*argv, "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert captured.err == "contract violation: --seed -1 must be >= 0\n"
+
     def test_failing_suite_is_1(self, capsys, monkeypatch):
         import localmq.verify as verify_mod
 
@@ -459,7 +484,7 @@ class TestAuditCommand:
         # Python's json reads these tokens as floats, but they are not JSON
         lines = list(long_audit_log)
         lineno = 1 + next(
-            i for i in range(chunk << 16, len(lines)) if json.loads(lines[i])["op"] == "mq"
+            i for i in range(chunk * audit._CHUNK, len(lines)) if json.loads(lines[i])["op"] == "mq"
         )
         edited = _edit_record(lines[lineno - 1], resp=0.0)
         lines[lineno - 1] = edited.replace('"resp": 0.0', f'"resp": {token}')
@@ -506,6 +531,78 @@ class TestAuditCommand:
         assert code == (0 if honest else 1)
         assert summary["distance_mismatches"] == (0 if honest else 1)
         assert (summary["ex_count"], summary["mq_count"]) == (4, 1)
+
+
+class TestGoldenDigests:
+    """SHA-256 of audit logs and a report as the code wrote them when these
+    digests were recorded: how blocks are cut, how anchors are stored and
+    when they are released must not move a byte."""
+
+    RUNS = {
+        "tree-uniform-n8": (
+            ["--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+             "--test-samples", "200", "--est-samples", "500"],
+            "2f648ce41f1bf1bec38f103a205214230d6823fda11b1238be5b623c2571fb36",
+            None,
+        ),
+        "noisy-logdepth-tree": (
+            ["--algo", "logdepth-tree", "--n", "8", "--depth", "2", "--alpha", "1.0",
+             "--eps", "0.2", "--test-samples", "300", "--reg-samples", "800", "--eta", "0.1"],
+            "15a56130fbfd6749ca8bf52b50aa4af0480939f0d6c1350e5116ae5983bca45c",
+            None,
+        ),
+        # 149,790 records: ten writer blocks and reader chunks of 16 Ki
+        "multi-block": (
+            ["--algo", "tree-uniform", "--n", "12", "--t", "8", "--depth", "3",
+             "--eps", "0.1", "--test-samples", "100", "--est-samples", "3000", "--seed", "3"],
+            "a0d7518ce2e277baa74044321e811a02292d8bf9063dd8a39e8daa5b7d347bca",
+            "f9aa01754469fb81634d0337a87a796c8d4ffa134cb6f084d635f06a7f38fa71",
+        ),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_log_and_report_digests(self, run, tmp_path, capsys):
+        flags, log_digest, report_digest = self.RUNS[run]
+        log, report = tmp_path / "run.jsonl", tmp_path / "run.json"
+        code = main(["learn", *flags, "--audit-out", str(log), "--out", str(report)])
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
+        if report_digest is not None:
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+
+class TestAuditMemory:
+    """Writing and checking a log costs a few blocks of working memory,
+    however long the log is. A 180,000-record log on n = 12 peaks (by
+    tracemalloc) at 5.5 MB in the writer and 10.3 MB in the checker with
+    16 Ki-record blocks; with 64 Ki blocks it was 22.0 MB and 36.8 MB."""
+
+    WRITER_BOUND = 11 << 20
+    CHECKER_BOUND = 18 << 20
+
+    def test_writer_and_checker_peaks_stay_bounded(self, tmp_path):
+        tree = random_tree(12, 8, np.random.default_rng([3, 0x1EA2]), max_depth=3)
+        s = OracleSession(tree, Distribution.uniform(12, PLUS_MINUS), r=12, seed=3)
+        for _ in range(10):
+            anchors, _, _ = s.draw_batch(2000)
+            s.restriction_query(anchors, 0b111)
+        path = tmp_path / "audit.jsonl"
+        tracemalloc.start()
+        try:
+            with open(path, "w") as fh:
+                assert s.write_audit_jsonl(fh) == 180_000
+            writer = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(path, "rb") as fh:
+                summary = audit.check_log(fh)
+            checker = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (summary["ex_count"], summary["mq_count"]) == (20_000, 160_000)
+        assert summary["distance_mismatches"] == 0
+        assert writer < self.WRITER_BOUND, writer
+        assert checker < self.CHECKER_BOUND, checker
 
 
 def _written_log(data) -> bytes:

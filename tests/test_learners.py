@@ -32,7 +32,8 @@ from localmq import (
 )
 from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
 from localmq import learners as learners_mod
-from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, char_values
+from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, char_values, l2_test, nonzero_test
+from localmq.noise import NoiseWrapper
 from localmq.generators import random_dnf, random_product_means, random_sparse_poly, random_tree
 from localmq.learners import project_l1
 from localmq.oracles import AUDIT_COUNTS
@@ -527,6 +528,48 @@ class TestParameterResolution:
         with pytest.raises(ContractViolation, match=f"exceeds {learners_mod.MAX_DEFAULT_SAMPLES}"):
             learn(s, LearnerConfig(epsilon=self.EPS_PAST, delta=0.05, **config))
         assert s.ex_count == 0
+
+
+class _PeakAnchors(OracleSession):
+    """A session that records the most examples its anchor store holds."""
+
+    peak = 0
+
+    def _keep(self, masks, labels, *columns):
+        indices = super()._keep(masks, labels, *columns)
+        self.peak = max(self.peak, self.ex_count - self._first_live)
+        return indices
+
+
+class TestAnchorRelease:
+    """The driver releases each test's examples as anchors once the test is
+    decided, so the store holds one test's m examples, or the fit and
+    holdout batches drawn after growth, never the whole run."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("algo", sorted(OVERRIDES))
+    def test_store_holds_one_test_or_the_fit_and_holdout(self, algo, noisy):
+        learn, instance, overrides = OVERRIDES[algo]
+        target, dist = instance()
+        noise = NoiseWrapper(0.05, seed=2) if noisy else None
+        s = _PeakAnchors(target, dist, r=target.n, seed=3, noise=noise, audit_mode=AUDIT_COUNTS)
+        out = learn(s, LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides))
+        tests = len(out.test_log)
+        fit = overrides.get("est_samples", overrides.get("reg_samples"))
+        assert tests >= 5 and s.ex_count == tests * 211 + fit + 307
+        assert s.peak == max(211, fit + 307)
+        assert s._examples[0].size <= max(256, 2 * s.peak)  # the store's room is reused
+        with pytest.raises(ContractViolation, match="is not a live example"):
+            s.local_query(int(s.anchor_masks([s.ex_count - 1])[0]), 0)
+
+    @pytest.mark.parametrize("test", ["l2", "nonzero"])
+    def test_public_tests_release_nothing(self, test):
+        s = session_for(parity_tree(), Distribution.uniform(6, PLUS_MINUS), r=6)
+        if test == "l2":
+            l2_test(s, 0b11, 0.1, 50, UNIFORM_PM)
+        else:
+            nonzero_test(s, 0b11, 0.1, 1e-10, 50, UNIFORM_PM)
+        assert s.anchor_masks(np.arange(50)).size == 50
 
 
 class TestConfigRefusals:

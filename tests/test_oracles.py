@@ -442,6 +442,69 @@ class TestLabelTable:
         assert s._table is None  # 1000 of 1024 points labelled
 
 
+class TestReleasedAnchors:
+    """`release_anchors` drops every example drawn so far from the anchor
+    store. Draw indices stay global, and a query that names a released
+    example is refused before anything is counted, labelled or logged."""
+
+    def state(self, s):
+        buf = io.StringIO()
+        s.write_audit_jsonl(buf)
+        return (s.audit_report(), s._labelled, s._table is None, buf.getvalue())
+
+    ASKS = {
+        "scalar": lambda s, idx, masks: s.local_query(int(masks[-1]) ^ 0b1, int(idx[-1])),
+        "matrix": lambda s, idx, masks: s.local_query_matrix(masks[:, None] ^ 0b1, idx),
+        "restriction": lambda s, idx, masks: s.restriction_query(idx, 0b11),
+    }
+
+    @pytest.mark.parametrize("ask", sorted(ASKS))
+    @pytest.mark.parametrize("which", ["released", "mixed"])
+    def test_released_anchor_is_refused_and_changes_nothing(self, ask, which):
+        s = fresh_session(random_tree(8, 6, np.random.default_rng(3)), seed=4)
+        old, old_masks, _ = s.draw_batch(6)
+        s.release_anchors()
+        new, new_masks, _ = s.draw_batch(4)
+        assert new.tolist() == [6, 7, 8, 9]  # indices stay global
+        if which == "mixed":  # live anchors first, one released at the end
+            idx, masks = np.append(new, old[2]), np.append(new_masks, old_masks[2])
+        else:
+            idx, masks = old, old_masks
+        before = self.state(s)
+        with pytest.raises(ContractViolation, match="is not a live example"):
+            self.ASKS[ask](s, idx, masks)
+        assert self.state(s) == before
+        # the live anchors still answer, from the reused store
+        self.ASKS[ask](s, new, new_masks)
+        assert s.audit_report().mq_count > 0
+
+    def test_store_reuses_its_room(self):
+        s = fresh_session(seed=2)
+        for _ in range(20):
+            idx, masks, _ = s.draw_batch(200)
+            assert np.array_equal(s.anchor_masks(idx), masks)
+            s.release_anchors()
+        assert s.ex_count == 4000 and s._examples[0].size == 256
+
+    def test_release_leaves_labels_and_log_unchanged(self):
+        target = random_tree(8, 6, np.random.default_rng(5))
+
+        def run(release):
+            s = fresh_session(target, seed=6, noise=NoiseWrapper(0.1, seed=7))
+            labels = []
+            for _ in range(5):
+                idx, masks, drawn = s.draw_batch(30)
+                labels += [drawn, s.restriction_query(idx, 0b101)[0]]
+                labels.append([s.local_query(int(masks[-1]) ^ 0b10, int(idx[-1]))])
+                if release:
+                    s.release_anchors()
+            return labels, self.state(s)
+
+        kept, released = run(False), run(True)
+        assert all(np.array_equal(a, b) for a, b in zip(kept[0], released[0]))
+        assert kept[1] == released[1]
+
+
 class TestScalarMatchesBatch:
     """A scalar `local_query` gives the label a one-entry
     `local_query_matrix` gives, and leaves the same counters, distinct

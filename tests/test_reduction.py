@@ -312,6 +312,28 @@ class TestSimulatedQueries:
             q = int(masks[i]) ^ flip
             assert sim.local_query(q, i) == emb.label_batch(np.asarray([q]))[0]
 
+    def test_answers_after_a_release_equal_embedded_function(self):
+        # codewords and base labels are released with their anchors, and
+        # the live ones move to the front of the store with them
+        f = random_tree(4, 4, np.random.default_rng(9))
+        emb = embed(f, 1, coin_seed=13)
+        sim = ReductionSimulator(emb, base_session(f, seed=11), seed=11)
+        old, old_masks, _ = sim.draw_batch(200)
+        sim.release_anchors()
+        idx, masks, _ = sim.draw_batch(300)
+        # each example's own codeword where it lies in Z, else a flip of it
+        messages = [emb.code.decode(int(mask)) for mask in masks]
+        queries = np.array([
+            mask ^ 1 if msg is None else emb.code.encode(msg) for mask, msg in zip(masks.tolist(), messages)
+        ])
+        assert sum(msg is not None for msg in messages) > 50
+        labels = [sim.local_query(int(q), int(i)) for q, i in zip(queries, idx)]
+        assert labels == emb.label_batch(queries).tolist()
+        batch = sim.local_query_matrix(queries[:, None], idx)
+        assert batch.ravel().tolist() == labels
+        with pytest.raises(ContractViolation, match="is not a live example"):
+            sim.local_query(int(old_masks[0]), int(old[0]))
+
     def test_chi_square_label_statistics(self):
         # label frequencies through the simulator match direct f_e access
         f = random_tree(4, 4, np.random.default_rng(9))
