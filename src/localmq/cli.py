@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -73,47 +74,57 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-# ----------------------------------------------------------------- gen-target
+# ------------------------------------------------------------------ instances
+
+
+# per algorithm, `learn`'s generated instance: target kind, its size (--t,
+# or --s for a DNF) and depth bound when those flags are not given, the
+# distribution kind, and the domain of both
+_INSTANCES = {
+    "sparse-poly": ("sparse-poly", 4, None, "table", ZERO_ONE),
+    "logdepth-tree": ("decision-tree", 8, 3, "uniform", PLUS_MINUS),
+    "tree-uniform": ("decision-tree", 4, None, "uniform", PLUS_MINUS),
+    "tree-product": ("decision-tree", 8, None, "product", PLUS_MINUS),
+    "dnf": ("dnf", 4, None, "uniform", PLUS_MINUS),
+}
+
+
+def _make_target(kind, n, size, rng, depth=None, max_degree=None, width=None, domain=None, B=None):
+    """A random target of `kind` with `size` monomials, leaves or terms;
+    each kind reads its own shape arguments, and `domain` defaults to
+    {0,1} for a polynomial and +-1 otherwise."""
+    if kind == "sparse-poly":
+        return generators.random_sparse_poly(
+            n, size, rng, max_degree=max_degree, domain=domain or ZERO_ONE, B=B
+        )
+    if kind == "decision-tree":
+        return generators.random_tree(n, size, rng, max_depth=depth, domain=domain or PLUS_MINUS)
+    return generators.random_dnf(n, size, rng, width=width, domain=domain or PLUS_MINUS)
+
+
+def _make_dist(kind, n, rng, domain, alpha, mu_lo, mu_hi):
+    if kind == "uniform":
+        return Distribution.uniform(n, domain)
+    if kind == "product":
+        return Distribution.product(generators.random_product_means(n, rng, mu_lo, mu_hi), domain)
+    return random_smooth_table(n, alpha, rng, domain=domain)
 
 
 def _cmd_gen_target(args) -> int:
     rng = np.random.default_rng([args.seed, 0x7A12])
-    if args.kind == "sparse-poly":
-        target = generators.random_sparse_poly(
-            args.n,
-            args.t,
-            rng,
-            max_degree=args.max_degree,
-            domain=args.domain or ZERO_ONE,
-            B=args.B,
-        )
-    elif args.kind == "decision-tree":
-        target = generators.random_tree(
-            args.n, args.leaves, rng, max_depth=args.depth,
-            domain=args.domain or PLUS_MINUS,
-        )
-    elif args.kind == "dnf":
-        target = generators.random_dnf(
-            args.n, args.s, rng, width=args.width, domain=args.domain or PLUS_MINUS
-        )
-    else:
-        raise ContractViolation(f"unknown target kind {args.kind}")
+    size = {"sparse-poly": args.t, "decision-tree": args.leaves, "dnf": args.s}[args.kind]
+    target = _make_target(
+        args.kind, args.n, size, rng, args.depth, args.max_degree, args.width, args.domain, args.B
+    )
     _emit(target_to_json(target), args.out)
     return 0
 
 
 def _cmd_gen_dist(args) -> int:
     rng = np.random.default_rng([args.seed, 0xD157])
-    domain = args.domain or PLUS_MINUS
-    if args.kind == "uniform":
-        dist = Distribution.uniform(args.n, domain)
-    elif args.kind == "product":
-        means = generators.random_product_means(args.n, rng, args.mu_lo, args.mu_hi)
-        dist = Distribution.product(means, domain)
-    elif args.kind == "table":
-        dist = random_smooth_table(args.n, args.alpha, rng, domain=domain)
-    else:
-        raise ContractViolation(f"unknown distribution kind {args.kind}")
+    dist = _make_dist(
+        args.kind, args.n, rng, args.domain or PLUS_MINUS, args.alpha, args.mu_lo, args.mu_hi
+    )
     obj = dist.to_json()
     obj["alpha_star"] = verify_smoothness(dist)
     _emit(obj, args.out)
@@ -121,31 +132,6 @@ def _cmd_gen_dist(args) -> int:
 
 
 # ---------------------------------------------------------------------- learn
-
-
-def _default_instance(args, rng):
-    """Generate a (target, dist) pair for the chosen algorithm when no
-    files are given, so demo runs are self-contained."""
-    n = args.n
-    if args.algo == "sparse-poly":
-        target = generators.random_sparse_poly(
-            n, args.t or 4, rng, max_degree=args.max_degree, domain=ZERO_ONE
-        )
-        dist = random_smooth_table(n, args.alpha or 1.5, rng, domain=ZERO_ONE)
-    elif args.algo == "logdepth-tree":
-        target = generators.random_tree(n, args.t or 8, rng, max_depth=args.depth or 3)
-        dist = Distribution.uniform(n, PLUS_MINUS)
-    elif args.algo == "tree-uniform":
-        target = generators.random_tree(n, args.t or 4, rng, max_depth=args.depth)
-        dist = Distribution.uniform(n, PLUS_MINUS)
-    elif args.algo == "tree-product":
-        target = generators.random_tree(n, args.t or 8, rng, max_depth=args.depth)
-        means = generators.random_product_means(n, rng, args.mu_lo, args.mu_hi)
-        dist = Distribution.product(means, PLUS_MINUS)
-    else:  # dnf
-        target = generators.random_dnf(n, args.s or 4, rng, width=args.width)
-        dist = Distribution.uniform(n, PLUS_MINUS)
-    return target, dist
 
 
 def _cmd_learn(args) -> int:
@@ -157,26 +143,14 @@ def _cmd_learn(args) -> int:
             if args.dist
             else Distribution.uniform(target.n, target.domain)
         )
-    else:
-        target, dist = _default_instance(args, rng)
-    config = LearnerConfig(
-        epsilon=args.eps,
-        delta=args.delta,
-        t=args.t,
-        B=args.B,
-        s=args.s,
-        depth=args.depth,
-        alpha=args.alpha,
-        d=args.d,
-        theta=args.theta,
-        d_prime=args.d_prime,
-        m=args.test_samples,
-        est_samples=args.est_samples,
-        reg_samples=args.reg_samples,
-        holdout_samples=args.holdout_samples,
-        cap=args.cap,
-        seed=args.seed,
-    )
+    else:  # generated from the seed, so demo runs are self-contained
+        kind, size, depth, dist_kind, domain = _INSTANCES[args.algo]
+        size = (args.s if kind == "dnf" else args.t) or size
+        target = _make_target(
+            kind, args.n, size, rng, args.depth or depth, args.max_degree, args.width, domain
+        )
+        dist = _make_dist(dist_kind, args.n, rng, domain, args.alpha or 1.5, args.mu_lo, args.mu_hi)
+    config = LearnerConfig(**{f.name: getattr(args, f.name) for f in fields(LearnerConfig)})
     r = args.r if args.r is not None else target.n
     noise = NoiseWrapper(args.eta, seed=args.seed) if args.eta else None
     session = OracleSession(
@@ -197,12 +171,12 @@ def _cmd_learn(args) -> int:
                 session.write_audit_jsonl(fh)
     run_config = {
         "algo": args.algo,
-        "epsilon": args.eps,
+        "epsilon": args.epsilon,
         "delta": args.delta,
         "seed": args.seed,
         "r": r,
         "eta": args.eta,
-        "test_samples": args.test_samples,
+        "test_samples": args.m,
         "target_path": args.target,
         "dist_path": args.dist,
     }
@@ -236,7 +210,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     rng = np.random.default_rng([args.seed, 0x2ED0])
-    base = generators.random_tree(args.n, 8, rng, max_depth=min(4, args.n))
+    tree = lambda rng: _make_target("decision-tree", args.n, 8, rng, depth=min(4, args.n))
+    base = tree(rng)
     embedded = embed(base, args.k, coin_seed=args.seed)
     base_session = OracleSession(
         base,
@@ -249,9 +224,7 @@ def _cmd_reduce(args) -> int:
     sim.draw_batch(args.draws)
     residuals = []
     for trial in range(5):
-        g = generators.random_tree(
-            args.n, 8, np.random.default_rng([args.seed, trial, 0x6]), max_depth=min(4, args.n)
-        )
+        g = tree(np.random.default_rng([args.seed, trial, 0x6]))
         lhs, rhs = correlation_check(g, embedded)
         residuals.append(abs(lhs - rhs))
     report = reduction_report(embedded, sim)
@@ -363,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--target", default=None, help="target JSON path")
     l.add_argument("--dist", default=None, help="distribution JSON path")
     l.add_argument("--n", type=int, default=14)
-    l.add_argument("--eps", type=float, default=0.1)
+    l.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, default=0.1)
     l.add_argument("--delta", type=float, default=0.05)
     l.add_argument("--t", type=int, default=None)
     l.add_argument("--B", type=float, default=None)
@@ -373,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--d", type=int, default=None)
     l.add_argument("--theta", type=float, default=None)
     l.add_argument("--d-prime", type=int, default=None)
-    l.add_argument("--test-samples", type=int, default=2000,
+    l.add_argument("--test-samples", dest="m", metavar="TEST_SAMPLES", type=int, default=2000,
                    help="samples per admission test (desk-scale default)")
     l.add_argument("--est-samples", type=int, default=None)
     l.add_argument("--reg-samples", type=int, default=None)

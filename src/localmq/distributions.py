@@ -2,10 +2,14 @@
 table, with exact probability computations and local-smoothness
 verification.
 
+The uniform distribution is the product with every p_i = 1/2: it keeps
+its per-bit parameters like any product, and only its sampler (one
+`rng.integers` call) and its name are its own.
+
 A distribution is locally alpha-smooth when flipping any single bit
 changes the probability mass by a factor of at most alpha. The tightest
-such alpha is computed in closed form for uniform and product variants
-and by a full neighbor scan for tables.
+such alpha is computed in closed form for products and by a full
+neighbor scan for tables.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .targets import PLUS_MINUS, ZERO_ONE, _check_cube
 UNIFORM = "uniform"
 PRODUCT = "product"
 TABLE = "table"
+_KINDS = (UNIFORM, PRODUCT, TABLE)
 
 _MIN_TABLE_PROB = 1e-300  # below this, smoothness ratios silently underflow
 _BLOCK = 1 << 16  # uniforms per block of a product draw (512 KB), unless one row is longer
@@ -33,9 +38,10 @@ _BLOCK = 1 << 16  # uniforms per block of a product draw (512 KB), unless one ro
 class Distribution:
     """Uniform, product, or explicit-table distribution.
 
-    Product parameters are stored as per-bit probabilities of bit 1,
-    regardless of domain tag; `means` converts back to the domain's
-    natural parameterization (p_i over {0,1}, mu_i over +-1). A table
+    Product parameters, uniform's 1/2 among them, are stored as per-bit
+    probabilities of bit 1, regardless of domain tag; `means` converts
+    back to the domain's natural parameterization (p_i over {0,1}, mu_i
+    over +-1). A table
     keeps its masses once, as `probs`: a private read-only float64 copy
     of what it was given. Distributions compare by identity.
     """
@@ -43,20 +49,20 @@ class Distribution:
     kind: str
     n: int
     domain: str = PLUS_MINUS
-    p_high: tuple[float, ...] | None = None   # product: Pr[bit_i = 1]
+    p_high: tuple[float, ...] | None = None   # uniform, product: Pr[bit_i = 1]
     probs: np.ndarray | None = None           # table: mass per mask
 
     def __post_init__(self):
         _check_cube(self.n, self.domain)
-        if self.kind not in (UNIFORM, PRODUCT, TABLE):
+        if self.kind not in _KINDS:
             raise ContractViolation(f"unknown distribution kind {self.kind!r}")
-        if self.kind == PRODUCT:
+        if self.kind != TABLE:
             if self.p_high is None or len(self.p_high) != self.n:
                 raise ContractViolation("product distribution needs n bit parameters")
             if any(not 0.0 < p < 1.0 for p in self.p_high):
                 raise ContractViolation("product bit probabilities must lie in (0,1)")
             object.__setattr__(self, "p_high", tuple(float(p) for p in self.p_high))
-        if self.kind == TABLE:
+        else:
             check_limit("table distribution", "n", self.n, ENUM_MAX_BITS)
             if self.probs is None or len(self.probs) != (1 << self.n):
                 raise ContractViolation("table distribution needs 2**n probabilities")
@@ -77,7 +83,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int, domain: str = PLUS_MINUS) -> "Distribution":
-        return cls(UNIFORM, n, domain)
+        return cls(UNIFORM, n, domain, p_high=(0.5,) * n)
 
     @classmethod
     def product(cls, means, domain: str = PLUS_MINUS) -> "Distribution":
@@ -102,24 +108,19 @@ class Distribution:
 
     @property
     def means(self) -> tuple[float, ...]:
-        if self.kind == UNIFORM:
-            half = 0.5 if self.domain == ZERO_ONE else 0.0
-            return tuple(half for _ in range(self.n))
-        if self.kind != PRODUCT:
+        if self.kind == TABLE:
             raise ContractViolation("means only defined for uniform/product")
         if self.domain == ZERO_ONE:
             return self.p_high
         return tuple(2.0 * p - 1.0 for p in self.p_high)
 
     def point_prob(self, bits: int) -> float:
-        if self.kind == UNIFORM:
-            return 0.5**self.n
-        if self.kind == PRODUCT:
-            acc = 1.0
-            for i, p in enumerate(self.p_high):
-                acc *= p if bits >> i & 1 else 1.0 - p
-            return acc
-        return float(self.probs[bits])
+        if self.kind == TABLE:
+            return float(self.probs[bits])
+        acc = 1.0
+        for i, p in enumerate(self.p_high):
+            acc *= p if bits >> i & 1 else 1.0 - p
+        return acc
 
     def probs_array(self) -> np.ndarray:
         """Exact mass at every point, indexed by mask. Needs n <= ENUM_MAX_BITS.
@@ -127,8 +128,6 @@ class Distribution:
         if self.kind == TABLE:
             return self.probs
         masks = all_masks(self.n)
-        if self.kind == UNIFORM:
-            return np.full(masks.shape, 0.5**self.n)
         out = np.ones(masks.shape, dtype=np.float64)
         for i, p in enumerate(self.p_high):
             out *= np.where(masks >> i & 1, p, 1.0 - p)
@@ -212,12 +211,10 @@ def verify_smoothness(dist: Distribution) -> float:
     """Tightest alpha* = max over Hamming-neighbor pairs of D(x)/D(x').
 
     Returns inf when a zero-mass point neighbors positive mass, which on
-    the connected cube means whenever any point has zero mass. Uniform
-    distributions give exactly 1; products are computed in closed form.
+    the connected cube means whenever any point has zero mass. Products
+    are computed in closed form; uniform gives exactly 1.
     """
-    if dist.kind == UNIFORM:
-        return 1.0
-    if dist.kind == PRODUCT:
+    if dist.kind != TABLE:
         worst = 1.0
         for p in dist.p_high:
             worst = max(worst, p / (1.0 - p), (1.0 - p) / p)
@@ -255,15 +252,8 @@ def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Di
     rest = [i for i in range(dist.n) if not subset >> i & 1]
     if not rest:
         raise ContractViolation("conditioning on every variable leaves nothing")
-    if dist.kind == UNIFORM:
-        return Distribution.uniform(len(rest), dist.domain)
-    if dist.kind == PRODUCT:
-        return Distribution(
-            PRODUCT,
-            len(rest),
-            dist.domain,
-            p_high=tuple(dist.p_high[i] for i in rest),
-        )
+    if dist.kind != TABLE:
+        return _product_on(dist, rest)
     masks = all_masks(dist.n)
     pr = dist.probs_array()
     match = (masks & subset) == assignment
@@ -281,16 +271,20 @@ def marginal(dist: Distribution, keep_subset: int) -> Distribution:
     keep = bits_of(keep_subset)
     if not keep:
         raise ContractViolation("empty marginal")
-    if dist.kind == UNIFORM:
-        return Distribution.uniform(len(keep), dist.domain)
-    if dist.kind == PRODUCT:
-        return Distribution(
-            PRODUCT, len(keep), dist.domain,
-            p_high=tuple(dist.p_high[i] for i in keep),
-        )
+    if dist.kind != TABLE:
+        return _product_on(dist, keep)
     out = _sum_by_bits(all_masks(dist.n), keep, dist.probs_array())
     out = out / math.fsum(out.tolist())
     return Distribution.table(out, dist.domain)
+
+
+def _product_on(dist: Distribution, positions: list[int]) -> Distribution:
+    """A product's marginal on the variables at `positions`, of its kind:
+    its coordinates are independent, so conditioning on the others
+    changes nothing."""
+    return Distribution(
+        dist.kind, len(positions), dist.domain, p_high=tuple(dist.p_high[i] for i in positions)
+    )
 
 
 def _sum_by_bits(masks: np.ndarray, positions: list[int], mass: np.ndarray) -> np.ndarray:

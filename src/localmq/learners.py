@@ -21,10 +21,17 @@ is tested at most once, so runs are deterministic given the seed. Every
 admission test consumes fresh natural examples, keeping the Hoeffding
 independence assumptions honest; the audit log shows the example budget.
 Once a test is decided the driver releases its examples as anchors
-(`OracleSession.release_anchors`), so a run's anchor store holds one
-test's examples however many tests it runs; a query that names a
-released anchor is refused with ContractViolation (CLI exit 3). The
-public tests (`l2_test`, `nonzero_test`) release nothing.
+(`OracleSession.release_anchors`), and it releases the fit's batch
+before it draws the holdout, so a run's anchor store holds one test's
+examples, the fit's or the holdout's, however many tests it runs; a
+query that names a released anchor is refused with ContractViolation
+(CLI exit 3). The public tests (`l2_test`, `nonzero_test`) release
+nothing.
+
+The three L2 learners (`learn_tree_uniform`, `learn_tree_product`,
+`learn_dnf`) refuse a session with label noise, before any draw:
+persistent noise spreads the labels' Fourier weight over every set, so
+the L2 test would admit sets up to degree d.
 """
 
 from __future__ import annotations
@@ -378,6 +385,7 @@ def _learn(
         hypothesis = _regress_hypothesis(
             session, admitted, basis, l1_bound, reg_samples, fit_zero_tol
         )
+    session.release_anchors()  # no query names the fit's examples
     params.update(epsilon=config.epsilon, delta=config.delta, seed=config.seed)
     sign_threshold = session.domain == PLUS_MINUS
     errors = _holdout_errors(session, hypothesis, sign_threshold, n_hold)
@@ -490,6 +498,7 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     """
     if session.domain != PLUS_MINUS or session.dist.kind != PRODUCT:
         raise ContractViolation("product tree learner needs a +-1 product distribution")
+    _require_noiseless(session)
     means = session.dist.means
     c = (1.0 - max(abs(mu) for mu in means)) / 2.0
     if c <= 0.0:
@@ -541,3 +550,12 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
 def _require_uniform(session) -> None:
     if session.domain != PLUS_MINUS or session.dist.kind != UNIFORM:
         raise ContractViolation("learner needs the uniform +-1 distribution")
+    _require_noiseless(session)
+
+
+def _require_noiseless(session) -> None:
+    if session.noise is not None and session.noise.eta > 0:
+        raise ContractViolation(
+            f"L2 learners need noiseless labels, got eta={session.noise.eta}: "
+            "noise spreads Fourier weight over every set, so every set up to degree d passes"
+        )

@@ -63,7 +63,6 @@ from typing import IO, Callable, NamedTuple
 import numpy as np
 
 from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, flip_patterns, grow_array, popcount
-from .audit import AUDIT_OPS  # noqa: F401 (importable from here as well)
 from .audit import COLUMN_DTYPES, EX, MQ, VIOLATION, AuditSummary, write_jsonl
 from .errors import ContractViolation, LocalityError
 from .targets import TargetFunction

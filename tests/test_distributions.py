@@ -260,6 +260,32 @@ class TestExactEventProb:
         assert (1 / (1 + a)) ** k - 1e-12 <= p <= (a / (1 + a)) ** k + 1e-12
 
 
+class TestUniformIsTheHalfProduct:
+    """Uniform is the product with every p_i = 1/2: every exact quantity
+    equals the product's bit for bit, marginals and conditionals stay
+    uniform, and only the sampler and the name are its own."""
+
+    @pytest.mark.parametrize("domain", [PLUS_MINUS, ZERO_ONE])
+    def test_exact_quantities_match_the_product(self, domain):
+        u = Distribution.uniform(7, domain)
+        half = 0.5 if domain == ZERO_ONE else 0.0
+        p = Distribution.product([half] * 7, domain)
+        assert (u.kind, p.kind) == ("uniform", "product")
+        assert u.p_high == p.p_high == (0.5,) * 7
+        assert u.means == p.means == (half,) * 7
+        assert [u.point_prob(x) for x in range(128)] == [0.5**7] * 128
+        assert np.array_equal(u.probs_array(), p.probs_array())
+        assert verify_smoothness(u) == verify_smoothness(p) == 1.0
+        for sub in (marginal(u, 0b1010011), conditional_marginal(u, 0b0110, 0b0100)):
+            assert sub.kind == "uniform" and sub.p_high == (0.5,) * sub.n
+        assert u.to_json() == {"kind": "uniform", "n": 7, "domain": domain}
+
+    def test_sampler_is_one_integers_call(self):
+        draws = Distribution.uniform(9).sample_batch(np.random.default_rng(4), 100)
+        expect = np.random.default_rng(4).integers(0, 1 << 9, size=100, dtype=np.int64)
+        assert np.array_equal(draws, expect)
+
+
 class TestConditionalMarginal:
     def test_uniform_stays_uniform(self):
         d = Distribution.uniform(8, ZERO_ONE)

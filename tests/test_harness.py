@@ -247,6 +247,19 @@ class TestExitCodes:
         assert captured.err.startswith("contract violation: ") and captured.err.count("\n") == 1
         assert not log.exists()
 
+    @pytest.mark.parametrize("algo", ["dnf", "tree-product", "tree-uniform"])
+    def test_noisy_l2_learner_is_3(self, algo, tmp_path, capsys):
+        # refused before any draw: the audit log holds no record
+        log = tmp_path / "run.jsonl"
+        size = ["--s", "2"] if algo == "dnf" else ["--t", "4"]
+        code = main(["learn", "--algo", algo, "--n", "8", *size, "--eps", "0.2", "--eta", "0.1",
+                     "--test-samples", "100", "--est-samples", "500", "--audit-out", str(log)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("contract violation: L2 learners need noiseless labels")
+        assert captured.err.count("\n") == 1
+        assert log.read_bytes() == b""
+
     @pytest.mark.parametrize("kind", ["uniform", "product"])
     def test_distribution_wider_than_a_point_mask_is_3(self, kind, capsys):
         # 64 bits would overflow an int64 mask; the refusal comes before any draw
@@ -534,9 +547,10 @@ class TestAuditCommand:
 
 
 class TestGoldenDigests:
-    """SHA-256 of audit logs and a report as the code wrote them when these
-    digests were recorded: how blocks are cut, how anchors are stored and
-    when they are released must not move a byte."""
+    """SHA-256 of audit logs, a report, and generated instances as the code
+    wrote them when these digests were recorded: how blocks are cut, how
+    anchors are stored and when they are released, and how each instance
+    kind is built must not move a byte."""
 
     RUNS = {
         "tree-uniform-n8": (
@@ -570,6 +584,79 @@ class TestGoldenDigests:
         assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
         if report_digest is not None:
             assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+    GENERATED = {
+        "target-sparse-poly": (
+            ["gen-target", "--kind", "sparse-poly", "--n", "10", "--seed", "4"],
+            "22cef184415502434113325742029e34717227811032f23560f4189dd31d140f",
+        ),
+        "target-decision-tree": (
+            ["gen-target", "--kind", "decision-tree", "--n", "10", "--seed", "4"],
+            "9b497197e1463eb850b2f335234a75d8390ae159e03c348ac019bbc51c826fcc",
+        ),
+        "target-dnf": (
+            ["gen-target", "--kind", "dnf", "--n", "10", "--seed", "4"],
+            "e7fe96b874402830d2bf19cb9d6fbf662599c45323bd902d1d8bca782b71c7ae",
+        ),
+        "dist-uniform-pm": (
+            ["gen-dist", "--kind", "uniform", "--n", "6"],
+            "d7855b79d26587665a57eb73ee07feddca1ab692671a176b5c66790221735961",
+        ),
+        "dist-uniform-01": (
+            ["gen-dist", "--kind", "uniform", "--n", "6", "--domain", "zero_one"],
+            "9ebc5e6649ac5a0bb891220b40aa835294cc57b0a33a8c7a3ea198e0833fcd34",
+        ),
+        "dist-product": (
+            ["gen-dist", "--kind", "product", "--n", "6", "--seed", "5"],
+            "fd05f4daf8a40a0c76f0cddd9b0056161eb339c8049cd87132a50684c4efc22e",
+        ),
+        "dist-table": (
+            ["gen-dist", "--kind", "table", "--n", "6", "--seed", "5"],
+            "bcde95546505485f5bb54878c53113a176974b726dae7e2f672c75353d280d1f",
+        ),
+    }
+
+    @pytest.mark.parametrize("run", sorted(GENERATED))
+    def test_generated_instance_digests(self, run, capsys):
+        argv, digest = self.GENERATED[run]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # the target and distribution `learn` generates when no --target is given
+    LEARN_INSTANCES = {
+        "sparse-poly": (
+            ["--t", "3", "--B", "2", "--alpha", "1.5", "--test-samples", "200"],
+            "ab8f493fa1b4be299278bf539ebd12ea96190f0b5b7a7ec3551df0e6475ac85b",
+        ),
+        "logdepth-tree": (
+            ["--depth", "2", "--alpha", "1.0", "--test-samples", "200", "--reg-samples", "500"],
+            "d20f8b22adf3d5d2687e3c98d5aaea8108d350322e89914db7c1b0baf5dc500f",
+        ),
+        "tree-uniform": (
+            ["--t", "4", "--test-samples", "200", "--est-samples", "500"],
+            "d5e531bbe0081d9e86a116c46a027503bd1364c9839a0c5d86d1e7dd49628943",
+        ),
+        "tree-product": (
+            ["--t", "4", "--test-samples", "200", "--est-samples", "500"],
+            "cf30c162e5d723ca5ec136efe13964d0cc3f45c0d833bc3f984cd20731c388d4",
+        ),
+        "dnf": (
+            ["--s", "2", "--test-samples", "200", "--est-samples", "500"],
+            "69f576e833ee8dee558dbead54204300b9d3b095140d0e40281046e94f3fd3f2",
+        ),
+    }
+
+    @pytest.mark.parametrize("algo", sorted(LEARN_INSTANCES))
+    def test_learn_instance_digests(self, algo, capsys):
+        flags, digest = self.LEARN_INSTANCES[algo]
+        code, out = run_cli(
+            capsys, ["learn", "--algo", algo, "--n", "8", "--eps", "0.2", "--seed", "2", *flags]
+        )
+        assert code == 0
+        report = json.loads(out)
+        text = json.dumps([report["target"], report["distribution"]], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestAuditMemory:

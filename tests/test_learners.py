@@ -541,10 +541,14 @@ class _PeakAnchors(OracleSession):
         return indices
 
 
+L2_LEARNERS = ("dnf", "tree-product", "tree-uniform")
+
+
 class TestAnchorRelease:
     """The driver releases each test's examples as anchors once the test is
-    decided, so the store holds one test's m examples, or the fit and
-    holdout batches drawn after growth, never the whole run."""
+    decided, and the fit's batch before it draws the holdout, so the store
+    holds one test's m examples, the fit's or the holdout's, never the
+    whole run. The L2 learners refuse a noisy session before any draw."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("algo", sorted(OVERRIDES))
@@ -553,11 +557,17 @@ class TestAnchorRelease:
         target, dist = instance()
         noise = NoiseWrapper(0.05, seed=2) if noisy else None
         s = _PeakAnchors(target, dist, r=target.n, seed=3, noise=noise, audit_mode=AUDIT_COUNTS)
-        out = learn(s, LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides))
+        config = LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides)
+        if noisy and algo in L2_LEARNERS:
+            with pytest.raises(ContractViolation, match="noiseless labels"):
+                learn(s, config)
+            assert s.ex_count == 0
+            return
+        out = learn(s, config)
         tests = len(out.test_log)
         fit = overrides.get("est_samples", overrides.get("reg_samples"))
         assert tests >= 5 and s.ex_count == tests * 211 + fit + 307
-        assert s.peak == max(211, fit + 307)
+        assert s.peak == max(211, fit, 307)
         assert s._examples[0].size <= max(256, 2 * s.peak)  # the store's room is reused
         with pytest.raises(ContractViolation, match="is not a live example"):
             s.local_query(int(s.anchor_masks([s.ex_count - 1])[0]), 0)
@@ -570,6 +580,29 @@ class TestAnchorRelease:
         else:
             nonzero_test(s, 0b11, 0.1, 1e-10, 50, UNIFORM_PM)
         assert s.anchor_masks(np.arange(50)).size == 50
+
+
+class TestNoisyL2Refusal:
+    """Persistent noise spreads the labels' Fourier weight over every set,
+    so the L2 test would admit every set up to degree d: the L2 learners
+    refuse a noisy session before any draw, and take a zero-rate one."""
+
+    @pytest.mark.parametrize("algo", L2_LEARNERS)
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_noise_above_zero_is_refused_before_any_draw(self, algo, eta):
+        learn, instance, overrides = OVERRIDES[algo]
+        target, dist = instance()
+        s = OracleSession(
+            target, dist, r=target.n, seed=3, noise=NoiseWrapper(eta, seed=2),
+            audit_mode=AUDIT_COUNTS,
+        )
+        config = LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides)
+        if eta == 0.0:
+            assert learn(s, config).error_estimates["holdout_samples"] == 307
+            return
+        with pytest.raises(ContractViolation, match="eta=0.1"):
+            learn(s, config)
+        assert s.ex_count == 0
 
 
 class TestConfigRefusals:
