@@ -79,13 +79,14 @@ def _load_json(path: str) -> dict:
 
 # per algorithm, `learn`'s generated instance: target kind, its size (--t,
 # or --s for a DNF) and depth bound when those flags are not given, the
-# distribution kind, and the domain of both
+# distribution kind, the domain of both, and the class parameters that the
+# learner requires, read off the instance when their flags are not given
 _INSTANCES = {
-    "sparse-poly": ("sparse-poly", 4, None, "table", ZERO_ONE),
-    "logdepth-tree": ("decision-tree", 8, 3, "uniform", PLUS_MINUS),
-    "tree-uniform": ("decision-tree", 4, None, "uniform", PLUS_MINUS),
-    "tree-product": ("decision-tree", 8, None, "product", PLUS_MINUS),
-    "dnf": ("dnf", 4, None, "uniform", PLUS_MINUS),
+    "sparse-poly": ("sparse-poly", 4, None, "table", ZERO_ONE, ("t", "B", "alpha")),
+    "logdepth-tree": ("decision-tree", 8, 3, "uniform", PLUS_MINUS, ("depth", "alpha")),
+    "tree-uniform": ("decision-tree", 4, None, "uniform", PLUS_MINUS, ("t",)),
+    "tree-product": ("decision-tree", 8, None, "product", PLUS_MINUS, ("t",)),
+    "dnf": ("dnf", 4, None, "uniform", PLUS_MINUS, ("s",)),
 }
 
 
@@ -136,6 +137,7 @@ def _cmd_gen_dist(args) -> int:
 
 def _cmd_learn(args) -> int:
     rng = np.random.default_rng([args.seed, 0x1EA2])
+    config = {f.name: getattr(args, f.name) for f in fields(LearnerConfig)}
     if args.target:
         target = target_from_json(_load_json(args.target))
         dist = (
@@ -144,13 +146,16 @@ def _cmd_learn(args) -> int:
             else Distribution.uniform(target.n, target.domain)
         )
     else:  # generated from the seed, so demo runs are self-contained
-        kind, size, depth, dist_kind, domain = _INSTANCES[args.algo]
+        kind, size, depth, dist_kind, domain, required = _INSTANCES[args.algo]
         size = (args.s if kind == "dnf" else args.t) or size
         target = _make_target(
             kind, args.n, size, rng, args.depth or depth, args.max_degree, args.width, domain
         )
         dist = _make_dist(dist_kind, args.n, rng, domain, args.alpha or 1.5, args.mu_lo, args.mu_hi)
-    config = LearnerConfig(**{f.name: getattr(args, f.name) for f in fields(LearnerConfig)})
+        read = dict(t=lambda: size, s=lambda: size, depth=lambda: depth,
+                    B=lambda: target.coeff_bound, alpha=lambda: verify_smoothness(dist))
+        config.update({name: read[name]() for name in required if config[name] is None})
+    config = LearnerConfig(**config)
     r = args.r if args.r is not None else target.n
     noise = NoiseWrapper(args.eta, seed=args.seed) if args.eta else None
     session = OracleSession(

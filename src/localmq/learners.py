@@ -1,8 +1,8 @@
 """The learning algorithms.
 
-All five learners run one shared path: resolve, grow, fit, holdout.
-Each `learn_*` states its domain checks, its parameter formulas and its
-admission test, once each. One resolver (`_Resolver`) fills every
+All five learners run one shared path: resolve, check, grow, fit,
+holdout. Each `learn_*` states its parameter formulas, its admission
+test and its contract, once each. One resolver (`_Resolver`) fills every
 parameter and sample size: the `LearnerConfig` field when set, else the
 learner's formula, recorded into the outcome's `params` as it is
 resolved; it is the one place a defaulted size above
@@ -28,10 +28,10 @@ query that names a released anchor is refused with ContractViolation
 (CLI exit 3). The public tests (`l2_test`, `nonzero_test`) release
 nothing.
 
-The three L2 learners (`learn_tree_uniform`, `learn_tree_product`,
-`learn_dnf`) refuse a session with label noise, before any draw:
-persistent noise spreads the labels' Fourier weight over every set, so
-the L2 test would admit sets up to degree d.
+A contract is the learner's basis, its distribution kinds, and whether
+it corrects for label noise (only `learn_logdepth_tree` does; noise
+spreads Fourier weight over every set, so a plain test admits them all).
+`_learn` refuses a session off it before any draw.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ import numpy as np
 
 from ._bits import popcount
 from .errors import BudgetExceededError, ContractViolation
-from .distributions import PRODUCT, UNIFORM
+from .distributions import _KINDS, PRODUCT, UNIFORM
 from .fourier import (
     MONOMIAL_01,
     UNIFORM_PM,
     FourierSpectrum,
     ProductBasis,
+    _check_basis,
     char_values,
     default_test_samples,
     l2_test,
@@ -57,7 +58,7 @@ from .fourier import (
 )
 from .noise import noisy_nonzero_test
 from .oracles import AuditSummary, OracleSession
-from .targets import PLUS_MINUS, ZERO_ONE
+from .targets import PLUS_MINUS
 
 MAX_DEFAULT_SAMPLES = 10**7
 _SIZES = ("m", "est_samples", "reg_samples", "holdout_samples")
@@ -137,11 +138,7 @@ class LearnOutcome:
 
     def predict_batch(self, masks: np.ndarray) -> np.ndarray:
         vals = self.hypothesis.value_batch(masks)
-        if not self.sign_threshold:
-            return vals
-        signs = np.sign(vals)
-        signs[signs == 0] = 1.0
-        return signs
+        return _signs(vals) if self.sign_threshold else vals
 
     def to_json(self) -> dict:
         from ._bits import bits_of
@@ -173,6 +170,11 @@ def default_params_sparse(
 
 
 # ------------------------------------------------------------------ internals
+
+
+def _signs(vals: np.ndarray) -> np.ndarray:
+    """The thresholded +-1 output, with sign(0) = +1."""
+    return np.sign(vals) + (vals == 0)
 
 
 class _Resolver:
@@ -329,9 +331,7 @@ def _holdout_errors(session, hypothesis, sign_threshold, n_hold: int) -> dict:
         "squared_loss": float(np.mean((labels - vals) ** 2)),
     }
     if sign_threshold:
-        preds = np.sign(vals)
-        preds[preds == 0] = 1.0
-        errors["zero_one"] = float(np.mean(preds != np.sign(labels)))
+        errors["zero_one"] = float(np.mean(_signs(vals) != np.sign(labels)))
     return errors
 
 
@@ -352,12 +352,16 @@ def _learn(
     p: _Resolver,
     basis,
     admit,
+    *, kinds: tuple, corrects_noise: bool,
     l1_bound: float | None = None,
     fit_zero_tol: float = 1e-8,
     metadata: dict | None = None,
 ) -> LearnOutcome:
-    """The shared learner path: grow the family from the empty set with
-    `admit`, fit over it, and score the fit on a fresh holdout.
+    """The shared learner path: refuse, before any draw, a session that
+    `basis` does not fit, whose distribution kind is not in `kinds`, or
+    whose noise rate is above 0 unless `corrects_noise`; then grow the
+    family from the empty set with `admit`, fit over it, and score the
+    fit on a fresh holdout.
 
     `p` has resolved at least d, theta, m and cap. With `l1_bound` the
     fit is the L1-constrained regression, dropping coefficients at most
@@ -365,10 +369,19 @@ def _learn(
     one shared batch. The holdout and regression sizes depend on epsilon
     and delta alone and are resolved before growth; the estimation size
     depends on the grown family. Outputs are sign-thresholded exactly
-    when the session's domain is +-1.
+    when the basis, and so the session, is over +-1.
     """
     start = time.perf_counter()
     config, params = p.config, p.params
+    _check_basis(basis, session.n, session.domain)
+    algorithm, kind = params["algorithm"], session.dist.kind
+    if kind not in kinds:
+        raise ContractViolation(f"{algorithm} needs a {' or '.join(kinds)} distribution, got {kind}")
+    if not corrects_noise and session.noise is not None and session.noise.eta > 0:
+        raise ContractViolation(
+            f"noiseless labels needed, got eta={session.noise.eta}: {algorithm} has "
+            "no noise correction, and noise spreads Fourier weight over every set"
+        )
     batch = lambda: 10 * math.ceil(math.log(2.0 / config.delta) / config.epsilon**2)
     n_hold = p("holdout_samples", batch, record=False)
     if l1_bound is not None:
@@ -387,7 +400,7 @@ def _learn(
         )
     session.release_anchors()  # no query names the fit's examples
     params.update(epsilon=config.epsilon, delta=config.delta, seed=config.seed)
-    sign_threshold = session.domain == PLUS_MINUS
+    sign_threshold = basis.domain == PLUS_MINUS
     errors = _holdout_errors(session, hypothesis, sign_threshold, n_hold)
     return LearnOutcome(
         hypothesis=hypothesis,
@@ -413,8 +426,6 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
     then runs L1-constrained least squares (sum |h[S]| <= t*B) over the
     admitted monomials.
     """
-    if session.domain != ZERO_ONE:
-        raise ContractViolation("sparse polynomial learner works over {0,1}")
     p = _Resolver(config, "sparse-poly")
     t, B, alpha = p("t"), p("B"), p("alpha")
     d0, theta0, dp0 = default_params_sparse(t, B, config.epsilon, alpha)
@@ -429,6 +440,7 @@ def learn_sparse_poly(session: OracleSession, config: LearnerConfig) -> LearnOut
         p,
         MONOMIAL_01,
         lambda S: nonzero_test(session, S, theta, zero_tol, m, MONOMIAL_01),
+        kinds=_KINDS, corrects_noise=False,
         l1_bound=t * B,
         fit_zero_tol=1e-8 * max(1.0, t * B),
     )
@@ -444,8 +456,6 @@ def learn_logdepth_tree(
     sign-thresholded output. Under persistent label noise the test is
     replaced by its exactly-corrected variant.
     """
-    if session.domain != PLUS_MINUS:
-        raise ContractViolation("log-depth tree learner works over +-1")
     p = _Resolver(config, "logdepth-tree")
     depth, alpha = p("depth", record=False), p("alpha")
     d = p("d", lambda: depth)
@@ -465,7 +475,8 @@ def learn_logdepth_tree(
         )
     else:
         admit = lambda S: nonzero_test(session, S, theta, zero_tol, m, UNIFORM_PM)
-    return _learn(session, p, UNIFORM_PM, admit, l1_bound=float(t), metadata=meta)
+    return _learn(session, p, UNIFORM_PM, admit, kinds=_KINDS, corrects_noise=True,
+                  l1_bound=float(t), metadata=meta)
 
 
 def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -476,16 +487,14 @@ def learn_tree_uniform(session: OracleSession, config: LearnerConfig) -> LearnOu
     of the admitted sets are then estimated and the sign of the
     approximation is returned.
     """
-    _require_uniform(session)
     p = _Resolver(config, "tree-uniform")
     t = p("t")
     p("d", lambda: math.ceil(math.log2(2.0 * t * t / config.epsilon)))
     theta = p("theta", lambda: config.epsilon / (2.0 * t))
     p("cap", lambda: math.ceil(t**4 / theta**6))
     m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))
-    return _learn(
-        session, p, UNIFORM_PM, lambda S: l2_test(session, S, theta, m, UNIFORM_PM)
-    )
+    admit = lambda S: l2_test(session, S, theta, m, UNIFORM_PM)
+    return _learn(session, p, UNIFORM_PM, admit, kinds=(UNIFORM,), corrects_noise=False)
 
 
 def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -496,9 +505,6 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     d = log2(8t/eps) / log2(1/(1-c)) and theta = sqrt(eps / (2t * 2^d)),
     mirroring the uniform learner in the chi^mu basis.
     """
-    if session.domain != PLUS_MINUS or session.dist.kind != PRODUCT:
-        raise ContractViolation("product tree learner needs a +-1 product distribution")
-    _require_noiseless(session)
     means = session.dist.means
     c = (1.0 - max(abs(mu) for mu in means)) / 2.0
     if c <= 0.0:
@@ -518,7 +524,8 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     p("cap", cap)
     m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))
     basis = ProductBasis(means)
-    return _learn(session, p, basis, lambda S: l2_test(session, S, theta, m, basis))
+    admit = lambda S: l2_test(session, S, theta, m, basis)
+    return _learn(session, p, basis, admit, kinds=(PRODUCT,), corrects_noise=False)
 
 
 def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
@@ -529,7 +536,6 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
     by the sign of the estimated approximation; the substitution is
     flagged in the outcome metadata.
     """
-    _require_uniform(session)
     p = _Resolver(config, "dnf")
     s = p("s")
     ratio = s / config.epsilon
@@ -543,19 +549,7 @@ def learn_dnf(session: OracleSession, config: LearnerConfig) -> LearnOutcome:
         p,
         UNIFORM_PM,
         lambda S: l2_test(session, S, theta, m, UNIFORM_PM),
+        kinds=(UNIFORM,), corrects_noise=False,
         metadata={"hypothesis_rule": "sign-of-approximation substitute"},
     )
 
-
-def _require_uniform(session) -> None:
-    if session.domain != PLUS_MINUS or session.dist.kind != UNIFORM:
-        raise ContractViolation("learner needs the uniform +-1 distribution")
-    _require_noiseless(session)
-
-
-def _require_noiseless(session) -> None:
-    if session.noise is not None and session.noise.eta > 0:
-        raise ContractViolation(
-            f"L2 learners need noiseless labels, got eta={session.noise.eta}: "
-            "noise spreads Fourier weight over every set, so every set up to degree d passes"
-        )

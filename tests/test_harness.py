@@ -256,9 +256,33 @@ class TestExitCodes:
                      "--test-samples", "100", "--est-samples", "500", "--audit-out", str(log)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err.startswith("contract violation: L2 learners need noiseless labels")
+        want = f"contract violation: noiseless labels needed, got eta=0.1: {algo} has no noise"
+        assert captured.err.startswith(want)
         assert captured.err.count("\n") == 1
         assert log.read_bytes() == b""
+
+    def test_noisy_sparse_poly_is_3(self, tmp_path, capsys):
+        # the plain non-zero test admits every set under noise; refused before any draw
+        log = tmp_path / "run.jsonl"
+        code = main(["learn", "--algo", "sparse-poly", "--n", "10", "--t", "4", "--B", "2",
+                     "--alpha", "1.5", "--eps", "0.2", "--seed", "3", "--test-samples", "300",
+                     "--eta", "0.1", "--audit-out", str(log)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("contract violation: noiseless labels needed, got eta=0.1")
+        assert log.read_bytes() == b""
+
+    @pytest.mark.parametrize("algo", sorted(cli._ALGOS))
+    def test_generated_instance_needs_no_class_flags(self, algo, capsys):
+        # the learner is told the size, depth, B and alpha of the instance it learns
+        code, out = run_cli(capsys, ["learn", "--algo", algo, "--n", "8", "--eps", "0.2",
+                                     "--test-samples", "300", "--est-samples", "3000"])
+        assert code == 0
+        errors = json.loads(out)["outcome"]["error_estimates"]
+        if algo == "sparse-poly":
+            assert errors["squared_loss"] < 1e-6
+        else:
+            assert errors["zero_one"] == 0.0
 
     @pytest.mark.parametrize("kind", ["uniform", "product"])
     def test_distribution_wider_than_a_point_mask_is_3(self, kind, capsys):

@@ -548,7 +548,8 @@ class TestAnchorRelease:
     """The driver releases each test's examples as anchors once the test is
     decided, and the fit's batch before it draws the holdout, so the store
     holds one test's m examples, the fit's or the holdout's, never the
-    whole run. The L2 learners refuse a noisy session before any draw."""
+    whole run. Every learner but logdepth-tree refuses a noisy session
+    before any draw."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     @pytest.mark.parametrize("algo", sorted(OVERRIDES))
@@ -558,7 +559,7 @@ class TestAnchorRelease:
         noise = NoiseWrapper(0.05, seed=2) if noisy else None
         s = _PeakAnchors(target, dist, r=target.n, seed=3, noise=noise, audit_mode=AUDIT_COUNTS)
         config = LearnerConfig(epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **overrides)
-        if noisy and algo in L2_LEARNERS:
+        if noisy and algo != "logdepth-tree":
             with pytest.raises(ContractViolation, match="noiseless labels"):
                 learn(s, config)
             assert s.ex_count == 0
@@ -601,6 +602,48 @@ class TestNoisyL2Refusal:
             assert learn(s, config).error_estimates["holdout_samples"] == 307
             return
         with pytest.raises(ContractViolation, match="eta=0.1"):
+            learn(s, config)
+        assert s.ex_count == 0
+
+
+# each learner's contract: its domain, its distribution kinds, and whether
+# it corrects for label noise
+CONTRACTS = {
+    "sparse-poly": (ZERO_ONE, ("uniform", "product", "table"), False),
+    "logdepth-tree": (PLUS_MINUS, ("uniform", "product", "table"), True),
+    "tree-uniform": (PLUS_MINUS, ("uniform",), False),
+    "tree-product": (PLUS_MINUS, ("product",), False),
+    "dnf": (PLUS_MINUS, ("uniform",), False),
+}
+
+
+class TestLearnerContract:
+    """A session off a learner's contract is refused before any draw, and
+    every session on it is taken."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("kind", ["uniform", "product", "table"])
+    @pytest.mark.parametrize("domain", [PLUS_MINUS, ZERO_ONE])
+    @pytest.mark.parametrize("algo", sorted(CONTRACTS))
+    def test_refused_exactly_off_the_contract(self, algo, domain, kind, eta):
+        learn, _, overrides = OVERRIDES[algo]
+        target = parity_tree() if domain == PLUS_MINUS else HEAVY_SINGLETON
+        dist = {
+            "uniform": lambda: Distribution.uniform(target.n, domain),
+            "product": lambda: Distribution.product([0.2] * target.n, domain),
+            "table": lambda: random_smooth_table(target.n, 1.5, np.random.default_rng(5), domain),
+        }[kind]()
+        noise = NoiseWrapper(eta, seed=2) if eta else None
+        s = OracleSession(target, dist, r=target.n, seed=3, noise=noise, audit_mode=AUDIT_COUNTS)
+        # d = 0: growth tests no set, so a refusal comes from the contract check in `_learn` alone
+        config = LearnerConfig(
+            epsilon=0.2, delta=0.1, holdout_samples=307, seed=3, **{**overrides, "d": 0}
+        )
+        want_domain, kinds, corrects_noise = CONTRACTS[algo]
+        if domain == want_domain and kind in kinds and (corrects_noise or not eta):
+            assert learn(s, config).error_estimates["holdout_samples"] == 307
+            return
+        with pytest.raises(ContractViolation):
             learn(s, config)
         assert s.ex_count == 0
 
