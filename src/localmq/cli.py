@@ -243,6 +243,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_demo_separation(args) -> int:
+    if args.trials < 1:
+        raise ContractViolation(f"--trials {args.trials} must be >= 1")
+    gate_target = PrfTarget(args.n, 0, args.variant, key_seed=args.seed)
+    prf_gate = prf_quality(gate_target, samples=args.prf_samples)
     recoveries = 0
     baseline_errors = []
     for trial in range(args.trials):
@@ -274,9 +278,6 @@ def _cmd_demo_separation(args) -> int:
             r_probe=args.baseline_r, rng_seed=args.seed + trial,
         )
         baseline_errors.append(baseline["holdout_error"])
-    gate_target = PrfTarget(
-        args.n, 0, args.variant, key_seed=args.seed
-    )
     report = {
         "variant": args.variant,
         "n": args.n,
@@ -285,7 +286,7 @@ def _cmd_demo_separation(args) -> int:
         "recovery_rate": recoveries / args.trials if args.variant == VARIANT_G else None,
         "baseline_mean_error": float(np.mean(baseline_errors)),
         "baseline_errors": baseline_errors,
-        "prf_gate": prf_quality(gate_target, samples=args.prf_samples),
+        "prf_gate": prf_gate,
     }
     _emit(report, args.out)
     return 0

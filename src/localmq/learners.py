@@ -514,12 +514,24 @@ def learn_tree_product(session: OracleSession, config: LearnerConfig) -> LearnOu
     rate = math.log2(1.0 / (1.0 - c))
     d_real = math.log2(8.0 * t / config.epsilon) / rate
     p("d", lambda: math.ceil(d_real))
-    theta = p("theta", lambda: math.sqrt(config.epsilon / (2.0 * t * 2.0**d_real)))
+
+    def default_theta():
+        try:
+            theta = math.sqrt(config.epsilon / (2.0 * t * 2.0**d_real))
+        except OverflowError:
+            theta = 0.0
+        if theta > 0.0:
+            return theta
+        raise ContractViolation(f"default theta underflows at d = {d_real:.4g}; set --theta")
+
+    theta = p("theta", default_theta)
 
     def cap():
         d2 = math.log2(8.0 * t / theta**2) / rate
+        if d2 >= 40:
+            return 10**18
         w_min = (theta**2 / 2.0) / (t * 2.0**d2)
-        return math.ceil(2.0**d2 / w_min) if d2 < 40 else 10**18
+        return math.ceil(2.0**d2 / w_min)
 
     p("cap", cap)
     m = p("m", lambda: default_test_samples(theta * theta, config.delta / 2.0))

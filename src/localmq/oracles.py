@@ -24,24 +24,24 @@ one block of code keeps the counters and the audit records.
 Anchors that agree off S ask the same row of flips. When a restriction
 batch holds at least as many queries as the cube has points
 (m * 2**|S| >= 2**n, n <= ENUM_MAX_BITS), the session builds, labels and
-distinct-marks each distinct row once, with the first anchor of that row
-passed to `_answer`, and copies the labels out to every anchor. The
-counters, the audit records and the labels returned are those of the
-whole m x 2**|S| batch.
+distinct-marks each distinct row once and copies the labels out to every
+anchor. The counters, the audit records and the labels returned are
+those of the whole m x 2**|S| batch.
 
-The anchor store keeps the live examples, those drawn since the last
-`release_anchors` call, so a caller that releases each batch once it is
-done with it holds one batch however long the run is. Draw indices stay
-global, so counters, audit records, labels and random streams do not
-depend on releases; a query that names a released example is refused
-with ContractViolation before any label is released.
+The anchor store keeps the masks of the live examples, those drawn
+since the last `release_anchors` call, so a caller that releases each
+batch once it is done with it holds one batch however long the run is.
+Draw indices stay global, so counters, audit records, labels and random
+streams do not depend on releases; a query that names a released example
+is refused with ContractViolation before any label is released.
 
-Queries are point masks. A gateway that simulates its target (the
-reduction's simulator) overrides only `draw_batch`, which stores its
-draws, with any per-example columns of its own (`_EXAMPLE_DTYPES`),
-through `_keep`, and the two hooks that label checked queries:
-`_answer` for a batch and `_answer_one` for the scalar `local_query`,
-which builds no array once the label table exists.
+Queries are point masks, and a label is a function of the point alone:
+the anchor a query names decides whether it may be asked, never what it
+is answered. A gateway that simulates its target (the reduction's
+simulator) overrides `draw_batch`, which stores its draws through
+`_keep`, and `_evaluate`, which labels the points the table does not
+hold. The scalar `local_query` reads the table once it exists and builds
+no array then.
 
 Distinct-query counting is exact: a 2**n boolean bitmap when
 n <= ENUM_MAX_BITS (20), a set of masks above that. Labels come from the
@@ -83,11 +83,9 @@ class _Flips(NamedTuple):
 class _Batch(NamedTuple):
     """A batch ready to check and answer. Row i of the batch is asked
     around anchors[i] and is queries[i], or queries[rows[i]] when rows is
-    not None; then `queries` holds each distinct row once and
-    row_anchors[u] is the first anchor of row u."""
+    not None; then `queries` holds each distinct row once."""
 
     queries: np.ndarray
-    row_anchors: np.ndarray
     rows: np.ndarray | None
     anchors: np.ndarray
     worst: int
@@ -98,32 +96,27 @@ class _Batch(NamedTuple):
         return values if self.rows is None else np.take(values, self.rows, axis=0)
 
 
-def _distinct(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(the distinct entries of `values`, points of the n-cube, ascending;
-    the index of the first entry of each; the position of each entry's
-    value among them), read off a 2**n bitmap."""
+    the position of each entry's value among them), read off a 2**n
+    bitmap."""
     seen = np.zeros(1 << n, dtype=bool)
     seen[values] = True
     distinct = np.flatnonzero(seen)
     slot = np.empty(1 << n, dtype=np.int32)
     slot[distinct] = np.arange(distinct.size)
-    rows = slot[values]
-    first = np.full(distinct.size, values.size, dtype=np.intp)
-    np.minimum.at(first, rows, np.arange(values.size))
-    return distinct, first, rows
+    return distinct, slot[values]
 
 
 class OracleSession:
     """Stateful gateway enforcing the r-locality contract.
 
-    Natural examples are stored in growing arrays and named by their
-    draw index, which every query passes as its anchor; the arrays hold
-    the examples from the first live draw index on. Labels are
+    Natural examples are stored in a growing mask array and named by
+    their draw index, which every query passes as its anchor; the array
+    holds the examples from the first live draw index on. Labels are
     deterministic functions of the query point within one session
     (persistent noise), so repeated queries agree.
     """
-
-    _EXAMPLE_DTYPES = (np.int64,)  # the store's per-example columns: the mask
 
     def __init__(
         self,
@@ -152,8 +145,8 @@ class OracleSession:
         self.audit_mode = audit_mode
         self._columns = [np.zeros(0, dtype=dtype) for dtype in COLUMN_DTYPES]
         self._records = 0
-        # row i of the store is the example drawn at index _first_live + i
-        self._examples = [np.zeros(256, dtype=dtype) for dtype in self._EXAMPLE_DTYPES]
+        # entry i of the store is the mask of the example drawn at _first_live + i
+        self._examples = np.zeros(256, dtype=np.int64)
         self._first_live = 0
         self.ex_count = 0
         self.mq_count = 0
@@ -180,34 +173,16 @@ class OracleSession:
             clean = clean * self.noise.zeta_batch(masks)
         return clean
 
-    def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-        """Labels of checked queries; row i of `queries` is anchored at the
-        drawn example anchors[i]. Subclasses that simulate the target
-        answer here. A restriction row stands for every anchor that asks
-        the same points, so its labels must not depend on which of those
-        anchors it names."""
-        return self._labels_for(queries.ravel()).reshape(queries.shape)
-
-    def _answer_one(self, query: int, anchor: int) -> float:
-        """Label of one checked query anchored at the drawn example
-        `anchor`; the same value `_answer` gives it."""
-        if self._table is not None:
-            return float(self._table[query])
-        queries = np.array([[query]], dtype=np.int64)
-        return float(self._answer(queries, np.array([anchor], dtype=np.int64))[0, 0])
-
     # ------------------------------------------------------------- examples
 
-    def _keep(self, masks: np.ndarray, labels: np.ndarray, *columns) -> np.ndarray:
-        """Store drawn examples as anchors, with a subclass's per-example
-        `columns` after the masks, and log them; returns their draw
+    def _keep(self, masks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Store drawn examples as anchors and log them; returns their draw
         indices."""
         lo = self.ex_count
         self.ex_count += masks.size
         live = self.ex_count - self._first_live
-        self._examples = [grow_array(col, live) for col in self._examples]
-        for col, values in zip(self._examples, (masks, *columns)):
-            col[live - masks.size : live] = values
+        self._examples = grow_array(self._examples, live)
+        self._examples[live - masks.size : live] = masks
         self._log(EX, masks, -1, 0, labels)
         return np.arange(lo, self.ex_count)
 
@@ -237,7 +212,7 @@ class OracleSession:
         lo, hi = self._first_live, self.ex_count
         if indices.size and (indices.min() < lo or indices.max() >= hi):
             self._refuse_anchor(int(indices[(indices < lo) | (indices >= hi)][0]))
-        return self._examples[0][indices - lo]
+        return self._examples[indices - lo]
 
     # ------------------------------------------------------------- queries
 
@@ -249,12 +224,15 @@ class OracleSession:
             raise ContractViolation("query point outside the session's cube")
         if not self._first_live <= anchor < self.ex_count:
             self._refuse_anchor(anchor)
-        dist = (query ^ int(self._examples[0][anchor - self._first_live])).bit_count()
+        dist = (query ^ int(self._examples[anchor - self._first_live])).bit_count()
         if dist > self.r:
             self.violations += 1
             self._log(VIOLATION, query, anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
-        label = self._answer_one(query, anchor)
+        if self._table is not None:
+            label = float(self._table[query])
+        else:
+            label = float(self._labels_for(np.array([query], dtype=np.int64))[0])
         self.mq_count += 1
         self.max_locality_used = max(self.max_locality_used, dist)
         if self._distinct is not None:
@@ -286,7 +264,7 @@ class OracleSession:
         if batch.rows is not None and self._table is None:
             # `_labelled` counts answered queries, the repeated rows too
             self._labelled += (batch.rows.size - batch.queries.shape[0]) * batch.queries.shape[1]
-        labels = batch.expand(self._answer(batch.queries, batch.row_anchors))
+        labels = batch.expand(self._labels_for(batch.queries.ravel()).reshape(batch.queries.shape))
         self.mq_count += labels.size
         self.max_locality_used = max(self.max_locality_used, batch.worst)
         if self._distinct is not None:
@@ -307,7 +285,7 @@ class OracleSession:
         anchors = np.asarray(anchors, dtype=np.int64)
         dists = popcount(queries ^ self.anchor_masks(anchors)[:, None])
         worst = int(dists.max()) if dists.size else 0
-        return _Batch(queries, anchors, None, anchors, worst, lambda: dists)
+        return _Batch(queries, None, anchors, worst, lambda: dists)
 
     def _flip_batch(self, flips: _Flips, anchors) -> _Batch:
         """The flips of a subset S around each anchor. Every flip is within
@@ -321,15 +299,14 @@ class OracleSession:
         finds them in time no larger than the batch."""
         anchors = np.asarray(anchors, dtype=np.int64)
         anchor_bits = self.anchor_masks(anchors)
-        bases, row_anchors, rows = anchor_bits & ~flips.subset, anchors, None
+        bases, rows = anchor_bits & ~flips.subset, None
         if self._enumerable and anchors.size * flips.patterns.size >= 1 << self.n:
-            bases, first, rows = _distinct(bases, self.n)
-            row_anchors = anchors[first]
+            bases, rows = _distinct(bases, self.n)
         queries = bases[:, None] | flips.patterns
         worst = flips.subset.bit_count() if anchors.size else 0
         inside = anchor_bits & flips.subset
         return _Batch(
-            queries, row_anchors, rows, anchors, worst,
+            queries, rows, anchors, worst,
             lambda: np.bitwise_count(inside[:, None] ^ flips.patterns),
         )
 

@@ -293,14 +293,15 @@ class ReductionSimulator(OracleSession):
     beta place a fresh base example at a uniform point of the radius-k
     ball around its codeword (coin label unless exactly on the
     codeword); otherwise rejection-sample the complement of Z through
-    decode failures. Queries are answered from each example's codeword
-    and base label and the coin, never from a base membership oracle.
-    The codeword and base label sit in the session's anchor store beside
-    the example's mask, so `release_anchors` releases them with it.
+    decode failures. A draw from the ball reveals its codeword's base
+    label. The simulator keeps the revealed labels of the live examples
+    by codeword, writes them into the label table once it exists, and
+    forgets them on `release_anchors`; it labels a point by its revealed
+    base label at a codeword and by the coin everywhere else, never from
+    a base membership oracle. Codewords are 2k+1 apart, so a k-local
+    query reaches a codeword only from an example in that codeword's
+    ball, whose draw revealed it: every answer is f_e's.
     """
-
-    # per example: its mask, its ball's codeword (-1 off Z) and the base label
-    _EXAMPLE_DTYPES = (np.int64, np.int64, np.float64)
 
     def __init__(self, embedded: EmbeddedFunction, base_session: OracleSession, seed: int = 0):
         if base_session.n != embedded.n or base_session.domain != PLUS_MINUS:
@@ -315,21 +316,41 @@ class ReductionSimulator(OracleSession):
         # the radius-k ball around 0, ascending
         ball = [sum(1 << j for j in c) for d in range(k + 1) for c in combinations(range(m), d)]
         self._ball = np.sort(np.asarray(ball, dtype=np.int64))
+        self.release_anchors()
+
+    def release_anchors(self) -> None:
+        super().release_anchors()
+        # the live examples' codewords, ascending, and their base labels
+        self._revealed = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+
+    def _evaluate(self, masks: np.ndarray) -> np.ndarray:
+        """The revealed base label at a live example's codeword, the coin
+        everywhere else."""
+        labels = super()._evaluate(masks)
+        words, base_labels = self._revealed
+        if words.size:
+            at = np.minimum(np.searchsorted(words, masks), words.size - 1)
+            hit = words[at] == masks
+            labels[hit] = base_labels[at[hit]]
+        return labels
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if count < 1:
+            raise ContractViolation("draw count must be positive")
         emb = self.embedded
         beta = emb.beta
         heads = self._rng.random(count) < beta
         n_heads = int(heads.sum())
         masks = np.zeros(count, dtype=np.int64)
-        words = np.full(count, -1, dtype=np.int64)
-        base_labels = np.zeros(count, dtype=np.float64)
         if n_heads:
-            _, base_masks, drawn = self.base_session.draw_batch(n_heads)
-            base_labels[heads] = drawn
-            words[heads] = emb.code.encode_batch(base_masks)
+            _, base_masks, base_labels = self.base_session.draw_batch(n_heads)
+            words = emb.code.encode_batch(base_masks)
+            known, first = np.unique(np.concatenate([self._revealed[0], words]), return_index=True)
+            self._revealed = known, np.concatenate([self._revealed[1], base_labels])[first]
+            if self._table is not None:
+                self._table[words] = base_labels
             pats = self._ball[self._rng.integers(0, self._ball.size, size=n_heads)]
-            masks[heads] = words[heads] ^ pats
+            masks[heads] = words ^ pats
         need = count - n_heads
         if need:
             got, have, rounds = [], 0, 0
@@ -346,25 +367,8 @@ class ReductionSimulator(OracleSession):
                 got.append(kept)
                 have += kept.size
             masks[~heads] = np.concatenate(got)
-        labels = np.where(masks == words, base_labels, self._labels_for(masks))
-        return self._keep(masks, labels, words, base_labels), masks, labels
-
-    def _answer(self, queries: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-        """The base label where a query is its anchor's codeword, the coin
-        everywhere else: codewords are 2k+1 apart, so a k-local query can
-        only be a codeword if it is its anchor's."""
-        _, words, base_labels = self._examples
-        rows = anchors - self._first_live
-        on_code = queries == words[rows][:, None]
-        coin = super()._answer(queries, anchors)
-        return np.where(on_code, base_labels[rows][:, None], coin)
-
-    def _answer_one(self, query: int, anchor: int) -> float:
-        _, words, base_labels = self._examples
-        row = anchor - self._first_live
-        if query == words[row]:
-            return float(base_labels[row])
-        return super()._answer_one(query, anchor)
+        labels = self._labels_for(masks)
+        return self._keep(masks, labels), masks, labels
 
 
 def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:

@@ -203,6 +203,8 @@ def prf_quality(target: PrfTarget, samples: int = 100_000) -> dict:
     over the PRF's own domain: the n-bit suffixes for 'g' and every point
     for 'gprime' (the target bits of 'g' come in pairs that carry the
     secret, and a secret-0 pair is two copies of one PRF bit)."""
+    if samples < 1:
+        raise ContractViolation(f"samples={samples} must be >= 1")
     limit = min(samples, 1 << target.secret_n)
     bits = target._prf(np.arange(limit)).astype(np.float64)
     mean = float(bits.mean())

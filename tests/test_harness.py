@@ -366,6 +366,40 @@ class TestExitCodes:
         assert captured.err.startswith("contract violation: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--draws", "0"],
+            ["reduce", "--draws", "-3"],
+            ["demo-separation", "--trials", "0"],
+            ["demo-separation", "--variant", "gprime", "--trials", "0"],
+            ["demo-separation", "--prf-samples", "0"],
+            ["demo-separation", "--prf-samples", "-5"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_below_one_is_3(self, argv, tmp_path, capsys):
+        # refused with one line, never a numpy or arithmetic error or a NaN report
+        out = tmp_path / "out.json"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("contract violation: ") and captured.err.count("\n") == 1
+
+    def test_tree_product_with_means_near_one(self, capsys):
+        # d = 641: the default cap stays finite past the range of 2.0**d2
+        argv = ["learn", "--algo", "tree-product", "--n", "8", "--eps", "0.2",
+                "--test-samples", "300", "--est-samples", "3000"]
+        code, out = run_cli(capsys, [*argv, "--mu-lo", "0.9", "--mu-hi", "0.99"])
+        outcome = json.loads(out)["outcome"]
+        assert code == 0 and outcome["params"]["d"] == 641
+        assert outcome["error_estimates"]["zero_one"] < 0.05
+        # d = 6430: the default theta is below the float range, so it must be given
+        code = main([*argv, "--mu-lo", "0.99", "--mu-hi", "0.999"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("contract violation: ") and "--theta" in captured.err
+
     def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
         # r = 0 makes the learner's first query a violation (exit 3)
         log = tmp_path / "v.jsonl"

@@ -333,6 +333,17 @@ class TestLearnTreeProduct:
         with pytest.raises(Exception):
             learn_tree_product(s, LearnerConfig(t=4, m=100))
 
+    @pytest.mark.parametrize("d", [1022, 1100])
+    def test_default_theta_below_float_range_is_refused(self, d):
+        # at d = 1022 the product 2t * 2**d is inf, so eps over it is 0;
+        # at d = 1100 2.0**d itself overflows; neither draws an example
+        t, eps = 8, 0.2
+        mean = 2.0 ** (1 - math.log2(8 * t / eps) / d) - 1.0
+        s = session_for(parity_tree(), Distribution.product([mean] + [0.0] * 5, PLUS_MINUS), r=6)
+        with pytest.raises(ContractViolation, match="set --theta"):
+            learn_tree_product(s, LearnerConfig(epsilon=eps, t=t, m=100, est_samples=100))
+        assert s.ex_count == 0
+
 
 class TestLearnLogdepthTree:
     def test_depth_one_tree_exact(self):
@@ -535,8 +546,8 @@ class _PeakAnchors(OracleSession):
 
     peak = 0
 
-    def _keep(self, masks, labels, *columns):
-        indices = super()._keep(masks, labels, *columns)
+    def _keep(self, masks, labels):
+        indices = super()._keep(masks, labels)
         self.peak = max(self.peak, self.ex_count - self._first_live)
         return indices
 
@@ -569,7 +580,7 @@ class TestAnchorRelease:
         fit = overrides.get("est_samples", overrides.get("reg_samples"))
         assert tests >= 5 and s.ex_count == tests * 211 + fit + 307
         assert s.peak == max(211, fit, 307)
-        assert s._examples[0].size <= max(256, 2 * s.peak)  # the store's room is reused
+        assert s._examples.size <= max(256, 2 * s.peak)  # the store's room is reused
         with pytest.raises(ContractViolation, match="is not a live example"):
             s.local_query(int(s.anchor_masks([s.ex_count - 1])[0]), 0)
 

@@ -484,7 +484,7 @@ class TestReleasedAnchors:
             idx, masks, _ = s.draw_batch(200)
             assert np.array_equal(s.anchor_masks(idx), masks)
             s.release_anchors()
-        assert s.ex_count == 4000 and s._examples[0].size == 256
+        assert s.ex_count == 4000 and s._examples.size == 256
 
     def test_release_leaves_labels_and_log_unchanged(self):
         target = random_tree(8, 6, np.random.default_rng(5))
@@ -573,9 +573,9 @@ def ask_restriction_twins(fast, slow, anchors, subset):
     """Ask `fast` by restriction_query and `slow` by local_query_matrix on
     the explicit matrix; both must answer or refuse alike. When the batch
     holds at least 2**n queries (n <= ENUM_MAX_BITS), `fast` must label
-    each distinct row, anchors that agree off S, once, naming its first
-    anchor. Returns the flip patterns, the labels and the number of rows
-    `fast` labelled, or None for a refusal."""
+    each distinct row, anchors that agree off S, once. Returns the flip
+    patterns, the labels and the number of rows `fast` labelled, or None
+    for a refusal."""
     want_patterns = flip_patterns(slow.n, subset)
     bases = slow.anchor_masks(anchors) & ~subset
     queries = bases[:, None] | want_patterns[None, :]
@@ -589,30 +589,27 @@ def ask_restriction_twins(fast, slow, anchors, subset):
         )
         return None
     asked = []
-    answer = fast._answer
+    labels_for = fast._labels_for
 
-    def spy(row_queries, row_anchors):
-        asked.append((row_queries, row_anchors))
-        return answer(row_queries, row_anchors)
+    def spy(masks):
+        asked.append(masks)
+        return labels_for(masks)
 
-    fast._answer = spy
+    fast._labels_for = spy
     try:
         labels, patterns = fast.restriction_query(anchors, subset)
     finally:
-        del fast._answer
-    ((row_queries, row_anchors),) = asked
+        del fast._labels_for
+    (masks,) = asked
+    rows = masks.reshape(-1, want_patterns.size)
     if slow.n <= ENUM_MAX_BITS and anchors.size * want_patterns.size >= 1 << slow.n:
-        first = {}
-        for base, anchor in zip(bases.tolist(), anchors.tolist()):
-            first.setdefault(base, anchor)
         # column 0 of a row is its base, the flip that sets no bit of S
-        assert row_anchors.size == len(first)
-        assert dict(zip(row_queries[:, 0].tolist(), row_anchors.tolist())) == first
+        assert rows[:, 0].tolist() == sorted(set(bases.tolist()))
     else:
-        assert np.array_equal(row_anchors, anchors)
+        assert np.array_equal(rows, queries)
     assert np.array_equal(patterns, want_patterns)
     assert labels.shape == want.shape and labels.tobytes() == want.tobytes()
-    return patterns, labels, row_anchors.size
+    return patterns, labels, rows.shape[0]
 
 
 class TestRestrictionQueryMatchesMatrix:

@@ -540,6 +540,64 @@ class TestSimulatorRestrictionQuery:
         assert fast.base_session.audit_report() == slow.base_session.audit_report()
 
 
+class TestRevealedCodewords:
+    """The simulator labels a point by the base label its live examples
+    revealed at a codeword and by the coin elsewhere: a label table built
+    before a codeword was drawn takes its base label when it is, a release
+    forgets every revealed label, and a code too long for a table answers
+    every kind of query from the revealed labels alone."""
+
+    @staticmethod
+    def codeword_queries(emb, idx, masks):
+        """(anchor, codeword) for each example within k of a codeword."""
+        pairs = [(int(i), emb.code.decode(int(mask))) for i, mask in zip(idx, masks)]
+        return [(i, emb.code.encode(msg)) for i, msg in pairs if msg is not None]
+
+    def test_table_built_before_a_codeword_was_drawn(self):
+        f = random_tree(4, 4, np.random.default_rng(3))
+        emb = embed(f, 1, coin_seed=5)
+        sim = ReductionSimulator(emb, base_session(f, seed=6), seed=6)
+        _, first, _ = sim.draw_batch(1)
+        # 2**m answers of the example itself make the session build its table
+        sim.local_query_matrix(np.full((1, 1 << emb.m), first[0]), [0])
+        assert sim._table is not None
+        built_with = set(sim._revealed[0].tolist())
+        sim.release_anchors()
+        idx, masks, labels = sim.draw_batch(400)
+        assert np.array_equal(labels, emb.label_batch(masks))
+        pairs = [(i, w) for i, w in self.codeword_queries(emb, idx, masks) if w not in built_with]
+        words = np.array([w for _, w in pairs])
+        want = emb.label_batch(words)
+        # the coin disagrees with the base label at some of these codewords
+        assert np.any(want != coin_pm(emb.coin_seed, words))
+        assert [sim.local_query(w, i) for i, w in pairs] == want.tolist()
+
+    def test_code_past_the_table_limit(self):
+        # n = 16, k = 1 gives m = 22 > ENUM_MAX_BITS: no table is built
+        f = random_tree(16, 8, np.random.default_rng(4), max_depth=4)
+        emb = embed(f, 1, coin_seed=7)
+        assert emb.m == 22 > ENUM_MAX_BITS
+        sim = ReductionSimulator(emb, base_session(f, seed=8), seed=8)
+        for _ in range(2):
+            assert sim._revealed[0].size == 0
+            idx, masks, labels = sim.draw_batch(300)
+            assert np.array_equal(labels, emb.label_batch(masks))
+            pairs = self.codeword_queries(emb, idx, masks)
+            assert len(pairs) > 50
+            anchors = np.array([i for i, _ in pairs])
+            words = np.array([w for _, w in pairs])
+            want = emb.label_batch(words)
+            assert [sim.local_query(int(w), int(i)) for i, w in pairs] == want.tolist()
+            assert np.array_equal(sim.local_query_matrix(words[:, None], anchors)[:, 0], want)
+            for anchor, word in pairs[:40]:
+                mask = int(sim.anchor_masks([anchor])[0])
+                for subset in {mask ^ word, 1 << (anchor % emb.m)}:
+                    labels, patterns = sim.restriction_query(np.array([anchor]), subset)
+                    assert np.array_equal(labels[0], emb.label_batch((mask & ~subset) | patterns))
+            sim.release_anchors()
+        assert sim._table is None
+
+
 def parity(n, mask):
     return SparsePolynomial(n, {mask: 1.0}, PLUS_MINUS)
 
