@@ -31,6 +31,7 @@ TABLE = "table"
 _KINDS = (UNIFORM, PRODUCT, TABLE)
 
 _MIN_TABLE_PROB = 1e-300  # below this, smoothness ratios silently underflow
+_EDGE_PROB = 0.3  # chance that random_smooth_table couples a pair of bits
 _BLOCK = 1 << 16  # uniforms per block of a product draw (512 KB), unless one row is longer
 
 
@@ -67,6 +68,8 @@ class Distribution:
             if self.probs is None or len(self.probs) != (1 << self.n):
                 raise ContractViolation("table distribution needs 2**n probabilities")
             pr = np.array(self.probs, dtype=np.float64)  # a private copy
+            if not np.all(np.isfinite(pr)):
+                raise ContractViolation("table probabilities must be finite")
             if np.any(pr < 0):
                 raise ContractViolation("negative probability in table")
             if np.any((pr > 0) & (pr < _MIN_TABLE_PROB)):
@@ -301,7 +304,6 @@ def random_smooth_table(
     alpha: float,
     rng: np.random.Generator,
     domain: str = ZERO_ONE,
-    edge_prob: float = 0.3,
 ) -> Distribution:
     """Random locally alpha-smooth table distribution.
 
@@ -309,14 +311,14 @@ def random_smooth_table(
     scaled so that every single-bit flip moves the log-mass by at most
     log(alpha). Produces genuinely non-product smooth distributions.
     """
-    if alpha < 1.0:
-        raise ContractViolation("alpha must be >= 1")
+    if not 1.0 <= alpha < math.inf:
+        raise ContractViolation(f"alpha={alpha} must be finite and >= 1")
     masks = all_masks(n)
     w = rng.normal(size=n)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < _EDGE_PROB:
                 edges.append((i, j, rng.normal()))
     # |w_k| + sum_j |w_kj| bounds the flip-k log ratio over {0,1} bits
     load = np.abs(w).copy()

@@ -163,7 +163,7 @@ def basis_from_json(obj: dict):
     raise ContractViolation(f"unknown basis tag {tag!r}")
 
 
-def char_values(basis, subset: int, masks: np.ndarray, n: int) -> np.ndarray:
+def char_values(basis, subset: int, masks: np.ndarray) -> np.ndarray:
     """Basis character of `subset` evaluated at the given point masks."""
     return basis._chars(int(subset), np.asarray(masks, dtype=np.int64))
 
@@ -217,7 +217,7 @@ class FourierSpectrum:
         masks = np.asarray(masks, dtype=np.int64)
         out = np.zeros(masks.shape, dtype=np.float64)
         for m, c in self.coeffs.items():
-            out += c * char_values(self.basis, m, masks, self.n)
+            out += c * char_values(self.basis, m, masks)
         return out
 
     def value_at(self, bits: int) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -43,6 +45,8 @@ def random_sparse_poly(
     min_degree: int = 0,
 ) -> SparsePolynomial:
     """t distinct monomials with coefficients drawn from coeff_choices."""
+    if t < 1:
+        raise ContractViolation(f"sparse polynomial needs t >= 1 terms, got {t}")
     max_degree = n if max_degree is None else min(max_degree, n)
     if max_degree < min_degree:
         raise ContractViolation(f"min_degree {min_degree} above max_degree {max_degree} (n={n})")
@@ -71,9 +75,11 @@ def random_tree(
 ) -> DecisionTree:
     """Random binary tree grown by splitting random leaves until the leaf
     budget is reached, never repeating a variable on a path."""
-    max_depth = n if max_depth is None else min(max_depth, n)
     if t_leaves < 1:
         raise ContractViolation("need at least one leaf")
+    if max_depth is not None and max_depth < 0:
+        raise ContractViolation(f"tree depth {max_depth} must be >= 0")
+    max_depth = n if max_depth is None else min(max_depth, n)
 
     def leaf():
         return Leaf(1 if rng.random() < 0.5 else -1)
@@ -120,6 +126,8 @@ def random_dnf(
     width: int = 3,
     domain: str = PLUS_MINUS,
 ) -> DnfFormula:
+    if s < 0 or width < 0:
+        raise ContractViolation(f"DNF size {s} and width {width} must be >= 0")
     if width > n:
         raise ContractViolation(f"DNF width {width} above n={n}")
     terms = []
@@ -132,4 +140,6 @@ def random_dnf(
 def random_product_means(
     n: int, rng: np.random.Generator, lo: float = -0.4, hi: float = 0.4
 ) -> list[float]:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ContractViolation(f"mean bounds [{lo}, {hi}] must be finite")
     return [float(m) for m in rng.uniform(lo, hi, size=n)]

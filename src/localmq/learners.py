@@ -77,7 +77,8 @@ class LearnerConfig:
     be set explicitly (a guard refuses any defaulted sample size above
     10**7). A value no learner can use is refused here, before any
     example is drawn: a count or sample size below 1, theta or B at or
-    below 0, d or d_prime below 0, alpha below 1.
+    below 0, d or d_prime below 0, alpha below 1, and a theta, B or alpha
+    that is not finite.
     """
 
     epsilon: float = 0.1
@@ -104,9 +105,9 @@ class LearnerConfig:
             raise ContractViolation(f"delta={self.delta} outside (0,1)")
         for names, rule, holds in (
             (("t", "s", "depth", "cap", *_SIZES), ">= 1", lambda v: v >= 1),
-            (("theta", "B"), "> 0", lambda v: v > 0),
+            (("theta", "B"), "finite and > 0", lambda v: 0 < v < math.inf),
             (("d", "d_prime"), ">= 0", lambda v: v >= 0),
-            (("alpha",), ">= 1", lambda v: v >= 1.0),
+            (("alpha",), "finite and >= 1", lambda v: 1.0 <= v < math.inf),
         ):
             for name in names:
                 value = getattr(self, name)
@@ -215,16 +216,11 @@ def _grow(session, d: int, cap: int, admit):
     n = session.n
     admitted = [0]
     frontier = [0]
-    tested: set[int] = set()
     log = []
     for _level in range(1, min(d, n) + 1):
-        candidates = sorted(
-            {S | (1 << j) for S in frontier for j in range(n) if not S >> j & 1}
-            - tested
-        )
+        candidates = {S | (1 << j) for S in frontier for j in range(n) if not S >> j & 1}
         fresh = []
-        for cand in candidates:
-            tested.add(cand)
+        for cand in sorted(candidates):
             res = admit(cand)
             session.release_anchors()
             log.append((cand, bool(res.passed), float(res.estimate)))
@@ -237,23 +233,6 @@ def _grow(session, d: int, cap: int, admit):
         if not frontier:
             break
     return admitted, log
-
-
-def _power_lipschitz(gram: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD Gram matrix by deterministic power
-    iteration; twice this bounds the squared-loss gradient Lipschitz
-    constant."""
-    k = gram.shape[0]
-    v = np.ones(k) / math.sqrt(k)
-    lam = 1.0
-    for _ in range(200):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 1e-12
-        v = w / norm
-        lam = norm
-    return max(lam, 1e-12)
 
 
 def project_l1(v: np.ndarray, bound: float) -> np.ndarray:
@@ -284,14 +263,16 @@ def constrained_regression(
     restarts from the last iterate; a plain step that fails to lower the
     loss ends the run, so the loop cannot cycle. Otherwise it stops when
     the relative loss improvement drops below _REGRESSION_TOL or after
-    _REGRESSION_MAX_ITER steps."""
+    _REGRESSION_MAX_ITER steps. L = 2 * lambda_max(G), the exact Lipschitz
+    constant of the loss gradient, where G is the features' Gram matrix
+    over m."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     m, k = features.shape
     gram = features.T @ features / m
     corr = features.T @ labels / m
     offset = float(labels @ labels / m)
-    lip = 2.0 * _power_lipschitz(gram)
+    lip = 2.0 * max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
     w = y = np.zeros(k)
     loss, t, beta = offset, 1.0, 0.0  # beta: the momentum weight in y
     for _ in range(_REGRESSION_MAX_ITER):
@@ -318,7 +299,7 @@ def _estimate_coeffs(session, sets: list[int], m2: int, basis) -> FourierSpectru
     _, masks, labels = session.draw_batch(m2)
     out = {}
     for s in sets:
-        chi = char_values(basis, s, masks, session.n)
+        chi = char_values(basis, s, masks)
         out[s] = float(np.mean(labels * chi))
     return FourierSpectrum(session.n, basis, out)
 
@@ -339,9 +320,7 @@ def _regress_hypothesis(
     session, sets: list[int], basis, l1_bound: float, reg_samples: int, zero_tol: float
 ) -> FourierSpectrum:
     _, masks, labels = session.draw_batch(reg_samples)
-    features = np.column_stack(
-        [char_values(basis, s, masks, session.n) for s in sets]
-    )
+    features = np.column_stack([char_values(basis, s, masks) for s in sets])
     w = constrained_regression(features, labels, l1_bound)
     coeffs = {s: float(c) for s, c in zip(sets, w) if abs(c) > zero_tol}
     return FourierSpectrum(session.n, basis, coeffs)

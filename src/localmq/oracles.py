@@ -130,6 +130,8 @@ class OracleSession:
     ):
         if r < 0:
             raise ContractViolation("locality r must be nonnegative")
+        if seed < 0:
+            raise ContractViolation(f"seed {seed} must be >= 0")
         if dist.n != target.n or dist.domain != target.domain:
             raise ContractViolation("distribution does not match target dimension/domain")
         if audit_mode not in (AUDIT_FULL, AUDIT_COUNTS):
@@ -141,7 +143,7 @@ class OracleSession:
         self.domain = target.domain
         self.noise = noise
         self.seed = int(seed)
-        self._rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, 0x0AC1E])
+        self._rng = np.random.default_rng([self.seed, 0x0AC1E])
         self.audit_mode = audit_mode
         self._columns = [np.zeros(0, dtype=dtype) for dtype in COLUMN_DTYPES]
         self._records = 0

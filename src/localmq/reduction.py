@@ -163,17 +163,6 @@ class LinearCode:
         """Append `extra` constant-zero coordinates; distance unchanged."""
         return LinearCode(self.n, self.m + extra, self.k, self.rows)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "distance": self.distance,
-            "generator_rows": [
-                [row >> j & 1 for j in range(self.m)] for row in self.rows
-            ],
-        }
-
 
 def _hamming_rows(n: int) -> tuple[int, list[int]]:
     p = 1
@@ -309,7 +298,7 @@ class ReductionSimulator(OracleSession):
         m, k = embedded.m, embedded.code.k
         coin, dist = _Coin(m, embedded.coin_seed), Distribution.uniform(m, PLUS_MINUS)
         super().__init__(coin, dist, r=k, seed=seed, audit_mode=AUDIT_COUNTS)
-        self._rng = np.random.default_rng([seed & 0x7FFFFFFF, 0xE4B])
+        self._rng = np.random.default_rng([self.seed, 0xE4B])
         self.embedded = embedded
         self.base_session = base_session
         self.try_histogram: dict[int, int] = {}

@@ -172,7 +172,9 @@ def pac_baseline(session, train: int, test: int, r_probe: int = 0, rng_seed: int
     """
     if not 0 <= r_probe <= session.n:
         raise ContractViolation(f"r_probe={r_probe} outside [0, n={session.n}]")
-    rng = np.random.default_rng([rng_seed & 0x7FFFFFFF, 0xBA5E])
+    if rng_seed < 0:
+        raise ContractViolation(f"rng_seed {rng_seed} must be >= 0")
+    rng = np.random.default_rng([rng_seed, 0xBA5E])
     _, masks, labels = session.draw_batch(train)
     if r_probe > 0:
         idxs, amasks, _ = session.draw_batch(train)

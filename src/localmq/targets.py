@@ -231,17 +231,16 @@ class DecisionTree:
             out += label * ((masks & vmask) == pattern)
         return out
 
-    def truncate(self, d: int, cap_label: int = -1) -> "DecisionTree":
+    def truncate(self, d: int) -> "DecisionTree":
+        """This tree cut at depth d, each cut subtree a -1 leaf."""
         if d < 1:
             raise ContractViolation("truncation depth must be >= 1")
-        if cap_label not in (-1, 1):
-            raise ContractViolation("cap label must be -1 or +1")
 
         def cut(node, budget):
             if isinstance(node, Leaf):
                 return node
             if budget == 0:
-                return Leaf(cap_label)
+                return Leaf(-1)
             return Internal(node.var, cut(node.low, budget - 1), cut(node.high, budget - 1))
 
         return DecisionTree(self.n, cut(self.root, d), self.domain)

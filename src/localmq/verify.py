@@ -85,7 +85,7 @@ class VerifierOracle:
         else:
             raise ContractViolation(f"unknown basis {basis!r}")
         for s in range(1 << n):
-            chi = char_values(basis, int(s), masks, n)
+            chi = char_values(basis, int(s), masks)
             c = math.fsum((weights * chi * values).tolist())
             if abs(c) > 1e-13:
                 coeffs[int(s)] = c
@@ -407,7 +407,7 @@ def _tree_truncation(rng, n):
     tau = 0.05
     # depth-d truncation misses with probability at most tau
     d5 = max(1, math.ceil(math.log(t / tau) / rate))
-    cut = tree.truncate(d5, cap_label=-1)
+    cut = tree.truncate(d5)
     masks = all_masks(n)
     diff = np.asarray(tree.value_batch(masks)) != np.asarray(cut.value_batch(masks))
     p_diff = exact_event_prob_masked(dist, diff)
@@ -419,7 +419,7 @@ def _tree_truncation(rng, n):
     yield cut.depth - max_deg + 0.5, {"check": "d6-degree", "deg": max_deg}
     # off-support tail of the full spectrum
     d7 = max(1, math.ceil(math.log(4 * t / tau) / rate))
-    support7 = set(exact_transform(tree.truncate(d7, cap_label=-1), basis).coeffs)
+    support7 = set(exact_transform(tree.truncate(d7), basis).coeffs)
     tail = math.fsum(
         cc * cc for s, cc in exact_transform(tree, basis).coeffs.items() if s not in support7
     )

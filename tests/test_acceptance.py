@@ -294,8 +294,8 @@ def test_c05_tree_product():
         inner = math.fsum(
             (
                 weights
-                * char_values(basis, s1, masks, 14)
-                * char_values(basis, s2, masks, 14)
+                * char_values(basis, s1, masks)
+                * char_values(basis, s2, masks)
             ).tolist()
         )
         worst = max(worst, abs(inner - (1.0 if s1 == s2 else 0.0)))

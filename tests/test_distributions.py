@@ -14,6 +14,7 @@ from localmq.distributions import (
     marginal,
     random_smooth_table,
 )
+from localmq.generators import random_product_means
 from localmq.targets import PLUS_MINUS, ZERO_ONE
 from localmq._bits import all_masks, popcount
 
@@ -330,6 +331,21 @@ class TestConstructionContracts:
     def test_bad_sum_rejected(self):
         with pytest.raises(ContractViolation):
             Distribution.table([0.5, 0.6], ZERO_ONE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="finite"):
+            Distribution.table([bad, 0.5, 0.25, 0.25], ZERO_ONE)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_smooth_table_needs_a_finite_alpha(self, alpha):
+        with pytest.raises(ContractViolation, match="finite"):
+            random_smooth_table(3, alpha, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lo, hi", [(math.inf, 0.4), (math.nan, 0.4), (-0.4, -math.inf)])
+    def test_product_means_need_finite_bounds(self, lo, hi):
+        with pytest.raises(ContractViolation, match="finite"):
+            random_product_means(8, np.random.default_rng(0), lo, hi)
 
     def test_tiny_positive_mass_rejected(self):
         probs = [1e-305, 1.0 - 1e-305]

@@ -101,7 +101,7 @@ class TestExactTransform:
         for _ in range(25):
             s1 = random_subset(n, 4, rng)
             s2 = random_subset(n, 4, rng)
-            prod = char_values(basis, s1, masks, n) * char_values(basis, s2, masks, n)
+            prod = char_values(basis, s1, masks) * char_values(basis, s2, masks)
             inner = math.fsum((w * prod).tolist())
             assert inner == pytest.approx(1.0 if s1 == s2 else 0.0, abs=1e-9)
 
@@ -242,7 +242,7 @@ class TestRestrictionPm:
             for i in bits_of(subset):
                 p = (1.0 + basis.means[i]) / 2.0
                 weights *= np.where((patterns >> i) & 1, p, 1.0 - p)
-            want = weights * char_values(basis, subset, patterns, 14)
+            want = weights * char_values(basis, subset, patterns)
             for _ in range(2):  # the same bytes built or read from the cache
                 cached = _flip_weights(basis, subset)
                 assert cached.tobytes() == want.tobytes() and not cached.flags.writeable

@@ -235,11 +235,15 @@ class TestExitCodes:
             ["--algo", "sparse-poly", "--t", "4", "--B", "0", "--alpha", "1.5"],
             ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "1.5", "--d-prime", "-1"],
             ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "1.5", "--reg-samples", "0"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "inf", "--alpha", "1.5"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "inf"],
+            ["--algo", "sparse-poly", "--t", "4", "--B", "2", "--alpha", "1.5", "--theta", "inf"],
+            ["--algo", "dnf", "--width", "-1"],
         ],
         ids=lambda flags: " ".join(flags[1:]),
     )
     def test_unusable_learner_parameter_is_3(self, flags, tmp_path, capsys):
-        # refused when the config is built, before a session exists
+        # refused when the instance or the config is built, before a session exists
         log = tmp_path / "run.jsonl"
         code = main(["learn", "--n", "8", "--eps", "0.2", *flags, "--audit-out", str(log)])
         captured = capsys.readouterr()
@@ -317,6 +321,10 @@ class TestExitCodes:
             ],
             (["gen-target", "--kind", "dnf", "--n", "2"], 3),
             (["learn", "--algo", "dnf", "--n", "2"], 3),
+            (["gen-target", "--kind", "sparse-poly", "--n", "8", "--t", "0"], 3),
+            (["gen-target", "--kind", "dnf", "--n", "8", "--width", "-1"], 3),
+            (["gen-target", "--kind", "dnf", "--n", "8", "--s", "-1"], 3),
+            (["gen-target", "--kind", "decision-tree", "--n", "8", "--depth", "-1"], 3),
             *[
                 (["verify", "--suite", suite, "--n", str(n), "--trials", "20"], code)
                 for suite, codes in [
@@ -328,8 +336,9 @@ class TestExitCodes:
         ],
     )
     def test_sizes_above_n_are_clamped_or_refused(self, argv, expect, capsys):
-        # a size above n is clamped to n, and what cannot be built is a
-        # contract violation, never a numpy error
+        # a size above n is clamped to n, and what cannot be built (a size
+        # above n, or below the least one) is a contract violation, never a
+        # numpy error
         code = main(argv)
         captured = capsys.readouterr()
         assert code == expect
@@ -375,16 +384,37 @@ class TestExitCodes:
             ["demo-separation", "--variant", "gprime", "--trials", "0"],
             ["demo-separation", "--prf-samples", "0"],
             ["demo-separation", "--prf-samples", "-5"],
+            ["gen-dist", "--kind", "table", "--n", "3", "--alpha", "nan"],
+            ["gen-dist", "--kind", "product", "--n", "8", "--mu-lo", "inf"],
+            ["gen-dist", "--kind", "product", "--n", "8", "--mu-lo", "nan"],
+            ["verify", "--suite", "fact-smooth", "--alpha", "nan", "--trials", "3"],
         ],
         ids=" ".join,
     )
     def test_count_below_one_is_3(self, argv, tmp_path, capsys):
-        # refused with one line, never a numpy or arithmetic error or a NaN report
+        # a count below 1 or a number that is not finite is refused with one
+        # line, never a numpy or arithmetic error or a NaN report
         out = tmp_path / "out.json"
         code = main([*argv, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and not out.exists()
         assert captured.err.startswith("contract violation: ") and captured.err.count("\n") == 1
+
+    def test_seeds_2_to_the_31_apart_learn_apart(self, tmp_path, capsys):
+        # same target, two seeds that agree in their low 31 bits
+        target = tmp_path / "t8.json"
+        main(["gen-target", "--kind", "decision-tree", "--n", "8", "--leaves", "4",
+              "--seed", "1", "--out", str(target)])
+        logs = []
+        for seed in ("5", "2147483653"):
+            log = tmp_path / f"{seed}.jsonl"
+            code, _ = run_cli(capsys, ["learn", "--algo", "tree-uniform", "--target", str(target),
+                                       "--t", "4", "--eps", "0.2", "--test-samples", "200",
+                                       "--est-samples", "500", "--seed", seed,
+                                       "--audit-out", str(log)])
+            assert code == 0
+            logs.append(log.read_bytes())
+        assert logs[0] != logs[1]
 
     def test_tree_product_with_means_near_one(self, capsys):
         # d = 641: the default cap stays finite past the range of 2.0**d2

@@ -140,7 +140,7 @@ class TestConstrainedRegression:
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 1 << 10, size=2000)
         sets = [(1 << (j + 1)) - 1 for j in range(6)]
-        x = np.column_stack([char_values(MONOMIAL_01, s, masks, 10) for s in sets])
+        x = np.column_stack([char_values(MONOMIAL_01, s, masks) for s in sets])
         assert np.linalg.cond(x.T @ x / x.shape[0]) >= 100
         true_w = rng.choice([-1.0, 1.0], size=6) * rng.uniform(0.2, 1.0, size=6)
         y = x @ true_w
@@ -667,6 +667,7 @@ class TestConfigRefusals:
                                       "reg_samples", "holdout_samples")],
             ("t", -2), ("theta", 0.0), ("theta", -0.1), ("theta", float("nan")),
             ("B", 0.0), ("d", -1), ("d_prime", -1), ("alpha", 0.5),
+            ("theta", math.inf), ("B", math.inf), ("alpha", math.inf),
         ],
     )
     def test_unusable_value_is_refused(self, field, value):

@@ -55,6 +55,16 @@ class TestDrawExample:
             (_, m1, l1), (_, m2, l2) = clean.draw_batch(1), noisy.draw_batch(1)
             assert m1[0] == m2[0] and l1[0] == l2[0]
 
+    def test_seeds_2_to_the_31_apart_draw_different_examples(self):
+        tree = random_tree(16, 6, np.random.default_rng(0))
+        near, far = (fresh_session(tree, seed=seed).draw_batch(64)[1] for seed in (5, 5 + 2**31))
+        assert not np.array_equal(near, far)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**31) + 5])
+    def test_negative_seed_is_refused(self, seed):
+        with pytest.raises(ContractViolation, match="must be >= 0"):
+            fresh_session(seed=seed)
+
     def test_label_frequency_matches_enumeration(self):
         tree = random_tree(10, 12, np.random.default_rng(4))
         masks = all_masks(10)

@@ -258,6 +258,17 @@ class TestSimulatorDistribution:
             tv += counts.get((z, -want), 0) / n_draws
         assert tv / 2 <= 0.01
 
+    def test_seeds_2_to_the_31_apart_draw_different_examples(self):
+        f = random_tree(6, 8, np.random.default_rng(0))
+        emb = embed(f, 1, coin_seed=3)
+        near, far = (
+            ReductionSimulator(emb, base_session(f, seed=1), seed=seed).draw_batch(64)[1]
+            for seed in (5, 5 + 2**31)
+        )
+        assert not np.array_equal(near, far)
+        with pytest.raises(ContractViolation, match="must be >= 0"):
+            ReductionSimulator(emb, base_session(f, seed=1), seed=-1)
+
     def test_base_session_never_queried(self):
         f = random_tree(4, 4, np.random.default_rng(4))
         emb = embed(f, 1)
@@ -313,8 +324,8 @@ class TestSimulatedQueries:
             assert sim.local_query(q, i) == emb.label_batch(np.asarray([q]))[0]
 
     def test_answers_after_a_release_equal_embedded_function(self):
-        # codewords and base labels are released with their anchors, and
-        # the live ones move to the front of the store with them
+        # a release forgets the revealed base labels with their anchors,
+        # and the next draw reveals its own codewords' labels afresh
         f = random_tree(4, 4, np.random.default_rng(9))
         emb = embed(f, 1, coin_seed=13)
         sim = ReductionSimulator(emb, base_session(f, seed=11), seed=11)
@@ -439,8 +450,9 @@ class TestSimulatorGateway:
 
 
 class TestSimulatorScalarMatchesBatch:
-    """The simulator's scalar hook answers as its batch hook does, on and
-    off the anchors' codewords, with the same counters and distinct count."""
+    """The simulator's scalar `local_query` answers as a 1x1
+    `local_query_matrix` does, on and off the anchors' codewords, with the
+    same counters and distinct count."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -484,8 +496,7 @@ class TestSimulatorRestrictionQuery:
     `local_query_matrix` on the explicit flip matrix, codewords included,
     refuses |S| > 1 alike, and leaves the same counters, distinct count and
     `_labelled`; with up to 64 anchors, repeats among them, a batch of at
-    least 2**m queries labels each distinct row once, with its first
-    anchor."""
+    least 2**m queries labels each distinct row once."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -687,13 +698,10 @@ class TestCorrelationIdentity:
         )
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
-    def test_code_serializes_generator_rows(self):
+    def test_generator_rows_encode_unit_messages(self):
         code = build_code(4, 1)
-        obj = code.to_json()
-        assert len(obj["generator_rows"]) == 4
-        assert all(len(row) == code.m for row in obj["generator_rows"])
-        assert obj["distance"] >= 3
-        # rows reproduce the encoder
+        assert len(code.rows) == 4
+        assert all(0 <= row < 1 << code.m for row in code.rows)
+        assert code.distance >= 3
         for i in range(4):
-            row_mask = sum(b << j for j, b in enumerate(obj["generator_rows"][i]))
-            assert row_mask == code.encode(1 << i)
+            assert code.rows[i] == code.encode(1 << i)

@@ -162,6 +162,22 @@ class TestBatchedQueries:
         with pytest.raises(ContractViolation):
             pac_baseline(session, train=10, test=10, r_probe=r_probe)
 
+    def test_baseline_seeds_2_to_the_31_apart_probe_different_points(self):
+        target = PrfTarget(12, 0b1, VARIANT_GPRIME, key_seed=16)
+        probes = []
+        for rng_seed in (5, 5 + 2**31):
+            session = g_session(target, r=2, seed=16, audit_mode=AUDIT_FULL)
+            pac_baseline(session, train=50, test=10, r_probe=2, rng_seed=rng_seed)
+            probes.append([q["point"] for q in session.records if q["op"] == "mq"])
+        assert probes[0] != probes[1]
+
+    def test_baseline_rejects_a_negative_seed_before_any_draw(self):
+        target = PrfTarget(12, 0b1, VARIANT_GPRIME, key_seed=16)
+        session = g_session(target, r=2, seed=16)
+        with pytest.raises(ContractViolation, match="must be >= 0"):
+            pac_baseline(session, train=10, test=10, r_probe=2, rng_seed=-1)
+        assert session.ex_count == 0
+
     def test_cli_exits_3_on_too_many_probe_flips(self, capsys):
         argv = ["demo-separation", "--variant", "gprime", "--n", "12", "--baseline-r", "13",
                 "--examples", "20", "--trials", "1"]

@@ -21,7 +21,7 @@ from localmq import (
 from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
 from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, exact_transform
 from localmq._bits import all_masks, popcount
-from localmq.generators import random_sparse_poly, random_tree
+from localmq.generators import random_dnf, random_sparse_poly, random_tree
 
 
 AND_TREE = DecisionTree(
@@ -145,11 +145,9 @@ class TestTruncateTree:
             for d in (1, 2, 3):
                 assert tree.truncate(d).leaf_count <= tree.leaf_count
 
-    def test_cap_label_knob(self):
+    def test_cut_subtrees_become_minus_one_leaves(self):
         deep = full_path_tree(4, 3)
-        lo = deep.truncate(1, cap_label=-1)
-        hi = deep.truncate(1, cap_label=1)
-        assert lo.value_at(0b1111) == -1.0 and hi.value_at(0b1111) == 1.0
+        assert deep.truncate(1).value_at(0b1111) == -1.0
 
     def test_product_truncation_error_bound(self):
         # exact weighted enumeration of Pr_mu[g != f] at the depth that
@@ -239,3 +237,23 @@ class TestJsonRoundtrip:
     def test_dnf_literals_are_dimacs_style(self):
         f = DnfFormula(4, (((0, True), (2, False)),))
         assert target_to_json(f)["terms"] == [[1, -3]]
+
+
+class TestGeneratorSizes:
+    @pytest.mark.parametrize(
+        "make, least",
+        [
+            (lambda size, rng: random_sparse_poly(8, size, rng), 1),
+            (lambda size, rng: random_dnf(8, size, rng), 0),
+            (lambda size, rng: random_dnf(8, 2, rng, width=size), 0),
+            (lambda size, rng: random_tree(8, 4, rng, max_depth=size), 0),
+        ],
+        ids=["poly t", "dnf s", "dnf width", "tree depth"],
+    )
+    def test_sizes_below_the_least_are_refused(self, make, least):
+        # the least size builds (an empty DNF, zero-width terms, a leaf)
+        rng = np.random.default_rng(0)
+        make(least, rng)
+        for size in (least - 1, least - 3):
+            with pytest.raises(ContractViolation):
+                make(size, rng)
