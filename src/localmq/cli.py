@@ -4,15 +4,16 @@ Subcommands: gen-target, gen-dist, learn, verify, reduce,
 demo-separation, audit. Every run is a pure function of its arguments:
 given the same --seed the emitted JSON is byte-identical (timing is only
 included under --timing). Usage errors exit 2, contract violations (a
-negative --seed among them, and codes that cannot be built) 3, budget
-overruns 4, failing verification suites and corrupt or inconsistent
-audit logs 1.
+negative --seed among them, codes that cannot be built, and files that
+cannot be opened, read or created) 3, budget overruns 4, failing
+verification suites and corrupt or inconsistent audit logs 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -60,18 +61,33 @@ _ALGOS = {
 }
 
 
+def _open(path: str, mode: str):
+    """`open`, refusing a file that cannot be opened (exit 3)."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ContractViolation(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path: str, read):
+    """`read` of the JSON object in the file at `path`, refusing a file
+    that is not JSON or whose object `read` cannot take (exit 3)."""
+    with _open(path, "r") as fh:
+        try:
+            return read(json.load(fh))
+        except ContractViolation:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
 # ------------------------------------------------------------------ instances
@@ -139,9 +155,9 @@ def _cmd_learn(args) -> int:
     rng = np.random.default_rng([args.seed, 0x1EA2])
     config = {f.name: getattr(args, f.name) for f in fields(LearnerConfig)}
     if args.target:
-        target = target_from_json(_load_json(args.target))
+        target = _load_json(args.target, target_from_json)
         dist = (
-            Distribution.from_json(_load_json(args.dist))
+            _load_json(args.dist, Distribution.from_json)
             if args.dist
             else Distribution.uniform(target.n, target.domain)
         )
@@ -167,13 +183,18 @@ def _cmd_learn(args) -> int:
         audit_mode=AUDIT_FULL if args.audit_out else AUDIT_COUNTS,
         track_distinct=bool(args.audit_out),
     )
+    # both outputs are refused before the first draw; the report is written after the run
+    if args.out and not os.path.isfile(args.out):
+        _open(args.out, "w").close()
+        os.remove(args.out)
+    log = _open(args.audit_out, "w") if args.audit_out else None
     try:
         outcome = _ALGOS[args.algo](session, config)
     finally:
         # a failed run keeps its log, including the record that ended it
-        if args.audit_out:
-            with open(args.audit_out, "w") as fh:
-                session.write_audit_jsonl(fh)
+        if log:
+            with log:
+                session.write_audit_jsonl(log)
     run_config = {
         "algo": args.algo,
         "epsilon": args.epsilon,
@@ -296,7 +317,7 @@ def _cmd_demo_separation(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    with open(args.infile, "rb") as fh:
+    with _open(args.infile, "rb") as fh:
         summary = audit.check_log(fh)
     _emit(summary, args.out)
     return 0 if summary["distance_mismatches"] == 0 else 1

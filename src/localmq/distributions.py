@@ -14,7 +14,6 @@ neighbor scan for tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,9 +195,7 @@ class Distribution:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict | str) -> "Distribution":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "Distribution":
         kind = obj["kind"]
         domain = obj.get("domain", PLUS_MINUS)
         if kind == UNIFORM:

@@ -120,7 +120,6 @@ class LearnOutcome:
     """Hypothesis plus everything needed to audit the run."""
 
     hypothesis: FourierSpectrum
-    sign_threshold: bool
     grown_sets: list[int]
     params: dict
     error_estimates: dict
@@ -136,6 +135,11 @@ class LearnOutcome:
         d = self.params.get("d")
         if d is not None and any(int(popcount(s)) > d for s in self.grown_sets):
             raise ContractViolation("grown set contains a subset larger than d")
+
+    @property
+    def sign_threshold(self) -> bool:
+        """Outputs are signs exactly when the hypothesis is over +-1."""
+        return self.hypothesis.basis.domain == PLUS_MINUS
 
     def predict_batch(self, masks: np.ndarray) -> np.ndarray:
         vals = self.hypothesis.value_batch(masks)
@@ -304,14 +308,14 @@ def _estimate_coeffs(session, sets: list[int], m2: int, basis) -> FourierSpectru
     return FourierSpectrum(session.n, basis, out)
 
 
-def _holdout_errors(session, hypothesis, sign_threshold, n_hold: int) -> dict:
+def _holdout_errors(session, hypothesis, n_hold: int) -> dict:
     _, masks, labels = session.draw_batch(n_hold)
     vals = hypothesis.value_batch(masks)
     errors = {
         "holdout_samples": n_hold,
         "squared_loss": float(np.mean((labels - vals) ** 2)),
     }
-    if sign_threshold:
+    if hypothesis.basis.domain == PLUS_MINUS:
         errors["zero_one"] = float(np.mean(_signs(vals) != np.sign(labels)))
     return errors
 
@@ -379,11 +383,9 @@ def _learn(
         )
     session.release_anchors()  # no query names the fit's examples
     params.update(epsilon=config.epsilon, delta=config.delta, seed=config.seed)
-    sign_threshold = basis.domain == PLUS_MINUS
-    errors = _holdout_errors(session, hypothesis, sign_threshold, n_hold)
+    errors = _holdout_errors(session, hypothesis, n_hold)
     return LearnOutcome(
         hypothesis=hypothesis,
-        sign_threshold=sign_threshold,
         grown_sets=admitted,
         params=params,
         error_estimates=errors,

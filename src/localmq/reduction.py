@@ -255,11 +255,10 @@ class EmbeddedFunction:
 def embed(base, k: int, coin_seed: int = 0) -> EmbeddedFunction:
     """Build the code, pad until the rejection guard beta <= 2/3 holds
     (appending constant-zero coordinates), and wrap the target."""
-    code = build_code(base.n, k)
-    if k >= 1:
-        while 2.0 ** (base.n - code.m) * ball_size(code.m, k) > 2.0 / 3.0:
-            code = code.pad(1)
-    return EmbeddedFunction(base, code, coin_seed)
+    embedded = EmbeddedFunction(base, build_code(base.n, k), coin_seed)
+    while k >= 1 and embedded.beta > 2.0 / 3.0:
+        embedded = EmbeddedFunction(base, embedded.code.pad(1), coin_seed)
+    return embedded
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,7 @@ after construction and safe to share.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +25,6 @@ def _check_cube(n: int, domain: str) -> None:
     if domain not in _DOMAINS:
         raise ContractViolation(f"unknown domain tag {domain!r}")
     check_width(n)
-
-
-def _as_terms(terms: Mapping[int, float]) -> dict[int, float]:
-    out = {}
-    for mask, c in terms.items():
-        if c != 0.0:
-            out[int(mask)] = float(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,19 @@ class SparsePolynomial:
 
     def __post_init__(self):
         _check_cube(self.n, self.domain)
-        object.__setattr__(self, "terms", _as_terms(self.terms))
-        for mask in self.terms:
-            if not 0 <= mask < (1 << self.n):
-                raise ContractViolation(f"term mask 0x{mask:x} outside [{self.n}]")
+        terms = {}
+        for mask, c in self.terms.items():
+            if c != 0.0:  # a zero term is dropped unchecked
+                mask = int(mask)
+                if not 0 <= mask < (1 << self.n):
+                    raise ContractViolation(f"term mask 0x{mask:x} outside [{self.n}]")
+                terms[mask] = float(c)
+        object.__setattr__(self, "terms", terms)
+        if self.sparsity_budget is None:
+            object.__setattr__(self, "sparsity_budget", max(1, len(terms)))
+        if self.coeff_bound is None:
+            object.__setattr__(self, "coeff_bound", max(map(abs, terms.values()), default=1.0))
         t = self.sparsity_budget
-        if t is None:
-            t = max(1, len(self.terms))
-            object.__setattr__(self, "sparsity_budget", t)
-        b = self.coeff_bound
-        if b is None:
-            b = max([abs(c) for c in self.terms.values()], default=1.0)
-            object.__setattr__(self, "coeff_bound", float(b))
         if t < 1:
             raise ContractViolation("sparsity budget must be positive")
         if len(self.terms) > t:
@@ -165,58 +155,41 @@ Node = Leaf | Internal
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Binary decision tree; no variable repeats on a root-to-leaf path."""
+    """Binary decision tree; no variable repeats on a root-to-leaf path.
+    The walk that checks it builds `paths`, a (variable mask, required-bit
+    pattern, label) per leaf, read by evaluation, size, depth and expansion."""
 
     n: int
     root: Node
     domain: str = PLUS_MINUS
+    paths: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_cube(self.n, self.domain)
-        self._validate(self.root, 0)
-
-    def _validate(self, node: Node, seen: int) -> None:
-        if isinstance(node, Leaf):
-            return
-        if not 0 <= node.var < self.n:
-            raise ContractViolation(f"split variable {node.var} outside [{self.n}]")
-        if seen >> node.var & 1:
-            raise ContractViolation(f"variable {node.var} repeats on a path")
-        self._validate(node.low, seen | (1 << node.var))
-        self._validate(node.high, seen | (1 << node.var))
-
-    @cached_property
-    def leaf_count(self) -> int:
-        def count(node):
-            if isinstance(node, Leaf):
-                return 1
-            return count(node.low) + count(node.high)
-
-        return count(self.root)
-
-    @cached_property
-    def depth(self) -> int:
-        def dep(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(dep(node.low), dep(node.high))
-
-        return dep(self.root)
-
-    @cached_property
-    def paths(self) -> list[tuple[int, int, int]]:
-        """Leaf paths as (variable mask, required-bit pattern, label)."""
-        out = []
+        paths = []
 
         def walk(node, vmask, pattern):
             if isinstance(node, Leaf):
-                out.append((vmask, pattern, node.label))
+                paths.append((vmask, pattern, node.label))
                 return
-            walk(node.low, vmask | (1 << node.var), pattern)
-            walk(node.high, vmask | (1 << node.var), pattern | (1 << node.var))
+            if not 0 <= node.var < self.n:
+                raise ContractViolation(f"split variable {node.var} outside [{self.n}]")
+            bit = 1 << node.var
+            if vmask & bit:
+                raise ContractViolation(f"variable {node.var} repeats on a path")
+            walk(node.low, vmask | bit, pattern)
+            walk(node.high, vmask | bit, pattern | bit)
 
         walk(self.root, 0, 0)
-        return out
+        object.__setattr__(self, "paths", tuple(paths))
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.paths)
+
+    @property
+    def depth(self) -> int:  # a path has distinct variables, so its length is its popcount
+        return max(popcount(vmask) for vmask, _, _ in self.paths)
 
     def value_at(self, bits: int) -> float:
         node = self.root
@@ -274,49 +247,39 @@ class DnfFormula:
 
     Terms are tuples of (variable index, positive) pairs; a positive
     literal asks for bit 1 (value 1 or +1), a negative one for bit 0.
+    `term_masks`, one (variable mask, required-bit pattern) per term, is
+    built in the pass that checks the literals, and evaluation reads it.
     """
 
     n: int
     terms: tuple[tuple[tuple[int, bool], ...], ...]
     domain: str = PLUS_MINUS
+    term_masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_cube(self.n, self.domain)
         norm = []
+        masks = []
         for term in self.terms:
-            seen = 0
-            lits = []
-            for var, pos in term:
-                var = int(var)
+            norm.append(tuple((int(var), bool(pos)) for var, pos in term))
+            vmask = pattern = 0
+            for var, pos in norm[-1]:
                 if not 0 <= var < self.n:
                     raise ContractViolation(f"literal variable {var} outside [{self.n}]")
-                if seen >> var & 1:
+                if vmask >> var & 1:
                     raise ContractViolation(f"variable {var} repeats inside a term")
-                seen |= 1 << var
-                lits.append((var, bool(pos)))
-            norm.append(tuple(lits))
+                vmask |= 1 << var
+                pattern |= pos << var
+            masks.append((vmask, pattern))
         object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(self, "term_masks", tuple(masks))
 
     @property
     def size(self) -> int:
         return len(self.terms)
 
-    @cached_property
-    def _term_masks(self) -> list[tuple[int, int]]:
-        """Per term: (mask of all literal vars, required-bit pattern)."""
-        out = []
-        for term in self.terms:
-            vmask = 0
-            pat = 0
-            for var, pos in term:
-                vmask |= 1 << var
-                if pos:
-                    pat |= 1 << var
-            out.append((vmask, pat))
-        return out
-
     def value_at(self, bits: int) -> float:
-        for vmask, pat in self._term_masks:
+        for vmask, pat in self.term_masks:
             if bits & vmask == pat:
                 return 1.0
         return -1.0
@@ -324,7 +287,7 @@ class DnfFormula:
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
         sat = np.zeros(masks.shape, dtype=bool)
-        for vmask, pat in self._term_masks:
+        for vmask, pat in self.term_masks:
             sat |= (masks & vmask) == pat
         return np.where(sat, 1.0, -1.0)
 
@@ -359,9 +322,7 @@ def target_to_json(target: TargetFunction) -> dict:
     return target.to_json()
 
 
-def target_from_json(obj: dict | str) -> TargetFunction:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def target_from_json(obj: dict) -> TargetFunction:
     kind = obj["kind"]
     if kind == "sparse_poly":
         return SparsePolynomial.from_json(obj)

@@ -251,6 +251,36 @@ class TestExitCodes:
         assert captured.err.startswith("contract violation: ") and captured.err.count("\n") == 1
         assert not log.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--infile", "{tmp}/missing.jsonl"],
+            *[
+                ["learn", "--algo", "tree-uniform", "--target", f"{{tmp}}/{name}", "--t", "4",
+                 "--eps", "0.2"]
+                for name in ("missing.json", "garbage.json", "kindless.json")
+            ],
+            ["gen-target", "--kind", "dnf", "--n", "8", "--out", "{tmp}/none/t.json"],
+            ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+             "--out", "{tmp}/none/x.json"],
+            ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+             "--audit-out", "{tmp}/none/a.jsonl"],
+        ],
+        ids=["audit missing", "target missing", "target not JSON", "target without kind",
+             "gen-target out", "learn out", "learn audit-out"],
+    )
+    def test_file_and_input_errors_are_3(self, argv, tmp_path, capsys):
+        # one stderr line, and no learner runs when an output cannot be created
+        (tmp_path / "garbage.json").write_text("garbage{")
+        (tmp_path / "kindless.json").write_text('{"n": 4, "root": {"leaf": 1}}')
+        ran = mock.Mock(side_effect=AssertionError("the learner ran"))
+        with mock.patch.dict(cli._ALGOS, {"tree-uniform": ran}):
+            code = main([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("contract violation: cannot ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("algo", ["dnf", "tree-product", "tree-uniform"])
     def test_noisy_l2_learner_is_3(self, algo, tmp_path, capsys):
         # refused before any draw: the audit log holds no record
@@ -432,14 +462,15 @@ class TestExitCodes:
 
     def test_failed_run_keeps_its_audit_log(self, tmp_path, capsys):
         # r = 0 makes the learner's first query a violation (exit 3)
-        log = tmp_path / "v.jsonl"
+        log, report = tmp_path / "v.jsonl", tmp_path / "v.json"
         code, _ = run_cli(
             capsys,
             ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
              "--test-samples", "200", "--est-samples", "500", "--r", "0",
-             "--audit-out", str(log)],
+             "--audit-out", str(log), "--out", str(report)],
         )
         assert code == 3
+        assert not report.exists()  # checked before the run, written only after it
         lines = log.read_text().splitlines(keepends=True)
         assert json.loads(lines[-1])["op"] == "mq_violation"
         # the refused query's resp is JSON null, which the fast path reads

@@ -48,6 +48,18 @@ class TestEvaluate:
         assert f.value_at(0b001) == 1.0
         assert f.value_at(0b100) == 1.0
 
+    @pytest.mark.parametrize(
+        "terms, error",
+        [
+            ((((0, True),), ((3, False),)), "literal variable 3 outside"),
+            ((((-1, True),),), "literal variable -1 outside"),
+            ((((1, True), (2, False), (1, False)),), "variable 1 repeats inside a term"),
+        ],
+    )
+    def test_dnf_literal_off_the_cube_or_repeated_is_refused(self, terms, error):
+        with pytest.raises(ContractViolation, match=error):
+            DnfFormula(3, terms)
+
     def test_pm_poly_is_parity_combination(self):
         f = SparsePolynomial(3, {0b101: 2.0}, PLUS_MINUS)
         # chi_{0,2}(x) = x0 * x2
@@ -78,6 +90,10 @@ class TestSparsePolynomialInvariants:
     def test_zero_coeffs_dropped(self):
         f = SparsePolynomial(3, {0b1: 0.0, 0b10: 1.0}, ZERO_ONE)
         assert f.sparsity == 1
+        # a zero term is dropped before its mask is checked; a live one is checked
+        assert SparsePolynomial(3, {0b1000: 0.0, 0b10: 1.0}, ZERO_ONE).terms == {0b10: 1.0}
+        with pytest.raises(ContractViolation, match="term mask 0x8 outside"):
+            SparsePolynomial(3, {0b1000: 2.0, 0b10: 1.0}, ZERO_ONE)
 
 
 class TestTruncatePolynomial:
@@ -119,6 +135,14 @@ class TestTruncatePolynomial:
             assert p <= f.sparsity * (a_star / (1 + a_star)) ** d + 1e-12
 
 
+def count_leaves(node):
+    return 1 if isinstance(node, Leaf) else count_leaves(node.low) + count_leaves(node.high)
+
+
+def node_depth(node):
+    return 0 if isinstance(node, Leaf) else 1 + max(node_depth(node.low), node_depth(node.high))
+
+
 def full_path_tree(n, depth):
     def build(level):
         if level == depth:
@@ -144,6 +168,10 @@ class TestTruncateTree:
             tree = random_tree(10, 12, np.random.default_rng(seed))
             for d in (1, 2, 3):
                 assert tree.truncate(d).leaf_count <= tree.leaf_count
+            # size and depth, read off the leaf paths, match a walk of the nodes
+            for t in (tree, *(tree.truncate(d) for d in (1, 2, 3, 5))):
+                assert t.leaf_count == count_leaves(t.root)
+                assert t.depth == node_depth(t.root)
 
     def test_cut_subtrees_become_minus_one_leaves(self):
         deep = full_path_tree(4, 3)
@@ -216,8 +244,14 @@ class TestTreeToPolynomial:
                 assert abs(spec.coeff(s) - full.coeff(s)) <= 1e-12
 
     def test_no_repeated_variable_on_path(self):
-        with pytest.raises(ContractViolation):
-            DecisionTree(3, Internal(0, Leaf(1), Internal(0, Leaf(1), Leaf(-1))))
+        # nor a split variable outside [n]
+        for root, error in [
+            (Internal(0, Leaf(1), Internal(0, Leaf(1), Leaf(-1))), "variable 0 repeats on a path"),
+            (Internal(0, Leaf(1), Internal(3, Leaf(1), Leaf(-1))), "split variable 3 outside"),
+            (Internal(-1, Leaf(1), Leaf(-1)), "split variable -1 outside"),
+        ]:
+            with pytest.raises(ContractViolation, match=error):
+                DecisionTree(3, root)
 
 
 class TestJsonRoundtrip:
