@@ -69,6 +69,16 @@ def _open(path: str, mode: str):
         raise ContractViolation(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an output that cannot be created (exit 3); the probe
+    truncates nothing, removes only a file it made, and leaves a device or pipe alone."""
+    existed = os.path.lexists(path)
+    if not existed or os.path.isfile(path) or os.path.isdir(path):
+        _open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
@@ -86,7 +96,8 @@ def _load_json(path: str, read):
             return read(json.load(fh))
         except ContractViolation:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ContractViolation(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -183,10 +194,6 @@ def _cmd_learn(args) -> int:
         audit_mode=AUDIT_FULL if args.audit_out else AUDIT_COUNTS,
         track_distinct=bool(args.audit_out),
     )
-    # both outputs are refused before the first draw; the report is written after the run
-    if args.out and not os.path.isfile(args.out):
-        _open(args.out, "w").close()
-        os.remove(args.out)
     log = _open(args.audit_out, "w") if args.audit_out else None
     try:
         outcome = _ALGOS[args.algo](session, config)
@@ -226,9 +233,7 @@ def _cmd_verify(args) -> int:
         args.suite, n=args.n, alpha=args.alpha, trials=args.trials, seed=args.seed
     )
     _emit(report, args.out)
-    if "suites" in report:
-        return 0 if all(r["passed"] for r in report["suites"]) else 1
-    return 0 if report["passed"] else 1
+    return 0 if all(r["passed"] for r in report.get("suites", [report])) else 1
 
 
 # --------------------------------------------------------------------- reduce
@@ -273,8 +278,8 @@ def _cmd_demo_separation(args) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial, 0x5E9])
         secret = int(rng.integers(0, 1 << args.n))
+        target = PrfTarget(args.n, secret, args.variant, key_seed=args.seed + trial)
         if args.variant == VARIANT_G:
-            target = PrfTarget(args.n, secret, VARIANT_G, key_seed=args.seed + trial)
             session = OracleSession(
                 target,
                 Distribution.uniform(target.n, PLUS_MINUS),
@@ -285,8 +290,6 @@ def _cmd_demo_separation(args) -> int:
             result = learn_g_onelocal(session, budget=args.examples)
             if result["recovered"] == secret:
                 recoveries += 1
-        else:
-            target = PrfTarget(args.n, secret, VARIANT_GPRIME, key_seed=args.seed + trial)
         base_session = OracleSession(
             target,
             Distribution.uniform(target.n, PLUS_MINUS),
@@ -435,6 +438,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy seed sequences take no negative entry; refused alike everywhere
             raise ContractViolation(f"--seed {args.seed} must be >= 0")
+        if args.out:  # every command writes its report after its work
+            _check_out(args.out)
         return args.fn(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

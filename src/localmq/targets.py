@@ -75,10 +75,8 @@ class SparsePolynomial:
     def value_at(self, bits: int) -> float:
         if self.domain == ZERO_ONE:
             return float(sum(c for m, c in self.terms.items() if bits & m == m))
-        acc = 0.0
-        for m, c in self.terms.items():
-            acc += c if popcount(m & ~bits & ((1 << self.n) - 1)) % 2 == 0 else -c
-        return float(acc)
+        odd = lambda m: popcount(m & ~bits & ((1 << self.n) - 1)) % 2
+        return float(sum(-c if odd(m) else c for m, c in self.terms.items()))
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
@@ -279,10 +277,7 @@ class DnfFormula:
         return len(self.terms)
 
     def value_at(self, bits: int) -> float:
-        for vmask, pat in self.term_masks:
-            if bits & vmask == pat:
-                return 1.0
-        return -1.0
+        return 1.0 if any(bits & vmask == pat for vmask, pat in self.term_masks) else -1.0
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
@@ -324,10 +319,7 @@ def target_to_json(target: TargetFunction) -> dict:
 
 def target_from_json(obj: dict) -> TargetFunction:
     kind = obj["kind"]
-    if kind == "sparse_poly":
-        return SparsePolynomial.from_json(obj)
-    if kind == "decision_tree":
-        return DecisionTree.from_json(obj)
-    if kind == "dnf":
-        return DnfFormula.from_json(obj)
-    raise ContractViolation(f"unknown target kind {kind!r}")
+    cls = {"sparse_poly": SparsePolynomial, "decision_tree": DecisionTree, "dnf": DnfFormula}
+    if kind not in cls:
+        raise ContractViolation(f"unknown target kind {kind!r}")
+    return cls[kind].from_json(obj)

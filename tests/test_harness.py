@@ -258,28 +258,51 @@ class TestExitCodes:
             *[
                 ["learn", "--algo", "tree-uniform", "--target", f"{{tmp}}/{name}", "--t", "4",
                  "--eps", "0.2"]
-                for name in ("missing.json", "garbage.json", "kindless.json")
+                for name in ("missing.json", "garbage.json", "kindless.json", "huge.json")
             ],
             ["gen-target", "--kind", "dnf", "--n", "8", "--out", "{tmp}/none/t.json"],
             ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
              "--out", "{tmp}/none/x.json"],
             ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+             "--out", "{tmp}"],
+            ["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
              "--audit-out", "{tmp}/none/a.jsonl"],
+            ["verify", "--suite", "all", "--out", "{tmp}/none/v.json"],
         ],
         ids=["audit missing", "target missing", "target not JSON", "target without kind",
-             "gen-target out", "learn out", "learn audit-out"],
+             "target n overflows", "gen-target out", "learn out", "learn out is a directory",
+             "learn audit-out", "verify out"],
     )
     def test_file_and_input_errors_are_3(self, argv, tmp_path, capsys):
-        # one stderr line, and no learner runs when an output cannot be created
+        # one stderr line, and no learner or suite runs when an output cannot be created
         (tmp_path / "garbage.json").write_text("garbage{")
         (tmp_path / "kindless.json").write_text('{"n": 4, "root": {"leaf": 1}}')
-        ran = mock.Mock(side_effect=AssertionError("the learner ran"))
-        with mock.patch.dict(cli._ALGOS, {"tree-uniform": ran}):
+        (tmp_path / "huge.json").write_text('{"n": 1e400, "root": {"leaf": 1}}')
+        ran = mock.Mock(side_effect=AssertionError("the work ran"))
+        with mock.patch.dict(cli._ALGOS, {"tree-uniform": ran}), \
+                mock.patch.object(cli, "run_lemma_suite", ran):
             code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("contract violation: cannot ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["new", "kept", os.devnull])
+    def test_out_probe_leaves_the_path_as_it_was(self, out, tmp_path, capsys):
+        # the up-front check of --out neither creates, truncates nor removes anything;
+        # a run that fails (budget, exit 4) writes no report, and one that succeeds does
+        path = str(tmp_path / out)
+        if out == "kept":
+            (tmp_path / out).write_text("old")
+        cap = ["--cap", "1", "--theta", "0.05"] if out != os.devnull else []
+        code = main(["learn", "--algo", "tree-uniform", "--n", "8", "--t", "4", "--eps", "0.2",
+                     "--test-samples", "200", "--est-samples", "500", *cap, "--out", path])
+        capsys.readouterr()
+        assert code == (0 if out == os.devnull else 4)
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+        assert not (tmp_path / "new").exists()
+        if out == "kept":
+            assert (tmp_path / out).read_text() == "old"
 
     @pytest.mark.parametrize("algo", ["dnf", "tree-product", "tree-uniform"])
     def test_noisy_l2_learner_is_3(self, algo, tmp_path, capsys):
