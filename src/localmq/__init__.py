@@ -7,7 +7,7 @@ learner estimates by sampling is re-checkable against exact brute-force
 oracles at small dimension; those live in `verify`.
 """
 
-from .distributions import Distribution, conditional_marginal, exact_event_prob_masked, verify_smoothness
+from .distributions import Distribution, conditional_marginal, exact_mean, verify_smoothness
 from .errors import (
     AuditLogError,
     BudgetExceededError,

@@ -101,6 +101,13 @@ def _load_json(path: str, read):
             raise ContractViolation(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
+def _counts_session(target, r: int, seed: int) -> OracleSession:
+    """A counts-only session over the uniform distribution on the target's cube."""
+    return OracleSession(
+        target, Distribution.uniform(target.n, PLUS_MINUS), r=r, seed=seed, audit_mode=AUDIT_COUNTS
+    )
+
+
 # ------------------------------------------------------------------ instances
 
 
@@ -244,20 +251,14 @@ def _cmd_reduce(args) -> int:
     tree = lambda rng: _make_target("decision-tree", args.n, 8, rng, depth=min(4, args.n))
     base = tree(rng)
     embedded = embed(base, args.k, coin_seed=args.seed)
-    base_session = OracleSession(
-        base,
-        Distribution.uniform(args.n, PLUS_MINUS),
-        r=0,
-        seed=args.seed,
-        audit_mode=AUDIT_COUNTS,
-    )
-    sim = ReductionSimulator(embedded, base_session, seed=args.seed)
-    sim.draw_batch(args.draws)
+    # pure and on their own streams, so a code too long for them is refused before any draw
     residuals = []
     for trial in range(5):
         g = tree(np.random.default_rng([args.seed, trial, 0x6]))
         lhs, rhs = correlation_check(g, embedded)
         residuals.append(abs(lhs - rhs))
+    sim = ReductionSimulator(embedded, _counts_session(base, 0, args.seed), seed=args.seed)
+    sim.draw_batch(args.draws)
     report = reduction_report(embedded, sim)
     report["correlation_residuals"] = residuals
     report["max_correlation_residual"] = max(residuals)
@@ -280,25 +281,12 @@ def _cmd_demo_separation(args) -> int:
         secret = int(rng.integers(0, 1 << args.n))
         target = PrfTarget(args.n, secret, args.variant, key_seed=args.seed + trial)
         if args.variant == VARIANT_G:
-            session = OracleSession(
-                target,
-                Distribution.uniform(target.n, PLUS_MINUS),
-                r=1,
-                seed=args.seed + trial,
-                audit_mode=AUDIT_COUNTS,
-            )
-            result = learn_g_onelocal(session, budget=args.examples)
+            result = learn_g_onelocal(_counts_session(target, 1, args.seed + trial), args.examples)
             if result["recovered"] == secret:
                 recoveries += 1
-        base_session = OracleSession(
-            target,
-            Distribution.uniform(target.n, PLUS_MINUS),
-            r=args.baseline_r,
-            seed=args.seed + trial + 7,
-            audit_mode=AUDIT_COUNTS,
-        )
         baseline = pac_baseline(
-            base_session, train=args.examples, test=args.examples,
+            _counts_session(target, args.baseline_r, args.seed + trial + 7),
+            train=args.examples, test=args.examples,
             r_probe=args.baseline_r, rng_seed=args.seed + trial,
         )
         baseline_errors.append(baseline["holdout_error"])

@@ -1,5 +1,5 @@
 """Distributions over the n-cube: uniform, bounded product, and explicit
-table, with exact probability computations and local-smoothness
+table, with exact expectations (`exact_mean`) and local-smoothness
 verification.
 
 The uniform distribution is the product with every p_i = 1/2: it keeps
@@ -233,15 +233,18 @@ def verify_smoothness(dist: Distribution) -> float:
     return max(1.0, float(np.max(pr / lightest)))
 
 
-def exact_event_prob_masked(dist: Distribution, hold: np.ndarray) -> float:
-    """Sum of D(x) over the points x where `hold`, a boolean array indexed
-    by mask, is true; fsum-compensated. Needs n <= ENUM_MAX_BITS."""
-    hold = np.asarray(hold, dtype=bool)
-    if hold.shape != (1 << dist.n,):
+def exact_mean(dist: Distribution, values: np.ndarray) -> float:
+    """E_D[values]: the fsum of D(x) * values[x] over every point x of the
+    cube, `values` indexed by mask; a boolean array gives the probability
+    of its event. Needs n <= ENUM_MAX_BITS."""
+    values = np.asarray(values)
+    if values.shape != (1 << dist.n,):
         raise ContractViolation(
-            f"event array has shape {hold.shape}, need ({1 << dist.n},) for n={dist.n}"
+            f"value array has shape {values.shape}, need ({1 << dist.n},) for n={dist.n}"
         )
-    return math.fsum(dist.probs_array()[hold].tolist())
+    terms = dist.probs_array() * values
+    # a zero term leaves the fsum as it is but costs as much as any other
+    return math.fsum(terms[terms != 0].tolist())
 
 
 def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Distribution:
@@ -255,12 +258,11 @@ def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Di
     if dist.kind != TABLE:
         return _product_on(dist, rest)
     masks = all_masks(dist.n)
-    pr = dist.probs_array()
     match = (masks & subset) == assignment
-    mass = math.fsum(pr[match].tolist())
+    mass = exact_mean(dist, match)
     if mass <= 0.0:
         raise ZeroMassError("conditioning event has zero probability")
-    out = _sum_by_bits(masks[match], rest, pr[match]) / mass
+    out = _sum_by_bits(masks[match], rest, dist.probs_array()[match]) / mass
     # renormalize exactly enough for the table constructor
     out = out / math.fsum(out.tolist())
     return Distribution.table(out, dist.domain)

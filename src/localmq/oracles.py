@@ -18,8 +18,9 @@ with the anchor. The restriction flips every learner asks (the 2**|S|
 points that agree with an anchor off S) go through `restriction_query`,
 whose largest distance is |S| by construction, so its check is one
 comparison per batch and a counts-only session computes no distance.
-Every batch, flips included, is released by `local_query_matrix`, so
-one block of code keeps the counters and the audit records.
+Every batch, flips included, and every refused scalar query, as a 1x1
+batch, go through `local_query_matrix`, so one block of code keeps the
+counters and the audit records and states the refusals.
 
 Anchors that agree off S ask the same row of flips. When a restriction
 batch holds at least as many queries as the cube has points
@@ -70,6 +71,7 @@ from .distributions import Distribution
 
 AUDIT_FULL = "full"
 AUDIT_COUNTS = "counts"
+_OUTSIDE = "query point outside the session's cube"
 
 
 class _Flips(NamedTuple):
@@ -194,12 +196,6 @@ class OracleSession:
         reuses its room for later draws."""
         self._first_live = self.ex_count
 
-    def _refuse_anchor(self, anchor: int):
-        raise ContractViolation(
-            f"anchor index {anchor} is not a live example "
-            f"(live: [{self._first_live}, {self.ex_count}))"
-        )
-
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw `count` natural examples; returns (indices, masks, labels)."""
         if count < 1:
@@ -210,27 +206,30 @@ class OracleSession:
 
     def anchor_masks(self, indices: np.ndarray) -> np.ndarray:
         """Masks of the live examples `indices`; refuses any other index."""
-        indices = np.asarray(indices, dtype=np.int64)
         lo, hi = self._first_live, self.ex_count
+        try:
+            indices = np.asarray(indices, dtype=np.int64)
+        except OverflowError:  # an index beyond int64, refused as Python ints below
+            indices = np.asarray(indices, dtype=object)
         if indices.size and (indices.min() < lo or indices.max() >= hi):
-            self._refuse_anchor(int(indices[(indices < lo) | (indices >= hi)][0]))
+            anchor = next(int(a) for a in indices.flat if not lo <= a < hi)
+            raise ContractViolation(
+                f"anchor index {anchor} is not a live example (live: [{lo}, {hi}))"
+            )
         return self._examples[indices - lo]
 
     # ------------------------------------------------------------- queries
 
     def local_query(self, query: int, anchor: int) -> float:
         """Answer one r-local membership query, a point mask, anchored at
-        a drawn example."""
-        query = int(query)
-        if query < 0 or query >> self.n:
-            raise ContractViolation("query point outside the session's cube")
-        if not self._first_live <= anchor < self.ex_count:
-            self._refuse_anchor(anchor)
-        dist = (query ^ int(self._examples[anchor - self._first_live])).bit_count()
-        if dist > self.r:
-            self.violations += 1
-            self._log(VIOLATION, query, anchor, dist, np.nan)
-            raise LocalityError(dist, self.r, anchor)
+        a drawn example. A query it does not answer goes to
+        `local_query_matrix` as a 1x1 batch, which refuses it."""
+        query, lo = int(query), self._first_live
+        if (
+            query < 0 or query >> self.n or not lo <= anchor < self.ex_count
+            or (dist := (query ^ int(self._examples[anchor - lo])).bit_count()) > self.r
+        ):
+            return float(self.local_query_matrix([[query]], [anchor])[0, 0])
         if self._table is not None:
             label = float(self._table[query])
         else:
@@ -239,16 +238,17 @@ class OracleSession:
         self.max_locality_used = max(self.max_locality_used, dist)
         if self._distinct is not None:
             self._distinct.add_one(query)
-        self._log(MQ, query, anchor, dist, label)
+        if self.audit_mode == AUDIT_FULL:
+            self._log(MQ, np.array([query], dtype=np.int64), anchor, dist, label)
         return label
 
     def local_query_matrix(
         self, queries: np.ndarray, anchors: np.ndarray
     ) -> np.ndarray:
         """Vectorized queries: row i of `queries` is anchored at the drawn
-        example anchors[i]. Same contract as local_query, checked for the
-        whole batch before any label is released; a far batch is reported
-        by its first far entry in row-major order.
+        example anchors[i]. The contract is checked for the whole batch
+        before any label is released; a far batch is reported by its
+        first far entry in row-major order.
 
         The one path that releases a batch: `restriction_query` passes its
         flips here as a `_Flips`, whose check needs no distance."""
@@ -261,7 +261,7 @@ class OracleSession:
             i, j = np.argwhere(far > self.r)[0]
             dist, anchor = int(far[i, j]), int(batch.anchors[i])
             self.violations += 1
-            self._log(VIOLATION, batch.expand(batch.queries)[i, j], anchor, dist, np.nan)
+            self._log(VIOLATION, batch.expand(batch.queries)[i, j : j + 1], anchor, dist, np.nan)
             raise LocalityError(dist, self.r, anchor)
         if batch.rows is not None and self._table is None:
             # `_labelled` counts answered queries, the repeated rows too
@@ -279,13 +279,16 @@ class OracleSession:
 
     def _matrix_batch(self, queries, anchors) -> _Batch:
         """An explicit query matrix: one popcount per entry."""
-        queries = np.asarray(queries, dtype=np.int64)
+        try:
+            queries = np.asarray(queries, dtype=np.int64)
+        except OverflowError:  # a point beyond int64 is outside every cube
+            raise ContractViolation(_OUTSIDE) from None
         if queries.ndim == 1:
             queries = queries[None, :]
         if queries.size and (queries.min() < 0 or queries.max() >> self.n):
-            raise ContractViolation("query point outside the session's cube")
-        anchors = np.asarray(anchors, dtype=np.int64)
+            raise ContractViolation(_OUTSIDE)
         dists = popcount(queries ^ self.anchor_masks(anchors)[:, None])
+        anchors = np.asarray(anchors, dtype=np.int64)
         worst = int(dists.max()) if dists.size else 0
         return _Batch(queries, None, anchors, worst, lambda: dists)
 
@@ -299,8 +302,8 @@ class OracleSession:
         least as many queries as the cube has points (m * 2**|S| >= 2**n,
         n <= ENUM_MAX_BITS), each distinct row is built once; a 2**n bitmap
         finds them in time no larger than the batch."""
-        anchors = np.asarray(anchors, dtype=np.int64)
         anchor_bits = self.anchor_masks(anchors)
+        anchors = np.asarray(anchors, dtype=np.int64)
         bases, rows = anchor_bits & ~flips.subset, None
         if self._enumerable and anchors.size * flips.patterns.size >= 1 << self.n:
             bases, rows = _distinct(bases, self.n)
@@ -324,26 +327,24 @@ class OracleSession:
         that matrix, through it, but checks the batch by |S| <= r alone."""
         subset = int(subset)
         if subset < 0 or subset >> self.n:
-            raise ContractViolation("query point outside the session's cube")
+            raise ContractViolation(_OUTSIDE)
         patterns = flip_patterns(subset)
         return self.local_query_matrix(_Flips(subset, patterns), anchors), patterns
 
     # ------------------------------------------------------------- audit
 
-    def _log(self, op: int, masks, anchors, dists, resps) -> None:
-        """Append one call's records to a full audit: one record if `masks`
-        is a scalar, else one per entry of the flat array `masks`; each
-        other value is a flat array alike or a scalar shared by them."""
+    def _log(self, op: int, masks: np.ndarray, anchors, dists, resps) -> None:
+        """Append one record per entry of the flat mask array `masks` to a
+        full audit; each other value is a flat array alike or a scalar
+        shared by them."""
         if self.audit_mode != AUDIT_FULL:
             return
-        batch = isinstance(masks, np.ndarray)
         lo = self._records
-        self._records += masks.size if batch else 1
+        self._records += masks.size
         if self._records > self._columns[0].size:
             self._columns = [grow_array(col, self._records) for col in self._columns]
-        at = slice(lo, self._records) if batch else lo  # an index sets one record fastest
         for col, values in zip(self._columns, (op, masks, anchors, dists, resps)):
-            col[at] = values
+            col[lo : self._records] = values
 
     def audit_report(self) -> AuditSummary:
         return AuditSummary(

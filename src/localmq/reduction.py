@@ -368,6 +368,7 @@ def correlation_check(g, embedded: EmbeddedFunction) -> tuple[float, float]:
     rounded, so the zero terms off the code leave it unchanged.
     """
     n, m = embedded.n, embedded.m
+    check_limit("correlation check", "m", m, ENUM_MAX_BITS)
     z = all_masks(m)
     x = z[: 1 << n]
     gx = g.value_batch(x)

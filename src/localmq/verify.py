@@ -27,7 +27,7 @@ from ._bits import (
 from .distributions import (
     Distribution,
     conditional_marginal,
-    exact_event_prob_masked,
+    exact_mean,
     marginal,
     random_smooth_table,
     verify_smoothness,
@@ -50,6 +50,13 @@ from .generators import (
 )
 from .noise import rcn_collision_prob
 from .targets import PLUS_MINUS, ZERO_ONE
+
+
+def _cube(n: int, *funcs) -> np.ndarray:
+    """The points of the n-cube, refusing a function of another width."""
+    if any(func.n != n for func in funcs):
+        raise ContractViolation(f"function widths {[f.n for f in funcs]} differ from n={n}")
+    return all_masks(n)
 
 
 class VerifierOracle:
@@ -94,26 +101,23 @@ class VerifierOracle:
     # ----------------------------------------------------------- exact losses
 
     def exact_sq_loss(self, f, h, dist: Distribution) -> float:
-        masks = all_masks(dist.n)
-        pr = dist.probs_array()
+        masks = _cube(dist.n, f, h)
         diff = np.asarray(f.value_batch(masks)) - np.asarray(h.value_batch(masks))
-        return math.fsum((pr * diff * diff).tolist())
+        return exact_mean(dist, diff * diff)
 
     def exact_01_error(self, f, h, dist: Distribution) -> float:
         """Pr[sign(h) != f] with sign(0) counted as +1."""
-        masks = all_masks(dist.n)
-        pr = dist.probs_array()
+        masks = _cube(dist.n, f, h)
         hv = np.sign(np.asarray(h.value_batch(masks)))
         hv[hv == 0] = 1.0
         fv = np.sign(np.asarray(f.value_batch(masks)))
-        return math.fsum(pr[hv != fv].tolist())
+        return exact_mean(dist, hv != fv)
 
     def exact_nonzero_prob(self, func, dist: Distribution, tol: float = 0.0) -> float:
         """Pr_D[|func| > tol] by weighted enumeration; func may be a
         restriction, in which case the inert coordinates integrate out."""
-        masks = all_masks(dist.n)
-        vals = np.abs(np.asarray(func.value_batch(masks)))
-        return exact_event_prob_masked(dist, vals > tol)
+        vals = np.abs(np.asarray(func.value_batch(_cube(dist.n, func))))
+        return exact_mean(dist, vals > tol)
 
     def exact_cond_l2(self, spectrum: FourierSpectrum, subset: int) -> float:
         """Sum of squared coefficients over supersets of the subset."""
@@ -254,14 +258,14 @@ def _fact_smooth(rng, n, alpha):
     masks = all_masks(n)
     lo, hi = 1.0 / (1.0 + a_star), a_star / (1.0 + a_star)
     for i in range(n):
-        p1 = exact_event_prob_masked(dist, ((masks >> i) & 1) == 1)
+        p1 = exact_mean(dist, ((masks >> i) & 1) == 1)
         for p in (p1, 1.0 - p1):
             yield p - lo + 1e-12, {"bit": i, "p": p}
             yield hi - p + 1e-12, {"bit": i, "p": p}
     subset = random_subset(n, min(3, n - 1), rng, min_size=1)  # cond needs a free variable
     assignment = int(rng.integers(0, 1 << n)) & subset
     k = int(popcount(subset))
-    p_sub = exact_event_prob_masked(dist, (masks & subset) == assignment)
+    p_sub = exact_mean(dist, (masks & subset) == assignment)
     yield p_sub - lo**k + 1e-12, {"set_prob": p_sub}
     yield hi**k - p_sub + 1e-12, {"set_prob": p_sub}
     keep = random_subset(n, n - 1, rng, min_size=1)
@@ -285,9 +289,7 @@ def _parseval(rng, n):
     means = random_product_means(n, rng)
     spec_p = exact_transform(tree, ProductBasis(tuple(means)))
     dist = Distribution.product(means, PLUS_MINUS)
-    e2 = math.fsum(
-        (dist.probs_array() * np.asarray(tree.value_batch(all_masks(n))) ** 2).tolist()
-    )
+    e2 = exact_mean(dist, np.asarray(tree.value_batch(all_masks(n))) ** 2)
     gap_p = abs(spec_p.l2() - e2)
     yield 1e-9 - gap_p, {"basis": "product", "gap": gap_p}
 
@@ -408,9 +410,7 @@ def _tree_truncation(rng, n):
     # depth-d truncation misses with probability at most tau
     d5 = max(1, math.ceil(math.log(t / tau) / rate))
     cut = tree.truncate(d5)
-    masks = all_masks(n)
-    diff = np.asarray(tree.value_batch(masks)) != np.asarray(cut.value_batch(masks))
-    p_diff = exact_event_prob_masked(dist, diff)
+    p_diff = VerifierOracle().exact_01_error(tree, cut, dist)  # +-1 trees: Pr[tree != cut]
     yield tau - p_diff + 1e-12, {"check": "d5", "p_diff": p_diff, "d": d5}
     # truncated tree has few, low-degree coefficients
     spec_cut = exact_transform(cut, basis)
@@ -435,10 +435,8 @@ def _truncation_poly(rng, n, alpha):
     d = int(rng.integers(1, 6))
     cut = poly.truncate(d)
     masks = all_masks(n)
-    diff = np.abs(
-        np.asarray(poly.value_batch(masks)) - np.asarray(cut.value_batch(masks))
-    ) > 1e-12
-    p_diff = exact_event_prob_masked(dist, diff)
+    diff = np.abs(poly.value_batch(masks) - cut.value_batch(masks)) > 1e-12
+    p_diff = exact_mean(dist, diff)
     bound = poly.sparsity * (a_star / (1.0 + a_star)) ** d
     yield bound - p_diff + 1e-12, {"d": d, "p_diff": p_diff, "bound": bound}
 
@@ -504,7 +502,7 @@ def agnostic_excess(target, outcome, max_size: int):
     E_U[target * h] for the outcome's +-1 prediction h and best is the
     largest |target^(S)| with |S| <= max_size. `target` needs only `n`
     and a +-1 `value_batch` over its whole cube."""
-    x = all_masks(target.n)
+    x = _cube(target.n, outcome.hypothesis)
     achieved = float(np.mean(target.value_batch(x) * outcome.predict_batch(x)))
     spec = exact_transform(target, UNIFORM_PM, zero_tol=0.0)
     best = max(

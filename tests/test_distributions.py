@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from localmq import ContractViolation, Distribution, ZeroMassError, conditional_marginal, verify_smoothness
 from localmq.distributions import (
     _BLOCK,
-    exact_event_prob_masked,
+    exact_mean,
     marginal,
     random_smooth_table,
 )
@@ -237,17 +237,24 @@ class TestSampleBatchMatchesReference:
 class TestExactEventProb:
     def test_always_true_is_one(self):
         d = Distribution.uniform(8, ZERO_ONE)
-        assert exact_event_prob_masked(d, np.ones(256, dtype=bool)) == pytest.approx(1.0)
+        assert exact_mean(d, np.ones(256, dtype=bool)) == pytest.approx(1.0)
 
     def test_uniform_single_bit(self):
         d = Distribution.uniform(8, ZERO_ONE)
-        assert exact_event_prob_masked(d, (all_masks(8) & 1) == 1) == pytest.approx(0.5)
+        assert exact_mean(d, (all_masks(8) & 1) == 1) == pytest.approx(0.5)
 
     def test_event_array_must_cover_the_cube(self):
         d = Distribution.uniform(3)
         for size in (5, 16):  # short and long against 2**3 points
             with pytest.raises(ContractViolation):
-                exact_event_prob_masked(d, np.ones(size, dtype=bool))
+                exact_mean(d, np.ones(size, dtype=bool))
+
+    def test_signed_values_on_a_table(self):
+        rng = np.random.default_rng(7)
+        d = random_smooth_table(6, 1.5, rng)
+        values = rng.normal(size=64)
+        want = math.fsum(float(p) * float(v) for p, v in zip(d.probs, values))
+        assert exact_mean(d, values) == want
 
     def test_subset_probability_sandwich(self):
         # Pr[x_S = b_S] within the smoothness sandwich for |S| = 3
@@ -256,7 +263,7 @@ class TestExactEventProb:
         a = verify_smoothness(d)
         subset, assignment = 0b10101, 0b00101
         masks = all_masks(10)
-        p = exact_event_prob_masked(d, (masks & subset) == assignment)
+        p = exact_mean(d, (masks & subset) == assignment)
         k = popcount(subset)
         assert (1 / (1 + a)) ** k - 1e-12 <= p <= (a / (1 + a)) ** k + 1e-12
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import ExitStack
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,8 +30,8 @@ from localmq.cli import main
 from localmq.errors import AuditLogError
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.oracles import AUDIT_COUNTS
-from localmq.verify import run_lemma_suite
-from localmq.targets import ZERO_ONE
+from localmq.verify import VerifierOracle, agnostic_excess, run_lemma_suite
+from localmq.targets import ZERO_ONE, SparsePolynomial
 
 
 def run_cli(capsys, argv):
@@ -410,13 +411,18 @@ class TestExitCodes:
         report = json.loads(out)
         assert code == 0 and report["passed"] and report["violations"] == 0
 
-    def test_reduce_past_the_correlation_check_limit_is_3(self, capsys):
-        # n = 12, k = 3 builds a code of length m = 27; the exact correlation
-        # check enumerates all 2^m words, so it refuses m > 20
-        code = main(["reduce", "--n", "12", "--k", "3", "--draws", "100"])
+    @pytest.mark.parametrize(
+        "n, k, m, draws", [(12, 3, 27, 100), (6, 3, 21, 10_000), (16, 1, 22, 2_000_000)]
+    )
+    def test_reduce_past_the_correlation_check_limit_is_3(self, n, k, m, draws, capsys):
+        # the exact correlation check enumerates all 2^m words of the code,
+        # so it refuses m > 20, by m and before the simulator draws
+        drawn = mock.Mock(side_effect=AssertionError("the simulator drew"))
+        with mock.patch.object(cli.ReductionSimulator, "draw_batch", drawn):
+            code = main(["reduce", "--n", str(n), "--k", str(k), "--draws", str(draws)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == "contract violation: exact enumeration needs n <= 20, got 27\n"
+        assert captured.err == f"contract violation: correlation check needs m <= 20, got {m}\n"
 
     @pytest.mark.parametrize("n, k", [(46, 3), (37, 2)])
     def test_reduce_without_a_code_in_a_point_mask_is_3(self, n, k, capsys):
@@ -1042,3 +1048,24 @@ class TestVerifierIndependence:
         monkeypatch.setattr(fourier_mod, "restriction_values", corrupted)
         bad = fourier_mod.restriction_values(session, subset, np.asarray([int(idx[0])]))[0]
         assert abs(bad - symbolic) > 1e-3  # the oracle flags the mutation
+
+    @pytest.mark.parametrize("check", ["sq_loss", "01_error", "nonzero_prob", "agnostic_excess"])
+    @pytest.mark.parametrize("cube_n", [10, 13])
+    def test_exact_verifiers_refuse_another_width(self, check, cube_n):
+        # f = x_11 and h = +1 over 12 bits disagree on half the 12-bit
+        # cube, but on every point of the 10-bit cube, where bit 11 is 0
+        f = SparsePolynomial(12, {1 << 11: 1.0}, PLUS_MINUS)
+        h = SparsePolynomial(12, {0: 1.0}, PLUS_MINUS)
+        dist = Distribution.uniform(cube_n, PLUS_MINUS)
+        ver = VerifierOracle()
+        target = SparsePolynomial(cube_n, {1: 1.0}, PLUS_MINUS)
+        outcome = SimpleNamespace(hypothesis=h, predict_batch=h.value_batch)
+        calls = {
+            "sq_loss": lambda: ver.exact_sq_loss(f, h, dist),
+            "01_error": lambda: ver.exact_01_error(f, h, dist),
+            "nonzero_prob": lambda: ver.exact_nonzero_prob(f, dist),
+            "agnostic_excess": lambda: agnostic_excess(target, outcome, max_size=1),
+        }
+        with pytest.raises(ContractViolation, match=f"function widths .* differ from n={cube_n}"):
+            calls[check]()
+        assert ver.exact_01_error(f, h, Distribution.uniform(12, PLUS_MINUS)) == 0.5

@@ -30,7 +30,7 @@ from localmq import (
     learn_tree_uniform,
     tree_to_polynomial,
 )
-from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
+from localmq.distributions import random_smooth_table, verify_smoothness
 from localmq import learners as learners_mod
 from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, char_values, l2_test, nonzero_test
 from localmq.noise import NoiseWrapper

@@ -22,7 +22,7 @@ from localmq import (
     ZERO_ONE,
     DecisionTree,
 )
-from localmq.distributions import exact_event_prob_masked
+from localmq.distributions import exact_mean
 from localmq.generators import random_sparse_poly, random_tree
 from localmq.cli import main
 from localmq.audit import _decimal_digits
@@ -69,7 +69,7 @@ class TestDrawExample:
         tree = random_tree(10, 12, np.random.default_rng(4))
         masks = all_masks(10)
         dist = Distribution.uniform(10, PLUS_MINUS)
-        exact = exact_event_prob_masked(dist, tree.value_batch(masks) > 0)
+        exact = exact_mean(dist, tree.value_batch(masks) > 0)
         s = OracleSession(tree, dist, r=0, seed=11, audit_mode=AUDIT_COUNTS)
         _, _, labels = s.draw_batch(10_000)
         assert abs(np.mean(labels > 0) - exact) < 0.02
@@ -567,6 +567,42 @@ class TestScalarMatchesBatch:
         scalar.write_audit_jsonl(logs[0])
         batch.write_audit_jsonl(logs[1])
         assert logs[0].getvalue() == logs[1].getvalue()
+
+
+    REFUSALS = {  # (query, anchor), where the live anchor 3 sits at `mask`
+        "query-negative": lambda mask: (-1, 3),
+        "query-too-wide": lambda mask: (1 << 8, 3),
+        "query-beyond-int64": lambda mask: (1 << 70, 3),
+        "query-below-int64": lambda mask: (-(1 << 70), 3),
+        "anchor-released": lambda mask: (mask, 0),
+        "anchor-undrawn": lambda mask: (mask, 4),
+        "anchor-negative": lambda mask: (mask, -1),
+        "anchor-beyond-int64": lambda mask: (mask, 1 << 70),
+        "too-far": lambda mask: (mask ^ 0b111, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_same_refusal(self, case):
+        tree = random_tree(8, 6, np.random.default_rng(5))
+
+        def session():
+            s = fresh_session(tree, n=8, r=2, seed=5)
+            s.draw_batch(2)
+            s.release_anchors()
+            s.draw_batch(2)
+            return s
+
+        scalar, batch = session(), session()
+        query, anchor = self.REFUSALS[case](int(scalar.anchor_masks([3])[0]))
+        with pytest.raises(ContractViolation) as one:
+            scalar.local_query(query, anchor)
+        with pytest.raises(ContractViolation) as many:
+            batch.local_query_matrix([[query]], [anchor])
+        assert type(one.value) is type(many.value) and str(one.value) == str(many.value)
+        assert scalar.audit_report() == batch.audit_report()
+        assert scalar.audit_report().violations == (case == "too-far")
+        logs = [s.records for s in (scalar, batch)]
+        assert logs[0] == logs[1] and len(logs[0]) == 4 + (case == "too-far")
 
 
 def flip_patterns(n, subset):

@@ -18,7 +18,7 @@ from localmq import (
     target_to_json,
     tree_to_polynomial,
 )
-from localmq.distributions import exact_event_prob_masked, random_smooth_table, verify_smoothness
+from localmq.distributions import exact_mean, random_smooth_table, verify_smoothness
 from localmq.fourier import MONOMIAL_01, UNIFORM_PM, ProductBasis, exact_transform
 from localmq._bits import all_masks, popcount
 from localmq.generators import random_dnf, random_sparse_poly, random_tree
@@ -131,7 +131,7 @@ class TestTruncatePolynomial:
             cut = f.truncate(d)
             masks = all_masks(12)
             differs = np.abs(f.value_batch(masks) - cut.value_batch(masks)) > 1e-12
-            p = exact_event_prob_masked(dist, differs)
+            p = exact_mean(dist, differs)
             assert p <= f.sparsity * (a_star / (1 + a_star)) ** d + 1e-12
 
 
@@ -191,7 +191,7 @@ class TestTruncateTree:
         cut = tree.truncate(d)
         masks = all_masks(12)
         differs = tree.value_batch(masks) != cut.value_batch(masks)
-        assert exact_event_prob_masked(dist, differs) <= tau
+        assert exact_mean(dist, differs) <= tau
 
 
 class TestTreeToPolynomial:
