@@ -22,6 +22,10 @@ PRF_MAX_BITS = 24  # secret_n of a PRF keystream table (2**24 / 8 bytes = 2 MB)
 TRANSFORM_MAX_BITS = 14  # VerifierOracle.direct_transform: 2**n sums of 2**n terms
 QP_MAX_FEATURES = 10  # VerifierOracle.exact_l1_least_squares: 3**k sign patterns
 
+# Domain tags: stored bit b encodes {0,1} or {-1,+1}; b=1 is the high value (1 or +1).
+ZERO_ONE = "zero_one"
+PLUS_MINUS = "plus_minus"
+
 
 def check_limit(what: str, name: str, value: int, limit: int) -> None:
     """Refuse `value` above `limit`: the package's one size-limit check."""
@@ -29,11 +33,34 @@ def check_limit(what: str, name: str, value: int, limit: int) -> None:
         raise EnumerationLimitError(f"{what} needs {name} <= {limit}, got {value}")
 
 
+def check_masks(masks, n: int, message: str):
+    """`masks` as an int or an int64 array when every entry lies in [0, 2**n);
+    otherwise, a value beyond int64 included, ContractViolation(message)."""
+    if isinstance(masks, (int, np.integer)):
+        if masks < 0 or int(masks) >> n:
+            raise ContractViolation(message)
+        return int(masks)
+    try:
+        masks = np.asarray(masks, dtype=np.int64)
+    except OverflowError:
+        raise ContractViolation(message) from None
+    if masks.size and (masks.min() < 0 or masks.max() >> n):
+        raise ContractViolation(message)
+    return masks
+
+
 def check_width(n: int, name: str = "n") -> None:
     """A cube dimension must be positive and fit in a point mask."""
     if n < 1:
         raise ContractViolation(f"{name}={n} is not a positive dimension")
     check_limit("point mask", name, n, MAX_BITS)
+
+
+def check_cube(n: int, domain: str) -> None:
+    """A cube of n bits under a known domain tag."""
+    if domain not in (ZERO_ONE, PLUS_MINUS):
+        raise ContractViolation(f"unknown domain tag {domain!r}")
+    check_width(n)
 
 
 class DistinctMasks:

@@ -20,9 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, bits_of, check_limit
+from ._bits import (
+    ENUM_MAX_BITS, PLUS_MINUS, ZERO_ONE, all_masks, bits_of, check_cube, check_limit, check_masks,
+)
 from .errors import ContractViolation, ZeroMassError
-from .targets import PLUS_MINUS, ZERO_ONE, _check_cube
 
 UNIFORM = "uniform"
 PRODUCT = "product"
@@ -53,7 +54,7 @@ class Distribution:
     probs: np.ndarray | None = None           # table: mass per mask
 
     def __post_init__(self):
-        _check_cube(self.n, self.domain)
+        check_cube(self.n, self.domain)
         if self.kind not in _KINDS:
             raise ContractViolation(f"unknown distribution kind {self.kind!r}")
         if self.kind != TABLE:
@@ -117,6 +118,7 @@ class Distribution:
         return tuple(2.0 * p - 1.0 for p in self.p_high)
 
     def point_prob(self, bits: int) -> float:
+        bits = check_masks(bits, self.n, f"point outside the {self.n}-bit cube")
         if self.kind == TABLE:
             return float(self.probs[bits])
         acc = 1.0
@@ -250,6 +252,7 @@ def exact_mean(dist: Distribution, values: np.ndarray) -> float:
 def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Distribution:
     """The marginal over the complement of `subset` of the conditional
     distribution given x_S = assignment."""
+    check_masks(subset, dist.n, f"subset outside the {dist.n}-bit cube")
     if assignment & ~subset:
         raise ContractViolation("assignment sets bits outside the subset")
     rest = [i for i in range(dist.n) if not subset >> i & 1]
@@ -270,7 +273,7 @@ def conditional_marginal(dist: Distribution, subset: int, assignment: int) -> Di
 
 def marginal(dist: Distribution, keep_subset: int) -> Distribution:
     """Marginal over the variables in keep_subset."""
-    keep = bits_of(keep_subset)
+    keep = bits_of(check_masks(keep_subset, dist.n, f"subset outside the {dist.n}-bit cube"))
     if not keep:
         raise ContractViolation("empty marginal")
     if dist.kind != TABLE:

@@ -27,9 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bits import all_masks, bits_of, flip_patterns, mask_of, popcount
+from ._bits import (
+    PLUS_MINUS, ZERO_ONE, all_masks, bits_of, check_masks, flip_patterns, mask_of, popcount,
+)
 from .errors import ContractViolation
-from .targets import PLUS_MINUS, ZERO_ONE
 
 DEFAULT_ZERO_TOL = 1e-10
 
@@ -185,8 +186,7 @@ class FourierSpectrum:
             self, "coeffs", {int(m): float(c) for m, c in self.coeffs.items() if c != 0.0}
         )
         _check_basis(self.basis, self.n)
-        if self.coeffs and (min(self.coeffs) < 0 or max(self.coeffs) >> self.n):
-            raise ContractViolation(f"a coefficient's set lies outside [{self.n}]")
+        check_masks(list(self.coeffs), self.n, f"a coefficient's set lies outside [{self.n}]")
 
     def l0(self) -> int:
         return len(self.coeffs)
@@ -208,6 +208,7 @@ class FourierSpectrum:
         return max((int(popcount(m)) for m in self.coeffs), default=0)
 
     def restrict(self, subset: int) -> "FourierSpectrum":
+        subset = check_masks(subset, self.n, f"subset outside [{self.n}]")
         terms = {
             m & ~subset: c for m, c in self.coeffs.items() if m & subset == subset
         }
@@ -342,9 +343,10 @@ class TestResult(NamedTuple):
 def estimate_restriction(session, subset: int, m: int, basis=None) -> np.ndarray:
     """Draw m fresh natural examples and return f_S at each of them, as
     float64 values from `restriction_values`; each costs exactly 2**|S|
-    local queries. A basis that does not fit the session is refused
-    before any example is drawn."""
+    local queries. A basis that does not fit the session and a subset
+    outside its cube are refused before any example is drawn."""
     basis = _session_basis(session, basis)
+    check_masks(subset, session.n, f"subset outside the session's {session.n}-bit cube")
     anchors, _, _ = session.draw_batch(m)
     return restriction_values(session, subset, anchors, basis)
 

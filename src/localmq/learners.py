@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import popcount
+from ._bits import PLUS_MINUS, popcount
 from .errors import BudgetExceededError, ContractViolation
 from .distributions import _KINDS, PRODUCT, UNIFORM
 from .fourier import (
@@ -58,7 +58,6 @@ from .fourier import (
 )
 from .noise import noisy_nonzero_test
 from .oracles import AuditSummary, OracleSession
-from .targets import PLUS_MINUS
 
 MAX_DEFAULT_SAMPLES = 10**7
 _SIZES = ("m", "est_samples", "reg_samples", "holdout_samples")

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import popcount
+from ._bits import PLUS_MINUS, popcount
 from ._prf import bernoulli
 from .errors import BudgetExceededError, ContractViolation
 from .fourier import TestResult, _admission, _nonzeros, estimate_restriction
-from .targets import PLUS_MINUS
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,9 @@ from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, DistinctMasks, all_masks, flip_patterns, grow_array, popcount
+from ._bits import (
+    ENUM_MAX_BITS, DistinctMasks, all_masks, check_masks, flip_patterns, grow_array, popcount,
+)
 from .audit import COLUMN_DTYPES, EX, MQ, VIOLATION, AuditSummary, write_jsonl
 from .errors import ContractViolation, LocalityError
 from .targets import TargetFunction
@@ -279,14 +281,9 @@ class OracleSession:
 
     def _matrix_batch(self, queries, anchors) -> _Batch:
         """An explicit query matrix: one popcount per entry."""
-        try:
-            queries = np.asarray(queries, dtype=np.int64)
-        except OverflowError:  # a point beyond int64 is outside every cube
-            raise ContractViolation(_OUTSIDE) from None
+        queries = check_masks(np.asarray(queries), self.n, _OUTSIDE)
         if queries.ndim == 1:
             queries = queries[None, :]
-        if queries.size and (queries.min() < 0 or queries.max() >> self.n):
-            raise ContractViolation(_OUTSIDE)
         dists = popcount(queries ^ self.anchor_masks(anchors)[:, None])
         anchors = np.asarray(anchors, dtype=np.int64)
         worst = int(dists.max()) if dists.size else 0
@@ -325,9 +322,7 @@ class OracleSession:
 
         Answers, counts, refuses and logs as `local_query_matrix` does on
         that matrix, through it, but checks the batch by |S| <= r alone."""
-        subset = int(subset)
-        if subset < 0 or subset >> self.n:
-            raise ContractViolation(_OUTSIDE)
+        subset = check_masks(subset, self.n, _OUTSIDE)
         patterns = flip_patterns(subset)
         return self.local_query_matrix(_Flips(subset, patterns), anchors), patterns
 

@@ -28,12 +28,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ._bits import ENUM_MAX_BITS, all_masks, check_limit, check_width, popcount
+from ._bits import (
+    ENUM_MAX_BITS, PLUS_MINUS, all_masks, check_limit, check_masks, check_width, popcount,
+)
 from ._prf import coin_pm
 from .distributions import Distribution
 from .errors import CodeConstructionError, ContractViolation, SimulationError
 from .oracles import AUDIT_COUNTS, OracleSession
-from .targets import PLUS_MINUS
 
 # Shortened systematic BCH generators (length, message bits, distance,
 # generator polynomial with bit i = coefficient of x^i).
@@ -127,6 +128,7 @@ class LinearCode:
         return leaders, popcount(leaders), distance
 
     def encode(self, message: int) -> int:
+        message = check_masks(message, self.n, f"message outside [0, 2**{self.n})")
         out = 0
         for i, row in enumerate(self.rows):
             if message >> i & 1:
@@ -142,18 +144,17 @@ class LinearCode:
 
     def _syndromes(self, words) -> np.ndarray:
         """Parity bits of z ^ encode(message bits of z), shifted down to
-        bit 0; 0 exactly on codewords, and linear in z."""
-        words = np.asarray(words, dtype=np.int64)
+        bit 0; 0 exactly on codewords, linear in z, refused off [0, 2**m)."""
+        words = check_masks(np.asarray(words), self.m, f"word outside [0, 2**{self.m})")
         return (words ^ self.encode_batch(words & ((1 << self.n) - 1))) >> self.n
 
     def decode(self, word: int) -> int | None:
         """Message of the unique codeword within distance k, else None."""
-        word, msg_mask = int(word), (1 << self.n) - 1
-        syndrome = (word ^ self.encode(word & msg_mask)) >> self.n
+        syndrome = int(self._syndromes(word))
         leaders, weights, _ = self._coset_leaders
         if weights[syndrome] > self.k:
             return None
-        return (word ^ int(leaders[syndrome])) & msg_mask
+        return (int(word) ^ int(leaders[syndrome])) & ((1 << self.n) - 1)
 
     def min_distance_batch(self, words: np.ndarray) -> np.ndarray:
         """Hamming distance from each word to the nearest codeword."""
@@ -267,7 +268,7 @@ class _Coin:
 
     n: int
     seed: int
-    domain: str = PLUS_MINUS
+    domain = PLUS_MINUS
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         return coin_pm(self.seed, masks)

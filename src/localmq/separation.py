@@ -26,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._bits import PRF_MAX_BITS, check_limit, check_width
+from ._bits import PLUS_MINUS, PRF_MAX_BITS, check_limit, check_masks, check_width
 from ._prf import keystream_table
 from .errors import ContractViolation
-from .targets import PLUS_MINUS
 
 VARIANT_G = "g"
 VARIANT_GPRIME = "gprime"
@@ -61,15 +60,14 @@ class PrfTarget:
     secret: int
     variant: str = VARIANT_G
     key_seed: int = 0
-    domain: str = PLUS_MINUS
+    domain = PLUS_MINUS
 
     def __post_init__(self):
         if self.variant not in (VARIANT_G, VARIANT_GPRIME):
             raise ContractViolation(f"unknown variant {self.variant!r}")
         check_width(self.secret_n, "secret_n")
         check_limit("PRF keystream table", "secret_n", self.secret_n, PRF_MAX_BITS)
-        if not 0 <= self.secret < (1 << self.secret_n):
-            raise ContractViolation("secret out of range")
+        check_masks(self.secret, self.secret_n, "secret out of range")
 
     @property
     def n(self) -> int:
@@ -109,9 +107,7 @@ class PrfTarget:
         return float(self.value_batch(np.asarray([bits]))[0])
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.int64)
-        if masks.size and (masks.min() < 0 or masks.max() >> self.n):
-            raise ContractViolation(f"point mask outside [0, 2**{self.n})")
+        masks = check_masks(np.asarray(masks), self.n, f"point mask outside [0, 2**{self.n})")
         return (2.0 * self._bits(masks) - 1.0).reshape(masks.shape)
 
 

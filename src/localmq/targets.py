@@ -2,9 +2,9 @@
 trees, and DNF formulas over the n-cube, with exact evaluation.
 
 A point is an integer bitmask (bit i = variable i). Each target carries
-a domain tag telling whether stored bit b encodes {0,1} or {-1,+1}; bit
-b=1 always means the "high" value (1 or +1). All types are immutable
-after construction and safe to share.
+a domain tag (`_bits.ZERO_ONE` or `_bits.PLUS_MINUS`) telling whether
+stored bit b encodes {0,1} or {-1,+1}. All types are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -13,18 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import bits_of, check_width, mask_of, popcount
+from ._bits import PLUS_MINUS, ZERO_ONE, bits_of, check_cube, mask_of, popcount
 from .errors import ContractViolation
-
-ZERO_ONE = "zero_one"
-PLUS_MINUS = "plus_minus"
-_DOMAINS = (ZERO_ONE, PLUS_MINUS)
-
-
-def _check_cube(n: int, domain: str) -> None:
-    if domain not in _DOMAINS:
-        raise ContractViolation(f"unknown domain tag {domain!r}")
-    check_width(n)
+from .fourier import _NATURAL, FourierSpectrum
 
 
 @dataclass(frozen=True)
@@ -34,7 +25,9 @@ class SparsePolynomial:
     Over the {0,1} domain the monomials are conjunction indicators; over
     {-1,+1} they are parities. Term masks index variable subsets. The
     sparsity budget and coefficient bound are part of the declared class
-    and are enforced at construction.
+    and are enforced at construction, then the terms are compiled once
+    into `spectrum`, in the domain's natural basis (`MONOMIAL_01` or
+    `UNIFORM_PM`); `terms` is its coefficient map.
     """
 
     n: int
@@ -42,21 +35,20 @@ class SparsePolynomial:
     domain: str = ZERO_ONE
     sparsity_budget: int | None = None
     coeff_bound: float | None = None
+    spectrum: FourierSpectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_cube(self.n, self.domain)
-        terms = {}
+        check_cube(self.n, self.domain)
         for mask, c in self.terms.items():
-            if c != 0.0:  # a zero term is dropped unchecked
-                mask = int(mask)
-                if not 0 <= mask < (1 << self.n):
-                    raise ContractViolation(f"term mask 0x{mask:x} outside [{self.n}]")
-                terms[mask] = float(c)
-        object.__setattr__(self, "terms", terms)
+            if c != 0.0 and not 0 <= mask < (1 << self.n):  # a zero term is dropped unchecked
+                raise ContractViolation(f"term mask 0x{int(mask):x} outside [{self.n}]")
+        spectrum = FourierSpectrum(self.n, _NATURAL[self.domain], self.terms)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "terms", spectrum.coeffs)
         if self.sparsity_budget is None:
-            object.__setattr__(self, "sparsity_budget", max(1, len(terms)))
+            object.__setattr__(self, "sparsity_budget", max(1, len(self.terms)))
         if self.coeff_bound is None:
-            object.__setattr__(self, "coeff_bound", max(map(abs, terms.values()), default=1.0))
+            object.__setattr__(self, "coeff_bound", max(map(abs, self.terms.values()), default=1.0))
         t = self.sparsity_budget
         if t < 1:
             raise ContractViolation("sparsity budget must be positive")
@@ -70,7 +62,7 @@ class SparsePolynomial:
         return len(self.terms)
 
     def degree(self) -> int:
-        return max((int(popcount(m)) for m in self.terms), default=0)
+        return self.spectrum.degree()
 
     def value_at(self, bits: int) -> float:
         if self.domain == ZERO_ONE:
@@ -79,25 +71,12 @@ class SparsePolynomial:
         return float(sum(-c if odd(m) else c for m, c in self.terms.items()))
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.int64)
-        out = np.zeros(masks.shape, dtype=np.float64)
-        if self.domain == ZERO_ONE:
-            for m, c in self.terms.items():
-                out += c * ((masks & m) == m)
-        else:
-            full = (1 << self.n) - 1
-            for m, c in self.terms.items():
-                odd = popcount(m & ~masks & full) & 1
-                out += c * (1 - 2 * odd)
-        return out
+        return self.spectrum.value_batch(masks)
 
     def restrict(self, subset: int) -> "SparsePolynomial":
         """The restriction f_S: coefficients of supersets of S on the
         remaining variables. Variables in S become inert."""
-        terms = {
-            m & ~subset: c for m, c in self.terms.items() if m & subset == subset
-        }
-        return SparsePolynomial(self.n, terms, self.domain)
+        return SparsePolynomial(self.n, self.spectrum.restrict(subset).coeffs, self.domain)
 
     def truncate(self, d: int) -> "SparsePolynomial":
         if d < 0:
@@ -163,7 +142,7 @@ class DecisionTree:
     paths: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_cube(self.n, self.domain)
+        check_cube(self.n, self.domain)
         paths = []
 
         def walk(node, vmask, pattern):
@@ -255,7 +234,7 @@ class DnfFormula:
     term_masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_cube(self.n, self.domain)
+        check_cube(self.n, self.domain)
         norm = []
         masks = []
         for term in self.terms:

@@ -22,7 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from ._bits import (
-    QP_MAX_FEATURES, TRANSFORM_MAX_BITS, all_masks, bits_of, check_limit, popcount, submasks,
+    PLUS_MINUS, QP_MAX_FEATURES, TRANSFORM_MAX_BITS, ZERO_ONE, all_masks, bits_of, check_limit,
+    popcount, submasks,
 )
 from .distributions import (
     Distribution,
@@ -49,7 +50,6 @@ from .generators import (
     random_tree,
 )
 from .noise import rcn_collision_prob
-from .targets import PLUS_MINUS, ZERO_ONE
 
 
 def _cube(n: int, *funcs) -> np.ndarray:
@@ -121,9 +121,7 @@ class VerifierOracle:
 
     def exact_cond_l2(self, spectrum: FourierSpectrum, subset: int) -> float:
         """Sum of squared coefficients over supersets of the subset."""
-        return math.fsum(
-            c * c for m, c in spectrum.coeffs.items() if m & subset == subset
-        )
+        return spectrum.restrict(subset).l2()
 
     # -------------------------------------------------- exact L1-ball lsq QP
 

@@ -322,6 +322,26 @@ class TestConditionalMarginal:
         with pytest.raises(ZeroMassError):
             conditional_marginal(d, 0b10, 0b10)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: marginal(d, 0b1000),
+            lambda d: marginal(d, 0b1001),
+            lambda d: conditional_marginal(d, 0b1000, 0b1000),
+            lambda d: d.point_prob(8),
+            lambda d: d.point_prob(-1),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["uniform", "product", "table"])
+    def test_outside_the_cube_is_refused(self, call, kind):
+        d = {
+            "uniform": Distribution.uniform(3),
+            "product": Distribution.product([0.2, 0.7, 0.1]),
+            "table": random_smooth_table(3, 1.5, np.random.default_rng(1)),
+        }[kind]
+        with pytest.raises(ContractViolation, match="outside the 3-bit cube"):
+            call(d)
+
     def test_table_conditional_values(self):
         # hand-computed conditional over 2 bits
         d = Distribution.table([0.1, 0.2, 0.3, 0.4], ZERO_ONE)

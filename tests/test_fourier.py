@@ -33,6 +33,7 @@ from localmq.fourier import (
     estimate_restriction,
     restriction_values,
 )
+from localmq.noise import noisy_l2_estimate, noisy_nonzero_test
 from localmq.generators import random_product_means, random_sparse_poly, random_subset, random_tree
 from localmq.oracles import AUDIT_COUNTS
 from localmq.verify import VerifierOracle
@@ -142,6 +143,15 @@ class TestExactTransform:
         }
         with pytest.raises(ContractViolation, match="unsupported basis"):
             FourierSpectrum.from_json(short)
+        # a restriction to a set off the cube, of a spectrum or a polynomial
+        spec = FourierSpectrum(3, MONOMIAL_01, {0b11: 1.0})
+        for subset in (0b1000, -1):
+            with pytest.raises(ContractViolation, match=r"subset outside \[3\]"):
+                spec.restrict(subset)
+            with pytest.raises(ContractViolation, match=r"subset outside \[3\]"):
+                SparsePolynomial(3, {0b11: 1.0}).restrict(subset)
+            with pytest.raises(ContractViolation, match=r"subset outside \[3\]"):
+                VerifierOracle().exact_cond_l2(spec, subset)
         # what fits is kept: the top set, every basis of the right width
         for basis in (UNIFORM_PM, MONOMIAL_01, ProductBasis((0.1, 0.2, 0.3))):
             assert FourierSpectrum(3, basis, {0b111: 1.0}).coeffs == {0b111: 1.0}
@@ -311,6 +321,25 @@ class TestRestrictionPm:
         # the monomial basis, named or by default, gives the same values
         named = restriction_values(z, 0b11, idx, MONOMIAL_01)
         assert named.tobytes() == restriction_values(z, 0b11, idx).tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, subset: estimate_restriction(s, subset, 50),
+            lambda s, subset: l2_test(s, subset, theta=0.1, m=50),
+            lambda s, subset: nonzero_test(s, subset, theta=0.1, zero_tol=1e-10, m=50),
+            lambda s, subset: noisy_nonzero_test(s, subset, 0.1, 50, 1e-10, eta=0.1),
+            lambda s, subset: noisy_l2_estimate(s, subset, 50, eta=0.1),
+        ],
+    )
+    @pytest.mark.parametrize("subset", [1 << 6, -1])
+    def test_refused_subset_draws_nothing(self, call, subset):
+        # a subset off the cube is refused before the m examples are drawn
+        f = SparsePolynomial(6, {0b11: 1.0}, PLUS_MINUS)
+        s = OracleSession(f, Distribution.uniform(6), r=6)
+        with pytest.raises(ContractViolation, match="outside the session's"):
+            call(s, subset)
+        assert s.ex_count == 0 and s.records == []
 
     def test_uniform_matches_spectrum_sum(self):
         rng = np.random.default_rng(8)

@@ -720,6 +720,19 @@ class TestGoldenDigests:
             "a0d7518ce2e277baa74044321e811a02292d8bf9063dd8a39e8daa5b7d347bca",
             "f9aa01754469fb81634d0337a87a796c8d4ffa134cb6f084d635f06a7f38fa71",
         ),
+        # sparse polynomials in the monomial basis, labelled and regressed
+        "sparse-poly-n10": (
+            ["--algo", "sparse-poly", "--n", "10", "--t", "4", "--B", "2", "--alpha", "1.5",
+             "--eps", "0.2", "--seed", "3", "--test-samples", "300"],
+            "a614cd5a88682d1a60953b6e0b5e4593f939771faadcdbd7b5a02339498a5e95",
+            "1e4776fdfaf397f475f5366155398f1ba7dedae851f7e3811897d90c793d3b76",
+        ),
+        "sparse-poly-n8": (
+            ["--algo", "sparse-poly", "--n", "8", "--t", "3", "--B", "2", "--alpha", "1.5",
+             "--eps", "0.2", "--seed", "5", "--test-samples", "200"],
+            "7d7761d39bf349a8f54f4406b15235fdaa9b9321321b3d30dc3b4a90c5b561e6",
+            "303dfe3438e2279061574654d16aaea1c32346f1344fd93a4984769f01bc440e",
+        ),
     }
 
     @pytest.mark.parametrize("run", sorted(RUNS))
@@ -761,6 +774,11 @@ class TestGoldenDigests:
         "dist-table": (
             ["gen-dist", "--kind", "table", "--n", "6", "--seed", "5"],
             "bcde95546505485f5bb54878c53113a176974b726dae7e2f672c75353d280d1f",
+        ),
+        # not an instance: the lemma suites' report, which restricts spectra
+        "verify-all": (
+            ["verify", "--suite", "all", "--trials", "5", "--seed", "1"],
+            "3e688f3078cd709e15f82a0e998d81b9687dc701b0f58fc4517d82b5f293b477",
         ),
     }
 

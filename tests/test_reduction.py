@@ -182,6 +182,21 @@ class TestSyndromeDecoding:
                 want = [b if d <= k else None for d, b in zip(dists.tolist(), best.tolist())]
                 assert [padded.decode(w) for w in block.tolist()] == want
 
+    @pytest.mark.parametrize(
+        "n, call",
+        [
+            (4, lambda code: code.decode(128)),
+            (4, lambda code: code.decode(-1)),
+            (4, lambda code: code.min_distance_batch([131])),
+            (4, lambda code: code.min_distance_batch([-1])),
+            (4, lambda code: code.min_distance_batch([1 << 70])),
+            (6, lambda code: code.encode(1 << 7)),
+        ],
+    )
+    def test_words_outside_the_code_length_are_refused(self, n, call):
+        with pytest.raises(ContractViolation, match=r"outside \[0, 2\*\*"):
+            call(build_code(n, 1))
+
     def test_syndrome_table_is_bounded(self):
         LinearCode(1, 21, 0, (1,))  # 2**20 syndromes
         with pytest.raises(EnumerationLimitError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmq import (
     ContractViolation,
@@ -94,6 +96,23 @@ class TestSparsePolynomialInvariants:
         assert SparsePolynomial(3, {0b1000: 0.0, 0b10: 1.0}, ZERO_ONE).terms == {0b10: 1.0}
         with pytest.raises(ContractViolation, match="term mask 0x8 outside"):
             SparsePolynomial(3, {0b1000: 2.0, 0b10: 1.0}, ZERO_ONE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), domain=st.sampled_from([ZERO_ONE, PLUS_MINUS]), data=st.data())
+    def test_spectrum_reads_as_the_terms(self, n, domain, data):
+        # a constant term and coefficients of either sign, in any order
+        coeff = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda c: c != 0.0)
+        masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8, unique=True))
+        terms = {m: data.draw(coeff) for m in masks}
+        terms[0] = data.draw(coeff)
+        f = SparsePolynomial(n, terms, domain)
+        batch = f.value_batch(all_masks(n))
+        assert batch.tobytes() == np.array([f.value_at(x) for x in range(1 << n)]).tobytes()
+        subset = data.draw(st.integers(0, (1 << n) - 1))
+        assert f.restrict(subset).terms == {
+            m & ~subset: c for m, c in terms.items() if m & subset == subset
+        }
+        assert f.degree() == max(m.bit_count() for m in terms)
 
 
 class TestTruncatePolynomial:
